@@ -163,6 +163,10 @@ class ExecutionBackend:
     def close(self) -> None:  # pragma: no cover - trivial
         """Release worker resources (idempotent)."""
 
+    def kill_worker(self, wid: int) -> None:
+        """Fault injection: kill worker ``wid``.  In-process backends have
+        no worker to kill; callers drop the task state they keep instead."""
+
     def __enter__(self) -> "ExecutionBackend":
         return self
 
@@ -283,7 +287,8 @@ class ExecutionBackend:
         shared_keys: Sequence[str] = (),
         cost_enabled: bool = True,
         order: Sequence[int] | None = None,
-        pinned: bool = False,
+        pinned: bool | Sequence[int] = False,
+        deadline: float | None = None,
     ) -> list[ChunkResult]:
         """Execute kernel ``fn(args, shared, cost)`` once per chunk arg.
 
@@ -291,8 +296,11 @@ class ExecutionBackend:
         ``shared_keys`` name payloads previously published with
         :meth:`put_shared`; the backend passes them to ``fn`` as the
         ``shared`` mapping.  ``pinned`` routes chunk ``i`` to worker ``i``
-        (for kernels with per-worker mirror state); ``order`` permutes the
-        dispatch order only (a determinism test hook).  Each task always
+        (True) or to worker ``pinned[i]`` (distinct ids), for tasks with
+        worker-local state; ``deadline`` bounds each chunk's reply time in
+        seconds (a worker that misses it is killed, see
+        :class:`~repro.parallel.pool.WorkerCrashed`); ``order`` permutes
+        the dispatch order only (a determinism test hook).  Each task always
         runs under a fresh recording cost model so emulation and charge
         reports see the kernel's counts; callers decide whether to merge.
         """
@@ -381,9 +389,11 @@ class SequentialBackend(ExecutionBackend):
         shared_keys: Sequence[str] = (),
         cost_enabled: bool = True,
         order: Sequence[int] | None = None,
-        pinned: bool = False,
+        pinned: bool | Sequence[int] = False,
+        deadline: float | None = None,
     ) -> list[ChunkResult]:
-        """Run each chunk kernel serially under a fresh recording model."""
+        """Run each chunk kernel serially under a fresh recording model
+        (inline, so ``pinned`` and ``deadline`` have nothing to do)."""
         shared: Mapping[str, Any] = {k: self._shared[k] for k in shared_keys}
         t0 = time.perf_counter()
         out: list[ChunkResult] = []
@@ -404,14 +414,13 @@ class SequentialBackend(ExecutionBackend):
 
 def _arg_size(args: Any) -> int:
     """Best-effort item count of a chunk argument, for granularity metrics."""
+    if isinstance(args, (list, tuple)):
+        return len(args)
     if isinstance(args, Mapping):
         for key in ("chunk", "items", "frontier"):
             v = args.get(key)
             if isinstance(v, (list, tuple)):
                 return len(v)
-        return 1
-    if isinstance(args, (list, tuple)):
-        return len(args)
     return 1
 
 

@@ -32,21 +32,31 @@ Design notes
   documented boundary for the shared-mutation kernels in ``es_tree`` and
   ``shift_clustering``.
 * **Worker supervision.**  A worker that *dies* (OOM-kill, segfault,
-  ``kill -9``) is detected, its in-flight task identified and requeued,
-  and a replacement forked with backoff — mirroring the shard supervision
-  in :mod:`repro.resilience.manager`.  A typed :class:`WorkerCrashed`
-  (carrying the task index and function label) surfaces only once the
-  per-dispatch restart budget is exhausted, the same task has killed
-  multiple workers (a poison task), or the dispatch is *pinned*: pinned
-  rounds carry per-sweep mirror deltas a mid-sweep replacement never saw,
-  so the sweep must fail fast — the pool itself still recovers (the
-  replacement is forked and re-seeded with the broadcast payloads before
-  the error is raised) and the *next* sweep runs clean.  Supervision is
-  uncharged control plane: restarts never touch the cost model.
+  ``kill -9``) or misses a dispatch's reply ``deadline`` (it is then
+  SIGKILLed) is detected, its in-flight task identified and requeued,
+  and a replacement forked with backoff.  The restart policy is the
+  :class:`~repro.resilience.manager.SupervisionConfig` the sharded
+  executor uses too: ``backoff_base``/``backoff_cap``, a per-dispatch
+  ``restart_budget``, and ``max_batch_attempts`` workers one task may
+  kill before it counts as poison.  A typed :class:`WorkerCrashed`
+  surfaces once that policy gives up, or at once on a *pinned*
+  dispatch.  Either way the dispatch first lets its other in-flight
+  tasks finish and hands their results back on the error
+  (``completed``), and the pool is healed (replacements forked and
+  re-seeded with the broadcast payloads) before it raises.
+  Supervision is uncharged control plane: restarts never touch the
+  cost model.
+* **Pinned stateful tasks.**  ``pinned`` routes task ``i`` to worker
+  ``i`` (or to a chosen worker), so a task may keep worker-local state
+  between dispatches: the frontier kernels' per-sweep mirrors, and the
+  sharded executor's shards (:func:`repro.service.shard.shard_task`).
+  A replacement worker holds none of that state, which is why a pinned
+  dispatch never requeues: its caller rebuilds the state instead.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import time
@@ -56,6 +66,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterable, Sequence
 
 from ..pram.cost import CostModel, ParallelScope
+from ..resilience.manager import SupervisionConfig
 from .backend import (
     ChunkResult,
     ExecutionBackend,
@@ -75,10 +86,12 @@ class PoolError(RuntimeError):
 
 
 class WorkerCrashed(PoolError):
-    """Worker process(es) died and supervision could not absorb it.
+    """Worker process(es) died or hung and supervision could not absorb it.
 
-    Carries exactly *which* work was lost so callers (and tests) can
-    requeue or quarantine precisely instead of guessing:
+    The one crash type of the worker runtime: the sharded executor raises
+    it too (``repro.service.ShardDeadError`` is an alias).  Carries
+    exactly *which* work was lost so callers (and tests) can requeue or
+    quarantine precisely instead of guessing:
 
     Attributes
     ----------
@@ -89,16 +102,21 @@ class WorkerCrashed(PoolError):
     fn_name:    the dispatched function's name
     restarts:   how many supervised restarts this dispatch performed
                 before giving up
+    completed:  results of the dispatch's tasks that did finish, by
+                payload index (:class:`ChunkResult` for ``map_chunks``),
+                so a caller never re-sends work that already ran
     """
 
-    def __init__(self, message: str, *, workers: list[str],
-                 task_ids: list[int], fn_name: str,
-                 restarts: int) -> None:
+    def __init__(self, message: str, *, workers: Sequence[str] = (),
+                 task_ids: Sequence[int] = (), fn_name: str = "",
+                 restarts: int = 0,
+                 completed: dict[int, Any] | None = None) -> None:
         super().__init__(message)
         self.workers = list(workers)
         self.task_ids = list(task_ids)
         self.fn_name = fn_name
         self.restarts = restarts
+        self.completed = dict(completed or {})
 
 
 def _worker_main(worker_id: int, conn) -> None:
@@ -176,15 +194,9 @@ class ProcessPoolBackend(ExecutionBackend):
         Target number of chunks per worker for ``map_scope`` (over-split a
         little so stragglers rebalance); task granularity is observable via
         the bound metrics.
-    restart_budget:
-        Supervised worker replacements allowed *per dispatch* before a
-        dead worker surfaces as :class:`WorkerCrashed`.
-    restart_backoff_s:
-        Base sleep before forking a replacement (doubles per restart
-        within one dispatch, like the shard supervisor's backoff).
-    task_retry_limit:
-        How many workers one task may kill before it is treated as a
-        poison task and surfaced instead of requeued again.
+    supervision:
+        Restart policy for dead workers (see the module docstring);
+        defaults to :class:`~repro.resilience.manager.SupervisionConfig`.
     """
 
     name = "process-pool"
@@ -196,17 +208,13 @@ class ProcessPoolBackend(ExecutionBackend):
         unit_cost_s: float = 0.0,
         min_items: int = 1,
         chunks_per_worker: int = 4,
-        restart_budget: int = 3,
-        restart_backoff_s: float = 0.05,
-        task_retry_limit: int = 2,
+        supervision: SupervisionConfig | None = None,
     ) -> None:
         super().__init__(unit_cost_s=unit_cost_s, min_items=min_items)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.chunks_per_worker = max(1, int(chunks_per_worker))
-        self.restart_budget = max(0, int(restart_budget))
-        self.restart_backoff_s = max(0.0, float(restart_backoff_s))
-        self.task_retry_limit = max(1, int(task_retry_limit))
+        self.supervision = supervision or SupervisionConfig()
         self._closed = False
         self._inflight = 0
         self._gen = 0           # dispatch generation (stale-reply filter)
@@ -255,6 +263,17 @@ class ProcessPoolBackend(ExecutionBackend):
         for key, value in self._shared.items():
             conn.send(("put", key, value))
         self._record_worker_restart()
+
+    def kill_worker(self, wid: int) -> None:
+        """SIGKILL worker ``wid`` (no cleanup — that is the point).
+
+        The fault-injection hook; the next dispatch that needs the worker
+        finds it dead and supervision takes over.
+        """
+        proc = self._procs[wid]
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=1.0)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -312,25 +331,27 @@ class ProcessPoolBackend(ExecutionBackend):
         shared_keys: Sequence[str],
         pass_cost: bool,
         order: Sequence[int] | None = None,
-        pinned: bool = False,
+        pinned: Sequence[int] | None = None,
+        deadline: float | None = None,
     ) -> tuple[list[Any], list[float], float]:
         """Run one task per payload; return (results in payload order,
         per-task busy seconds, wall seconds).
 
         ``order`` optionally permutes *dispatch* order (a test hook proving
         merge determinism); results always come back in payload order.
-        ``pinned`` routes task ``i`` to worker ``i`` (required by kernels
-        whose workers hold per-sweep mirror state); it needs
-        ``len(payloads) <= workers`` and quiescent workers, both of which
-        hold between frontier rounds.
+        ``pinned`` routes task ``i`` to worker ``pinned[i]`` (distinct
+        ids), for tasks that keep worker-local state.  ``deadline`` bounds
+        each task's reply time in seconds; a worker that misses it is
+        SIGKILLed and handled as a death.
 
-        **Supervision.**  A worker that dies mid-dispatch has its in-flight
-        task requeued and is replaced (with backoff) up to
-        ``restart_budget`` times per dispatch; past the budget — or when
-        the same task keeps killing workers, or the dispatch is pinned
-        (mirror state is unrecoverable mid-sweep) — a :class:`WorkerCrashed`
-        naming the lost task indices is raised.  The pool itself is always
-        healed before the error surfaces, so later dispatches still work.
+        **Supervision.**  A dead worker's in-flight task is requeued and
+        the worker replaced (with backoff) up to ``restart_budget`` times
+        per dispatch.  Past the budget — or when one task has killed
+        ``max_batch_attempts`` workers, or the dispatch is pinned — no new
+        task is sent, the in-flight ones finish, and a
+        :class:`WorkerCrashed` names the lost tasks and carries the
+        finished ones.  The pool itself is always healed before the error
+        surfaces, so later dispatches still work.
         """
         self._check_open()
         n = len(payloads)
@@ -338,37 +359,34 @@ class ProcessPoolBackend(ExecutionBackend):
         busy: list[float] = [0.0] * n
         if n == 0:
             return results, busy, 0.0
-        if pinned and n > len(self._procs):
-            raise ValueError("pinned dispatch needs len(payloads) <= workers")
+        if pinned is not None and (
+            len(pinned) != n or len(set(pinned)) != n
+            or not all(0 <= w < len(self._procs) for w in pinned)
+        ):
+            raise ValueError(
+                "pinned dispatch needs one distinct worker id per payload")
         t0 = time.perf_counter()
         queue_order = list(order) if order is not None else list(range(n))
         if sorted(queue_order) != list(range(n)):
             raise ValueError("order must be a permutation of the task ids")
+        sup = self.supervision
         pending = deque(queue_order)
         idle = list(range(len(self._procs)))
-        inflight: dict[int, int] = {}       # wid -> task_id
+        inflight: dict[int, tuple[int, float]] = {}  # wid -> (task, due)
         task_kills: dict[int, int] = {}     # task_id -> workers it killed
-        outstanding = 0
+        done: list[int] = []
         restarts = 0
-        backoff = self.restart_backoff_s
+        backoff = sup.backoff_base
         error: tuple[str, str] | None = None
+        dead_names: list[str] = []          # set once the dispatch gives up
+        lost: list[int] = []
         fn_name = getattr(fn, "__name__", repr(fn))
         self._inflight = n
-        # a dispatch aborted by WorkerCrashed can leave completed replies
-        # buffered in surviving workers' pipes (or tasks still running);
-        # the generation tag lets this dispatch drop those on sight
+        # a dispatch interrupted in the parent can leave replies buffered
+        # in workers' pipes; the generation tag lets this dispatch drop
+        # those on sight
         self._gen += 1
         gen = self._gen
-
-        def crash(workers: list[str], task_ids: list[int]) -> None:
-            raise WorkerCrashed(
-                f"worker process(es) died: {', '.join(workers)} "
-                f"(in-flight {fn_name} task(s) {task_ids or 'none'}, "
-                f"{restarts} supervised restart(s) used"
-                f"{', pinned dispatch' if pinned else ''})",
-                workers=workers, task_ids=task_ids, fn_name=fn_name,
-                restarts=restarts,
-            )
 
         def replace(wid: int, *, budgeted: bool) -> None:
             """Respawn ``wid``; ``budgeted`` restarts sleep and count."""
@@ -376,54 +394,57 @@ class ProcessPoolBackend(ExecutionBackend):
             if budgeted:
                 if backoff > 0.0:
                     time.sleep(backoff)
-                backoff = (backoff * 2.0) or self.restart_backoff_s
+                backoff = min(sup.backoff_cap, backoff * 2.0)
                 restarts += 1
             self._respawn(wid)
 
         def supervise(dead_wids: list[int]) -> None:
             """Requeue the dead workers' tasks and fork replacements, or
-            surface :class:`WorkerCrashed` when recovery is off the table."""
-            nonlocal outstanding
+            give the dispatch up when recovery is off the table."""
             names = [self._procs[w].name for w in dead_wids]
-            lost: list[int] = []
+            lost_now = []
             for wid in dead_wids:
-                task = inflight.pop(wid, None)
-                if task is not None:
-                    lost.append(task)
-                    outstanding -= 1
-                    task_kills[task] = task_kills.get(task, 0) + 1
-            poison = [t for t in lost
-                      if task_kills[t] >= self.task_retry_limit]
-            recoverable = (not pinned and not poison
+                entry = inflight.pop(wid, None)
+                if entry is not None:
+                    lost_now.append(entry[0])
+                    task_kills[entry[0]] = task_kills.get(entry[0], 0) + 1
+            poison = any(task_kills[t] >= sup.max_batch_attempts
+                         for t in lost_now)
+            recoverable = (pinned is None and not poison and not dead_names
                            and restarts + len(dead_wids)
-                           <= self.restart_budget)
+                           <= sup.restart_budget)
             for wid in dead_wids:
                 replace(wid, budgeted=recoverable)
-                if wid not in idle and wid not in inflight:
+                if wid not in idle:
                     idle.append(wid)
-            if not recoverable:
-                crash(names, poison or lost)
-            pending.extendleft(reversed(lost))
+            if recoverable:
+                pending.extendleft(reversed(lost_now))
+            else:
+                dead_names.extend(names)
+                lost.extend(lost_now)
+
+        def heal_idle(wid: int, task_ids: list[int]) -> bool:
+            """Replace an idle worker found dead at send time; False (and
+            the dispatch gives up) once the restart budget is spent.  A
+            pinned task still runs, on a fresh worker that holds none of
+            the dead one's worker-local state."""
+            if pinned is None and restarts >= sup.restart_budget:
+                dead_names.append(self._procs[wid].name)
+                lost.extend(task_ids)
+                replace(wid, budgeted=False)
+                return False
+            replace(wid, budgeted=pinned is None)
+            return True
 
         def send_next() -> bool:
-            nonlocal outstanding
-            if error is not None or not idle or not pending:
+            if error is not None or dead_names or not pending or not idle:
                 return False
             task_id = pending[0]
-            wid = task_id if pinned else idle[-1]
-            if pinned and wid not in idle:
+            wid = pinned[task_id] if pinned is not None else idle[-1]
+            if wid not in idle:
                 return False
-            if not self._procs[wid].is_alive():
-                # died while idle: replace before assigning work; pinned
-                # dispatches tolerate this too — the replacement joins
-                # before any of this dispatch's deltas were sent to it
-                if restarts >= self.restart_budget:
-                    name = self._procs[wid].name
-                    replace(wid, budgeted=False)
-                    crash([name], [])
-                replace(wid, budgeted=True)
-            pending.popleft()
-            idle.remove(wid)
+            if not self._procs[wid].is_alive() and not heal_idle(wid, []):
+                return False
             try:
                 self._conns[wid].send(
                     (
@@ -439,47 +460,39 @@ class ProcessPoolBackend(ExecutionBackend):
                     )
                 )
             except OSError:
-                # died between the liveness check and the send
-                pending.appendleft(task_id)
-                idle.append(wid)
-                if restarts >= self.restart_budget:
-                    name = self._procs[wid].name
-                    replace(wid, budgeted=False)
-                    crash([name], [task_id])
-                replace(wid, budgeted=True)
-                return True  # retry on the replacement next iteration
-            inflight[wid] = task_id
-            outstanding += 1
+                # died between the liveness check and the send: retry on
+                # the replacement next iteration
+                return heal_idle(wid, [task_id])
+            pending.popleft()
+            idle.remove(wid)
+            due = time.monotonic() + deadline if deadline else math.inf
+            inflight[wid] = (task_id, due)
             return True
 
         try:
             while send_next():
                 pass
-            done = 0
-            while done < n:
-                if outstanding == 0:
-                    if error is None and pending:
-                        while send_next():
-                            pass
-                        if outstanding > 0:
-                            continue
-                    break  # error path: nothing left in flight
+            while inflight:
+                due = min(d for _, d in inflight.values())
                 ready = mp_connection.wait(
                     [self._conns[w] for w in inflight],
-                    timeout=_QUEUE_POLL_S,
+                    timeout=min(_QUEUE_POLL_S,
+                                max(0.0, due - time.monotonic())),
                 )
                 if not ready:
-                    # belt-and-braces: a death normally surfaces as EOF on
-                    # the worker's pipe, but sweep liveness anyway
-                    dead = [wid for wid in list(inflight)
+                    # a hung worker is killed at its deadline; a death
+                    # normally surfaces as EOF on the worker's pipe, but
+                    # sweep liveness anyway
+                    now = time.monotonic()
+                    for wid, (_, d) in list(inflight.items()):
+                        if d <= now:
+                            self.kill_worker(wid)
+                    dead = [wid for wid in inflight
                             if not self._procs[wid].is_alive()]
                     if dead:
                         supervise(dead)
-                        while send_next():
-                            pass
-                    continue
                 for conn in ready:
-                    wid = next((w for w in list(inflight)
+                    wid = next((w for w in inflight
                                 if self._conns[w] is conn), None)
                     if wid is None:
                         # conn was replaced by supervision this round
@@ -487,34 +500,35 @@ class ProcessPoolBackend(ExecutionBackend):
                     try:
                         msg = conn.recv()
                     except (EOFError, OSError):
-                        # worker died: its duplex pipe tore — requeue
+                        # worker died: its duplex pipe tore
                         supervise([wid])
-                        while send_next():
-                            pass
                         continue
                     task_id = msg[3]
-                    if msg[2] != gen or inflight.get(wid) != task_id:
-                        # stale: a reply from an earlier aborted dispatch,
-                        # or for a task supervision already requeued
-                        continue
+                    if msg[2] != gen or inflight[wid][0] != task_id:
+                        continue  # stale reply from an earlier dispatch
                     del inflight[wid]
-                    outstanding -= 1
+                    idle.append(wid)
                     if msg[0] == "ok":
-                        _, _, _, _, out, busy_s = msg
-                        results[task_id] = out
-                        busy[task_id] = busy_s
-                        idle.append(wid)
-                        done += 1
-                        send_next()
-                    else:
-                        _, _, _, _, exc_repr, tb = msg
-                        idle.append(wid)
-                        done += 1
-                        if error is None:
-                            error = (exc_repr, tb)
+                        results[task_id] = msg[4]
+                        busy[task_id] = msg[5]
+                        done.append(task_id)
+                    elif error is None:
+                        error = (msg[4], msg[5])
+                while send_next():
+                    pass
         finally:
             self._inflight = 0
         wall = time.perf_counter() - t0
+        if dead_names:
+            raise WorkerCrashed(
+                f"worker process(es) died: {', '.join(dead_names)} "
+                f"(in-flight {fn_name} task(s) {lost or 'none'}, "
+                f"{restarts} supervised restart(s) used"
+                f"{', pinned dispatch' if pinned is not None else ''})",
+                workers=dead_names, task_ids=lost, fn_name=fn_name,
+                restarts=restarts,
+                completed={t: (results[t], busy[t]) for t in done},
+            )
         if error is not None:
             exc_repr, tb = error
             raise PoolError(
@@ -572,12 +586,21 @@ class ProcessPoolBackend(ExecutionBackend):
         shared_keys: Sequence[str] = (),
         cost_enabled: bool = True,
         order: Sequence[int] | None = None,
-        pinned: bool = False,
+        pinned: bool | Sequence[int] = False,
+        deadline: float | None = None,
     ) -> list[ChunkResult]:
         """Run each kernel chunk on a worker against broadcast shared state."""
-        raw, busy, wall = self._dispatch(
-            "chunk", fn, list(chunk_args), shared_keys, True, order, pinned
-        )
+        if pinned is True:
+            pinned = range(len(chunk_args))
+        try:
+            raw, busy, wall = self._dispatch(
+                "chunk", fn, list(chunk_args), shared_keys, True, order,
+                list(pinned) if pinned else None, deadline,
+            )
+        except WorkerCrashed as exc:
+            exc.completed = {t: ChunkResult(*out, b)
+                             for t, (out, b) in exc.completed.items()}
+            raise
         out = [
             ChunkResult(value, work, depth, b)
             for (value, work, depth), b in zip(raw, busy)

@@ -672,7 +672,8 @@ def _pool_kill_exercise(rng: np.random.Generator, result: ChaosRunResult,
     lost task, fork a replacement, and return byte-identical results."""
     from repro.parallel.pool import ProcessPoolBackend
 
-    pool = ProcessPoolBackend(2, restart_backoff_s=0.01)
+    pool = ProcessPoolBackend(
+        2, supervision=SupervisionConfig(backoff_base=0.01))
     try:
         chunks = [{"items": list(range(8 * c, 8 * c + 8)), "sleep_s": 0.02}
                   for c in range(8)]

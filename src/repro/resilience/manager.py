@@ -45,13 +45,18 @@ class ResilienceConfig:
 
 @dataclass
 class SupervisionConfig:
-    """Shard-supervision knobs used by ShardedExecutor."""
+    """Worker-restart policy of the one worker runtime.
+
+    ``ShardedExecutor`` uses it to restart and retry shards;
+    ``ProcessPoolBackend`` uses it to replace dead workers.
+    """
 
     recv_deadline: float = 5.0      # seconds to wait on a shard's reply
     max_batch_attempts: int = 2     # crash-loops on one batch → quarantine
     backoff_base: float = 0.05      # first restart delay (doubles per retry)
     backoff_cap: float = 2.0        # ceiling on the restart delay
     heartbeat_interval: float = 1.0  # background liveness-probe period
+    restart_budget: int = 3         # pool worker replacements per dispatch
 
 
 class RecoveryManager:
@@ -186,11 +191,16 @@ class RecoveryManager:
 
     def write_checkpoint(self, epoch: int,
                          shard_edges: list[set[Edge]]) -> None:
-        """Persist per-shard state at ``epoch`` and truncate the WAL."""
+        """Persist per-shard state at ``epoch`` and truncate the WAL.
+
+        Takes ownership of ``shard_edges``: the sets become the recovered
+        checkpoint's state, so the caller must pass fresh sets it no
+        longer mutates (``executor.shard_graphs()`` returns copies).
+        """
         self.checkpoints.save(epoch, shard_edges,
                               interrupt=self.injector.on_checkpoint)
         self._writer.truncate_through(epoch)
-        self._recovered = (Checkpoint(epoch, [set(s) for s in shard_edges]),
+        self._recovered = (Checkpoint(epoch, list(shard_edges)),
                            WalReadResult())
         self._since_checkpoint = 0
 
@@ -204,7 +214,6 @@ def bootstrap_executor(
     shards: int,
     manager: RecoveryManager,
     processes: bool = False,
-    start_method: str | None = None,
     supervision: SupervisionConfig | None = None,
     injector: FaultInjector | None = None,
 ):
@@ -224,8 +233,8 @@ def bootstrap_executor(
     boot_spec = dict(spec)
     boot_spec["edges"] = sorted(base_union)
     executor = ShardedExecutor(
-        boot_spec, shards, processes=processes, start_method=start_method,
-        supervision=supervision, recovery=manager, injector=injector,
+        boot_spec, shards, processes=processes, supervision=supervision,
+        recovery=manager, injector=injector,
     )
     for rec in manager.tail:
         executor.apply(rec.batch, seq=rec.seq)

@@ -1,38 +1,47 @@
-"""Sharded executor: S independent structure instances in worker processes.
+"""Sharded executor: S independent structure instances on worker processes.
 
 The paper's structures share no state across disjoint edge sets, so the
 engine can escape the GIL by hash-partitioning edges over ``S`` shards,
-each a full structure instance on the common vertex set, running in its
-own ``multiprocessing`` worker.  A flush scatters the coalesced batch into
-per-shard sub-batches (shards apply them in parallel), then gathers the
-``(δ_ins, δ_del)`` deltas plus cost-model work/depth; shard work *sums*
-while shard depth *maxes*, exactly the cost model's parallel-composition
-rule.
+each a full structure instance on the common vertex set.  A flush
+scatters the coalesced batch into per-shard sub-batches (shards apply
+them in parallel), then gathers the ``(δ_ins, δ_del)`` deltas plus
+cost-model work/depth; shard work *sums* while shard depth *maxes*,
+exactly the cost model's parallel-composition rule.
 
-``processes=False`` runs the same protocol in-process (deterministic, no
+Shards run on the one worker runtime, the execution backends of
+:mod:`repro.parallel`.  A shard is a *pinned stateful task*:
+:func:`shard_task` keeps shard ``i``'s structure in worker-local state
+and the executor always dispatches shard ``i`` to worker ``i`` of a
+:class:`~repro.parallel.pool.ProcessPoolBackend` (``processes=True``).
+``processes=False`` runs the same task inline on a
+:class:`~repro.parallel.backend.SequentialBackend` (deterministic, no
 fork needed) — tests and the benchmark baseline use it; the CLI demo uses
 real processes where the platform provides them.
 
-Supervision (PR 4): every worker interaction carries a recv deadline, and
-a dead or hung worker is restarted — with exponential backoff — from the
-last checkpoint plus a WAL-tail replay (or, lacking durable state, from
-the in-memory applied-batch history).  The in-flight sub-batch is then
-retried; after ``max_batch_attempts`` consecutive crash-loops on the same
-batch it is quarantined instead, keeping the engine live on poison input.
-All of it is observable through the :class:`ApplyResult` recovery fields
-and, one level up, the service's :class:`MetricsRegistry`.
+Supervision: every dispatch carries a reply deadline (a worker that
+misses it is killed), and a shard whose worker died, hung, or crashed on
+its batch has lost its state.  It is rebuilt — after exponential backoff
+— from the last checkpoint plus a WAL-tail replay (or, lacking durable
+state, from the in-memory applied-batch history), and its sub-batch is
+retried; a live shard's reply from the same dispatch is kept, so its
+sub-batch is never sent twice.  After ``max_batch_attempts`` consecutive
+crash-loops on the same batch the sub-batch is quarantined instead,
+keeping the engine live on poison input.  All of it is observable
+through the :class:`ApplyResult` recovery fields and, one level up, the
+service's :class:`MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import pickle
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
 from repro.graph.dynamic_graph import Edge
+from repro.parallel.backend import SequentialBackend
+from repro.parallel.pool import ProcessPoolBackend, WorkerCrashed
 from repro.pram.cost import CostModel
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
 from repro.resilience.manager import RecoveryManager, SupervisionConfig
@@ -45,12 +54,12 @@ __all__ = [
     "ShardedExecutor",
     "ShardHealth",
     "edge_shard",
+    "shard_task",
     "split_by_shard",
 ]
 
-
-class ShardDeadError(RuntimeError):
-    """A worker died or hung and could not serve the request."""
+#: Former name of the shard crash type, kept for the public API.
+ShardDeadError = WorkerCrashed
 
 
 def edge_shard(edge: Edge, shards: int) -> int:
@@ -69,188 +78,66 @@ def split_by_shard(
     return out
 
 
-#: Pipes default to protocol-2 pickles; the highest protocol (5) frames
-#: large update batches with out-of-band-friendly encoding and measurably
-#: cheaper int/tuple serialization on the flush path.
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
+#: Worker-local shard state: (executor token, shard index) → the shard's
+#: backend and the cost model it charges.
+_SHARDS: dict[tuple[int, int], tuple[Any, CostModel]] = {}
 
 
-def _pipe_send(conn, obj) -> None:
-    conn.send_bytes(pickle.dumps(obj, _PICKLE_PROTO))
+def shard_task(args: tuple, shared: Any, cost: CostModel | None = None):
+    """One shard request, run on the shard's pinned worker.
 
+    ``args`` is ``(key, op, *operands)`` with ``key`` the shard's
+    ``(executor token, shard index)``:
 
-def _pipe_recv(conn):
-    return pickle.loads(conn.recv_bytes())
+    * ``("init", spec, replay)`` builds the backend on ``spec`` and
+      applies the ``(insertions, deletions)`` pairs of ``replay``;
+      replies True, and raises what the build raises;
+    * ``("update", insertions, deletions)`` replies
+      ``(δ_ins, δ_del, work, depth)``, charged under the backend's own
+      :class:`~repro.pram.cost.CostModel` frame;
+    * ``("edges",)`` replies the output edges as a list;
+    * ``("ping",)`` replies the output size.
 
-
-def _serve_backend(conn, spec: dict[str, Any]) -> None:
-    """Worker loop: build the backend, answer update/query messages."""
-    cost = CostModel()
-    backend = build_backend(spec, cost)
-    while True:
-        msg = _pipe_recv(conn)
-        cmd = msg[0]
-        if cmd == "update":
-            _, ins, dels = msg
-            with cost.frame() as fr:
-                d_ins, d_del = backend.update(insertions=ins, deletions=dels)
-            # reply envelope: plain lists pickle smaller/faster than sets
-            # and the parent folds them with set.update() anyway
-            _pipe_send(conn, (list(d_ins), list(d_del), fr.work, fr.depth))
-        elif cmd == "edges":
-            _pipe_send(conn, list(backend.output_edges()))
-        elif cmd == "size":
-            _pipe_send(conn, len(backend.output_edges()))
-        elif cmd == "ping":
-            _pipe_send(conn, ("pong",))
-        elif cmd == "stop":
-            _pipe_send(conn, ("bye",))
-            conn.close()
-            return
-        else:  # pragma: no cover - protocol misuse
-            _pipe_send(conn, ValueError(f"unknown command {cmd!r}"))
-
-
-class _ProcessShard:
-    """One worker process plus its parent-side pipe end."""
-
-    def __init__(self, spec: dict[str, Any], ctx) -> None:
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_serve_backend, args=(child, spec), daemon=True
-        )
-        self.proc.start()
-        child.close()
-
-    def send(self, msg) -> None:
-        _pipe_send(self.conn, msg)
-
-    def recv(self):
-        return _pipe_recv(self.conn)
-
-    def recv_within(self, deadline: float):
-        """Reply within ``deadline`` seconds, else :class:`ShardDeadError`."""
-        try:
-            if not self.conn.poll(deadline):
-                raise ShardDeadError(
-                    f"worker pid={self.proc.pid} missed its "
-                    f"{deadline:.3f}s reply deadline"
-                )
-            return _pipe_recv(self.conn)
-        except (EOFError, BrokenPipeError, OSError, pickle.PickleError) as exc:
-            raise ShardDeadError(f"worker pipe failed: {exc!r}") from exc
-
-    def drain_one(self, timeout: float = 0.0) -> bool:
-        """Discard one buffered reply if present (fault injection)."""
-        try:
-            if self.conn.poll(timeout):
-                self.conn.recv_bytes()
-                return True
-        except (EOFError, BrokenPipeError, OSError):
-            pass
-        return False
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def kill(self) -> None:
-        """SIGKILL the worker (no cleanup — that is the point)."""
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-
-    def close(self) -> None:
-        try:
-            _pipe_send(self.conn, ("stop",))
-            if self.conn.poll(1.0):
-                self.conn.recv_bytes()
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=1.0)
-        if self.proc.is_alive():  # pragma: no cover - stubborn worker
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class _InprocShard:
-    """Same message protocol, executed synchronously in-process.
-
-    Supports simulated death (:meth:`kill`) so supervision and the chaos
-    harness run deterministically without ``multiprocessing``.
+    The other requests reply None when the shard holds no state: it was
+    never built, its worker was replaced, or a request raised — any
+    exception drops the state, so a poison batch looks exactly like a
+    worker death.
     """
+    key, op = args[0], args[1]
+    if op == "init":
+        _SHARDS.pop(key, None)
+        cm = CostModel()
+        backend = build_backend(args[2], cm)
+        for ins, dels in args[3]:
+            backend.update(insertions=ins, deletions=dels)
+        _SHARDS[key] = (backend, cm)
+        return True
+    state = _SHARDS.get(key)
+    if state is None:
+        return None
+    backend, cm = state
+    try:
+        if op == "update":
+            with cm.frame() as fr:
+                d_ins, d_del = backend.update(insertions=args[2],
+                                              deletions=args[3])
+            # plain lists pickle smaller/faster than sets, and the parent
+            # folds them with set.update() anyway
+            return list(d_ins), list(d_del), fr.work, fr.depth
+        if op == "edges":
+            return list(backend.output_edges())
+        if op == "ping":
+            return len(backend.output_edges())
+    except Exception:
+        del _SHARDS[key]
+        return None
+    raise ValueError(f"unknown shard op {op!r}")
 
-    def __init__(self, spec: dict[str, Any]) -> None:
-        self._cost = CostModel()
-        self._backend = build_backend(spec, self._cost)
-        self._reply = None
-        self._dead = False
 
-    def send(self, msg) -> None:
-        if self._dead:
-            raise BrokenPipeError("in-process shard was killed")
-        cmd = msg[0]
-        if cmd == "update":
-            _, ins, dels = msg
-            try:
-                with self._cost.frame() as fr:
-                    d_ins, d_del = self._backend.update(
-                        insertions=ins, deletions=dels
-                    )
-            except Exception as exc:
-                # a real worker process dies on an update that crashes the
-                # backend (poison batch); mirror that so supervision sees
-                # the same failure mode in deterministic in-process runs
-                self.kill()
-                raise BrokenPipeError(
-                    f"in-process worker crashed applying batch: {exc!r}"
-                ) from exc
-            self._reply = (list(d_ins), list(d_del), fr.work, fr.depth)
-        elif cmd == "edges":
-            self._reply = list(self._backend.output_edges())
-        elif cmd == "size":
-            self._reply = len(self._backend.output_edges())
-        elif cmd == "ping":
-            self._reply = ("pong",)
-        elif cmd == "stop":
-            self._reply = ("bye",)
-        else:
-            raise ValueError(f"unknown command {cmd!r}")
-
-    def recv(self):
-        if self._dead:
-            raise EOFError("in-process shard was killed")
-        reply, self._reply = self._reply, None
-        return reply
-
-    def recv_within(self, deadline: float):
-        try:
-            return self.recv()
-        except EOFError as exc:
-            raise ShardDeadError(str(exc)) from exc
-
-    def drain_one(self, timeout: float = 0.0) -> bool:
-        if self._reply is not None:
-            self._reply = None
-            return True
-        return False
-
-    def alive(self) -> bool:
-        return not self._dead
-
-    def kill(self) -> None:
-        self._dead = True
-        self._reply = None
-        self._backend = None  # state dies with the "process"
-
-    def close(self) -> None:
-        pass
+def _drop_shards(token: int, shards: int) -> None:
+    """Free an executor's in-process shard state."""
+    for i in range(shards):
+        _SHARDS.pop((token, i), None)
 
 
 @dataclass
@@ -274,19 +161,16 @@ class ShardedExecutor:
     shards:
         Number of partitions (>= 1).
     processes:
-        Run workers as real processes (parallel, needs a working
-        ``multiprocessing`` start method) or in-process (deterministic).
-    start_method:
-        Forwarded to :func:`multiprocessing.get_context`; defaults to
-        ``fork`` where available (cheap, inherits the parent image) else
-        the platform default.
+        Run shards on a :class:`~repro.parallel.pool.ProcessPoolBackend`
+        with one worker process per shard (parallel) or inline on a
+        :class:`~repro.parallel.backend.SequentialBackend`
+        (deterministic).
     supervision:
         Deadlines/backoff/quarantine policy; None disables supervision
-        entirely (a dead worker then surfaces as an exception, the
-        pre-PR-4 behaviour).
+        entirely (a dead shard then surfaces as :class:`WorkerCrashed`).
     recovery:
         A :class:`~repro.resilience.manager.RecoveryManager`; when set,
-        restarted workers rebuild from checkpoint + WAL replay, else from
+        restarted shards rebuild from checkpoint + WAL replay, else from
         the in-memory applied-batch history.
     injector:
         Fault-injection hooks (chaos harness); defaults to no-op.
@@ -297,7 +181,6 @@ class ShardedExecutor:
         spec: dict[str, Any],
         shards: int,
         processes: bool = False,
-        start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
         recovery: RecoveryManager | None = None,
         injector: FaultInjector | None = None,
@@ -305,7 +188,6 @@ class ShardedExecutor:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
-        self.processes = processes
         self.supervision = supervision
         self.recovery = recovery
         self.injector = injector or NULL_INJECTOR
@@ -319,14 +201,25 @@ class ShardedExecutor:
             sub["edges"] = parts[i]
             sub["seed"] = base_seed + i
             self.shard_specs.append(sub)
-        self._ctx = None
-        if processes:
-            if start_method is None:
-                methods = mp.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else None
-            self._ctx = mp.get_context(start_method)
-        self._shards = [self._spawn(self.shard_specs[i])
-                        for i in range(shards)]
+        self.backend = (
+            ProcessPoolBackend(shards, supervision=supervision)
+            if processes else SequentialBackend()
+        )
+        self._token = self.backend.new_token()
+        # frees in-process shard state on close, or when the executor is
+        # collected without one
+        self._free = weakref.finalize(self, _drop_shards, self._token, shards)
+        self._deadline = supervision.recv_deadline if supervision else 60.0
+        self._closed = False
+        try:
+            built = self._call(range(shards), [
+                ("init", sub, ()) for sub in self.shard_specs])
+            if None in built:
+                raise WorkerCrashed(f"shard {built.index(None)} died "
+                                    "while building")
+        except BaseException:
+            self.close()
+            raise
         # per-shard applied sub-batches, for offline replay verification
         self.applied_batches: list[list[UpdateBatch]] = [
             [] for _ in range(shards)
@@ -338,12 +231,30 @@ class ShardedExecutor:
         self.quarantined: list[tuple[int | None, int, UpdateBatch]] = []
         self.wal_fallbacks = 0
         self.degraded = threading.Event()  # set while any shard recovers
-        self._closed = False
 
-    def _spawn(self, spec: dict[str, Any]):
-        if self.processes:
-            return _ProcessShard(spec, self._ctx)
-        return _InprocShard(spec)
+    def _call(self, shards, requests: list[tuple]) -> list[Any]:
+        """Run one :func:`shard_task` request per shard, each on the
+        shard's own worker; a shard that died, hung or lost its state
+        replies None.  Replies of shards that finished are kept even when
+        another shard's worker crashed mid-dispatch."""
+        shards = list(shards)
+        try:
+            res = self.backend.map_chunks(
+                shard_task, [((self._token, i),) + r
+                             for i, r in zip(shards, requests)],
+                pinned=shards, deadline=self._deadline,
+            )
+            return [r.value for r in res]
+        except WorkerCrashed as exc:
+            return [exc.completed[j].value if j in exc.completed else None
+                    for j in range(len(shards))]
+
+    def kill_shard(self, i: int) -> None:
+        """Fault injection: SIGKILL shard ``i``'s worker, or drop the
+        shard's state when it runs in-process.  No cleanup — the next
+        request finds the shard dead and supervision takes over."""
+        _SHARDS.pop((self._token, i), None)
+        self.backend.kill_worker(i)
 
     # -- executor protocol ---------------------------------------------------
 
@@ -384,13 +295,13 @@ class ShardedExecutor:
             if ins_parts[i] or del_parts[i]
         ]
         sup = self.supervision
-        sent: dict[int, bool] = {}
-        for i in touched:  # scatter first: process shards run in parallel
+        for i in touched:
             if self.injector.on_apply(i, "pre", seq) == "kill":
-                self._shards[i].kill()
-            sent[i] = self._try_send(
-                i, ("update", ins_parts[i], del_parts[i])
-            )
+                self.kill_shard(i)
+        # one dispatch for every touched shard: process shards run in
+        # parallel
+        replies = self._call(touched, [
+            ("update", ins_parts[i], del_parts[i]) for i in touched])
         delta_ins: set[Edge] = set()
         delta_del: set[Edge] = set()
         work = 0
@@ -400,39 +311,34 @@ class ShardedExecutor:
         quarantined: list[int] = []
         restarts = 0
         recovery_seconds = 0.0
-        for i in touched:
+        for i, reply in zip(touched, replies):
             sub = UpdateBatch(insertions=ins_parts[i],
                               deletions=del_parts[i])
-            reply = self._gather_one(i, sent[i], seq)
+            reply = self._received(i, reply, seq)
             crashes = 0 if reply is not None else 1
             while reply is None:
                 if sup is None:
-                    raise ShardDeadError(
+                    raise WorkerCrashed(
                         f"shard {i} failed and supervision is disabled"
                     )
-                if crashes > sup.max_batch_attempts:
-                    # poison batch: restart the shard *without* it and
-                    # keep serving
-                    t0 = time.perf_counter()
-                    restarts += self._restart_shard(i)
-                    recovery_seconds += time.perf_counter() - t0
-                    recovered.append(i)
-                    quarantined.append(i)
-                    self.quarantined.append((seq, i, sub))
-                    break
                 t0 = time.perf_counter()
                 restarts += self._restart_shard(i)
                 recovery_seconds += time.perf_counter() - t0
                 recovered.append(i)
-                ok = self._try_send(i, ("update", ins_parts[i],
-                                        del_parts[i]))
-                reply = self._gather_one(i, ok, seq)
+                if crashes > sup.max_batch_attempts:
+                    # poison batch: the shard restarted *without* it and
+                    # keeps serving
+                    quarantined.append(i)
+                    self.quarantined.append((seq, i, sub))
+                    break
+                reply = self._received(i, self._call(
+                    [i], [("update", ins_parts[i], del_parts[i])])[0], seq)
                 if reply is None:
                     crashes += 1
             if reply is None:  # quarantined
                 continue
             if self.injector.on_apply(i, "post", seq) == "kill":
-                self._shards[i].kill()
+                self.kill_shard(i)
             d_ins, d_del, w, d = reply
             self.applied_batches[i].append(sub)
             self._graph[i].difference_update(del_parts[i])
@@ -454,32 +360,19 @@ class ShardedExecutor:
 
     # -- supervision ---------------------------------------------------------
 
-    def _try_send(self, i: int, msg) -> bool:
-        try:
-            self._shards[i].send(msg)
-            return True
-        except (BrokenPipeError, OSError, EOFError):
-            return False
-
-    def _gather_one(self, i: int, was_sent: bool, seq: int | None):
-        """One shard's update reply, or None on death/timeout."""
-        if not was_sent:
+    def _received(self, i: int, reply, seq: int | None):
+        """Shard ``i``'s update reply after the injector's ``on_recv``
+        hook, which may lose or stall it (None, as for a dead shard)."""
+        if reply is None:
             return None
-        deadline = (self.supervision.recv_deadline
-                    if self.supervision else 60.0)
         action = self.injector.on_recv(i, seq)
         if action == "drop":
-            # simulate a lost reply: swallow whatever arrives in-deadline
-            self._shards[i].drain_one(timeout=min(deadline, 0.25))
             return None
         if isinstance(action, tuple) and action[0] == "delay":
             # simulate a stalled worker: the reply misses its deadline
-            time.sleep(min(action[1], deadline))
+            time.sleep(min(action[1], self._deadline))
             return None
-        try:
-            return self._shards[i].recv_within(deadline)
-        except ShardDeadError:
-            return None
+        return reply
 
     def _recovery_source(self, i: int) -> tuple[set[Edge],
                                                 list[UpdateBatch], bool]:
@@ -500,30 +393,23 @@ class ShardedExecutor:
         return base, list(self.applied_batches[i]), False
 
     def _restart_shard(self, i: int) -> int:
-        """Kill, back off, respawn from recovered state.  Returns 1."""
+        """Back off, then rebuild shard ``i`` on its worker from
+        recovered state (replacing whatever state it held).  Returns 1."""
         sup = self.supervision or SupervisionConfig()
         self.degraded.set()
         try:
-            shard = self._shards[i]
-            try:
-                shard.kill()
-            finally:
-                shard.close()
             streak = self._restart_streak[i]
             delay = min(sup.backoff_cap, sup.backoff_base * (2 ** streak))
             if delay > 0:
                 time.sleep(delay)
             self._restart_streak[i] = streak + 1
             self.restarts_total += 1
-            base, replay, used_wal = self._recovery_source(i)
+            base, replay, _ = self._recovery_source(i)
             spec = dict(self.shard_specs[i])
             spec["edges"] = sorted(base)
-            fresh = self._spawn(spec)
-            self._shards[i] = fresh
-            deadline = sup.recv_deadline
-            for b in replay:
-                fresh.send(("update", b.insertions, b.deletions))
-                fresh.recv_within(deadline)
+            steps = [(b.insertions, b.deletions) for b in replay]
+            if self._call([i], [("init", spec, steps)])[0] is None:
+                raise WorkerCrashed(f"shard {i} died while rebuilding")
             # re-anchor the offline-verification view on the recovered
             # construction: spec' + replayed tail is the shard's history now
             self.shard_specs[i] = spec
@@ -539,21 +425,12 @@ class ShardedExecutor:
             self.degraded.clear()
 
     def health_check(self, restart: bool = True) -> list[ShardHealth]:
-        """Probe every worker (liveness + ping); optionally restart dead
-        ones proactively so the next flush does not pay the recovery."""
+        """Ping every shard; optionally restart dead ones proactively so
+        the next flush does not pay the recovery."""
         out: list[ShardHealth] = []
-        deadline = (self.supervision.recv_deadline
-                    if self.supervision else 1.0)
-        for i, shard in enumerate(self._shards):
-            alive = shard.alive()
-            if alive:
-                if self._try_send(i, ("ping",)):
-                    try:
-                        alive = shard.recv_within(deadline) == ("pong",)
-                    except ShardDeadError:
-                        alive = False
-                else:
-                    alive = False
+        for i, reply in enumerate(self._call(range(self.shards),
+                                             [("ping",)] * self.shards)):
+            alive = reply is not None
             restarted = False
             if not alive and restart and self.supervision is not None:
                 self._restart_shard(i)
@@ -564,54 +441,48 @@ class ShardedExecutor:
 
     # -- scatter/gather queries ----------------------------------------------
 
-    def gather_edges(self) -> set[Edge]:
-        """Union of every shard's output edges (scatter/gather).
+    def _ask_all(self, request: tuple) -> list[Any]:
+        """Every shard's reply to ``request``.
 
-        Supervised executors restart a dead shard mid-gather instead of
-        raising, so a query barrage never wedges on a crashed worker.
+        Supervised executors restart a dead shard and ask again instead
+        of raising, so a query barrage never wedges on a crashed worker.
         """
-        out: set[Edge] = set()
-        for i in range(self.shards):
-            reply = None
-            if self._try_send(i, ("edges",)):
-                try:
-                    deadline = (self.supervision.recv_deadline
-                                if self.supervision else 60.0)
-                    reply = self._shards[i].recv_within(deadline)
-                except ShardDeadError:
-                    reply = None
+        replies = self._call(range(self.shards), [request] * self.shards)
+        for i, reply in enumerate(replies):
             if reply is None:
                 if self.supervision is None:
-                    raise ShardDeadError(f"shard {i} died during gather")
+                    raise WorkerCrashed(
+                        f"shard {i} died answering {request[0]!r}")
                 self._restart_shard(i)
-                self._shards[i].send(("edges",))
-                reply = self._shards[i].recv_within(
-                    self.supervision.recv_deadline
-                )
-            out.update(reply)
+                reply = self._call([i], [request])[0]
+                if reply is None:
+                    raise WorkerCrashed(
+                        f"shard {i} died again answering {request[0]!r}")
+                replies[i] = reply
+        return replies
+
+    def gather_edges(self) -> set[Edge]:
+        """Union of every shard's output edges (scatter/gather)."""
+        out: set[Edge] = set()
+        for edges in self._ask_all(("edges",)):
+            out.update(edges)
         return out
 
     def scatter_sizes(self) -> list[int]:
         """Per-shard output sizes (occupancy diagnostics)."""
-        for s in self._shards:
-            s.send(("size",))
-        return [s.recv() for s in self._shards]
+        return self._ask_all(("ping",))
 
     def close(self) -> None:
-        """Stop every worker and release their pipes.
+        """Stop every worker and free the shards' state.
 
         Idempotent and exception-safe: a shard that already died mid-run
-        is skipped rather than hung on, and one shard's failure never
-        prevents the rest from being reaped.
+        is skipped rather than hung on.
         """
         if self._closed:
             return
         self._closed = True
-        for s in self._shards:
-            try:
-                s.close()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
+        self._free()
+        self.backend.close()
 
     def __enter__(self) -> "ShardedExecutor":
         return self

@@ -11,8 +11,11 @@ acceptance criterion.
 import multiprocessing as mp
 import os
 import signal
+import time
 
 import pytest
+
+import repro.service.shard as shard_mod
 
 from repro.resilience import RecoveryManager, ResilienceConfig
 from repro.resilience.chaos import (
@@ -25,7 +28,7 @@ from repro.resilience.chaos import (
 from repro.resilience.manager import SupervisionConfig
 from repro.service import ShardedExecutor
 from repro.service.shard import edge_shard
-from repro.workloads import UpdateBatch
+from repro.workloads import UpdateBatch, Workload
 from repro.workloads.streams import request_stream
 
 _FORK = "fork" in mp.get_all_start_methods()
@@ -89,6 +92,58 @@ class TestChaosCampaign:
 
 
 @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+class _FaultyShard:
+    """Wraps a shard's backend inside its worker process.
+
+    Inserting ``fault_edge`` hangs the worker (``fault="hang"``) or
+    SIGKILLs it (``fault="die"``), once: a flag file marks the fault as
+    spent, so the rebuilt shard applies the edge normally.  Every
+    application of ``watch_edge`` appends a line to ``log``, after a
+    short sleep that keeps that shard busy while the other one fails.
+    """
+
+    def __init__(self, inner, fault, fault_edge, flag, watch_edge, log):
+        self.inner = inner
+        self.fault = fault
+        self.fault_edge = fault_edge
+        self.flag = flag
+        self.watch_edge = watch_edge
+        self.log = log
+
+    def update(self, insertions=(), deletions=()):
+        if self.watch_edge in insertions:
+            time.sleep(0.3)
+            with open(self.log, "a") as fh:
+                fh.write("applied\n")
+        if self.fault_edge in insertions and not os.path.exists(self.flag):
+            open(self.flag, "w").close()
+            if self.fault == "hang":
+                time.sleep(60.0)
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return self.inner.update(insertions=insertions, deletions=deletions)
+
+    def output_edges(self):
+        return self.inner.output_edges()
+
+
+def _install_faulty_shards(monkeypatch, tmp_path, fault, fault_edge,
+                           watch_edge=None):
+    """Patch the shard backend factory before the executor forks its workers;
+    returns the watch log's path."""
+    real = shard_mod.build_backend
+    flag = str(tmp_path / "fault-spent")
+    log = tmp_path / "watch.log"
+
+    def build(spec, cost):
+        return _FaultyShard(real(spec, cost), fault, fault_edge, flag,
+                            watch_edge, str(log))
+
+    monkeypatch.setattr(shard_mod, "build_backend", build)
+    return log
+
+
+@pytest.mark.skipif(not _FORK, reason="needs the fork start method")
 class TestRealProcessKill:
     def test_sigkill_mid_stream_does_not_hang_engine(self, tmp_path):
         """kill -9 a live worker: the batch is retried after restart and
@@ -99,7 +154,7 @@ class TestRealProcessKill:
         mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
         sup = SupervisionConfig(recv_deadline=2.0, backoff_base=0.01,
                                 backoff_cap=0.05)
-        ex = ShardedExecutor(spec, 2, processes=True, start_method="fork",
+        ex = ShardedExecutor(spec, 2, processes=True,
                              supervision=sup, recovery=mgr)
         try:
             taken = set(initial)
@@ -110,10 +165,8 @@ class TestRealProcessKill:
                 edge = _edge_for_shard(0, taken)
                 taken.add(edge)
                 if seq == 4:
-                    victim = ex._shards[0]
-                    os.kill(victim.proc.pid, signal.SIGKILL)
-                    victim.proc.join(timeout=2.0)
-                    assert not victim.alive()
+                    ex.kill_shard(0)
+                    assert not ex.backend._procs[0].is_alive()
                 batch = UpdateBatch(insertions=[edge])
                 res = ex.apply(batch, seq=seq)
                 mgr.log_applied(seq, batch)
@@ -140,6 +193,73 @@ class TestRealProcessKill:
         report = run_chaos_campaign(cfg)
         problems = [d for r in report.runs for d in r.divergences]
         assert report.ok, problems
+
+    def test_hung_worker_killed_at_deadline_and_batch_retried(
+            self, tmp_path, monkeypatch):
+        """A shard task that blocks past ``recv_deadline`` gets its worker
+        killed; the shard rebuilds from checkpoint + WAL and the batch is
+        retried, ending exactly at the replay of the applied batches."""
+        initial, _ = request_stream(32, 96, 1, seed=3)
+        taken = set(initial)
+        edges = []
+        for _ in range(4):
+            edges.append(_edge_for_shard(0, taken))
+            taken.add(edges[-1])
+        _install_faulty_shards(monkeypatch, tmp_path, "hang", edges[3])
+        spec = {"kind": "spanner", "n": 32, "edges": initial, "seed": 11,
+                "k": 2, "base_capacity": 16}
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path / "wal"))
+        sup = SupervisionConfig(recv_deadline=2.0, backoff_base=0.01,
+                                backoff_cap=0.05)
+        ex = ShardedExecutor(spec, 2, processes=True, supervision=sup,
+                             recovery=mgr)
+        try:
+            batches = [UpdateBatch(insertions=[e]) for e in edges]
+            for seq, batch in enumerate(batches[:3], start=1):
+                ex.apply(batch, seq=seq)
+                mgr.log_applied(seq, batch)
+                if seq == 2:
+                    mgr.write_checkpoint(seq, ex.shard_graphs())
+            t0 = time.monotonic()
+            res = ex.apply(batches[3], seq=4)
+            elapsed = time.monotonic() - t0
+            assert res.recovered_shards == (0,)
+            assert res.restarts >= 1
+            assert sup.recv_deadline <= elapsed < 30.0
+            assert ex.backend.worker_restarts_total >= 1
+            # rebuilt from the checkpoint at seq 2 plus the WAL tail (seq
+            # 3), then the retried batch
+            assert ex.applied_batches[0] == batches[2:]
+            *_, (_, truth) = Workload(32, list(initial), batches).replay()
+            assert ex.graph_union() == truth
+            assert sum(ex.scatter_sizes()) == len(ex.gather_edges())
+        finally:
+            ex.close()
+            mgr.close()
+
+    def test_kill_mid_batch_applies_live_shard_once(self, tmp_path,
+                                                    monkeypatch):
+        """Shard 0's worker dies in a batch that also touches shard 1:
+        shard 1's finished sub-batch is kept, never sent again."""
+        initial, _ = request_stream(32, 96, 1, seed=3)
+        e0 = _edge_for_shard(0, set(initial))
+        e1 = _edge_for_shard(1, set(initial))
+        log = _install_faulty_shards(monkeypatch, tmp_path, "die", e0,
+                                     watch_edge=e1)
+        spec = {"kind": "spanner", "n": 32, "edges": initial, "seed": 11,
+                "k": 2, "base_capacity": 16}
+        sup = SupervisionConfig(recv_deadline=5.0, backoff_base=0.01,
+                                backoff_cap=0.05)
+        ex = ShardedExecutor(spec, 2, processes=True, supervision=sup)
+        try:
+            res = ex.apply(UpdateBatch(insertions=[e0, e1]), seq=1)
+            assert res.recovered_shards == (0,)
+            assert log.read_text().splitlines() == ["applied"]
+            assert [b.insertions for b in ex.applied_batches[1]] == [[e1]]
+            assert ex.graph_union() == set(initial) | {e0, e1}
+            assert all(h.alive for h in ex.health_check(restart=False))
+        finally:
+            ex.close()
 
 
 class TestReplicaChaosCampaign:

@@ -31,6 +31,7 @@ from repro.parallel import (
 )
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 from repro.queries.batch import batch_components, multi_source_bfs
+from repro.resilience.manager import SupervisionConfig
 
 
 # -- module-level functions (shippable to workers by construction) ----------
@@ -416,13 +417,16 @@ def shared_sum_kernel(payload, shared, cost=None):
     return sum(shared["base"]) + sum(payload["items"])
 
 
+_FAST = SupervisionConfig(backoff_base=0.01)
+
+
 class TestWorkerSupervision:
     def _chunks(self, n=6, **extra):
         return [dict(items=list(range(4 * c, 4 * c + 4)), **extra)
                 for c in range(n)]
 
     def test_dead_worker_requeued_and_results_exact(self, tmp_path):
-        pool = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        pool = ProcessPoolBackend(2, supervision=_FAST)
         try:
             chunks = self._chunks(6)
             chunks[3]["flag"] = str(tmp_path / "die3")
@@ -442,8 +446,9 @@ class TestWorkerSupervision:
         """Satellite: the dead-worker error must say which task was in
         flight — a task that kills every worker it lands on is quarantined
         by identity, not guessed at."""
-        pool = ProcessPoolBackend(2, restart_backoff_s=0.01,
-                                  task_retry_limit=2)
+        pool = ProcessPoolBackend(
+            2, supervision=SupervisionConfig(backoff_base=0.01,
+                                             max_batch_attempts=2))
         try:
             chunks = [{"items": [1, 2]}, {"items": [3], "die": True},
                       {"items": [4, 5]}]
@@ -462,8 +467,9 @@ class TestWorkerSupervision:
             pool.close()
 
     def test_restart_budget_exhaustion_raises(self):
-        pool = ProcessPoolBackend(2, restart_budget=0,
-                                  restart_backoff_s=0.0)
+        pool = ProcessPoolBackend(
+            2, supervision=SupervisionConfig(restart_budget=0,
+                                             backoff_base=0.0))
         try:
             with pytest.raises(WorkerCrashed) as ei:
                 pool.map_chunks(
@@ -482,7 +488,7 @@ class TestWorkerSupervision:
         worker never saw: supervision must fail the dispatch (typed, with
         task identity) yet hand back a healed pool with shared state
         re-broadcast."""
-        pool = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        pool = ProcessPoolBackend(2, supervision=_FAST)
         try:
             pool.put_shared("base", [10, 20], version=1)
             chunks = [{"items": [1]},
@@ -504,7 +510,7 @@ class TestWorkerSupervision:
         import os
         import signal
 
-        pool = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        pool = ProcessPoolBackend(2, supervision=_FAST)
         try:
             assert [r.value for r in pool.map_chunks(
                 square_chunk_kernel, self._chunks(2))] == [
@@ -524,7 +530,7 @@ class TestWorkerSupervision:
         from repro.service.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
-        pool = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        pool = ProcessPoolBackend(2, supervision=_FAST)
         try:
             pool.bind_metrics(reg)
             chunks = self._chunks(4)
@@ -538,14 +544,14 @@ class TestWorkerSupervision:
         """Restarts are control plane: the dispatch's charged work/depth
         must be identical with and without a mid-dispatch worker death."""
         chunks = self._chunks(5, sleep_s=0.0)
-        clean = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        clean = ProcessPoolBackend(2, supervision=_FAST)
         try:
             base = clean.map_chunks(square_chunk_kernel, chunks)
         finally:
             clean.close()
         chunks2 = self._chunks(5, sleep_s=0.0)
         chunks2[2]["flag"] = str(tmp_path / "diec")
-        faulty = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        faulty = ProcessPoolBackend(2, supervision=_FAST)
         try:
             hurt = faulty.map_chunks(die_once_kernel, chunks2)
         finally:

@@ -266,7 +266,7 @@ def _edge_for_shard(shard, exclude=(), n=32, shards=2):
 class TestShardSupervision:
     def test_dead_worker_restarted_and_batch_applied(self):
         ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
-        ex._shards[0].kill()
+        ex.kill_shard(0)
         before = ex.graph_union()
         res = ex.apply(_batch(ins=[(30, 31), (29, 31)]))
         assert res.recovered_shards  # at least the killed shard recovered
@@ -278,7 +278,7 @@ class TestShardSupervision:
         from repro.service import ShardDeadError
 
         ex = ShardedExecutor(_spec(), 2, supervision=None)
-        ex._shards[0].kill()
+        ex.kill_shard(0)
         with pytest.raises(ShardDeadError):
             ex.apply(_batch(ins=[(30, 31), (29, 31)]))
         ex.close()
@@ -307,7 +307,7 @@ class TestShardSupervision:
 
     def test_health_check_restarts_dead_shard(self):
         ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
-        ex._shards[1].kill()
+        ex.kill_shard(1)
         health = ex.health_check(restart=True)
         assert not health[1].alive and health[1].restarted
         assert all(h.alive for h in ex.health_check(restart=False))
@@ -324,7 +324,7 @@ class TestShardSupervision:
         b1 = _batch(ins=[e1, e2])
         ex.apply(b1, seq=1)
         mgr.log_applied(1, b1)
-        ex._shards[0].kill()
+        ex.kill_shard(0)
         b2 = _batch(ins=[e3])  # routed to the dead shard
         res = ex.apply(b2, seq=2)
         assert res.recovered
@@ -332,9 +332,26 @@ class TestShardSupervision:
         ex.close()
         mgr.close()
 
+    def test_scatter_sizes_restarts_dead_shard(self):
+        ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
+        ex.kill_shard(0)
+        sizes = ex.scatter_sizes()
+        assert ex.restarts_total == 1
+        assert len(sizes) == 2 and sum(sizes) == len(ex.gather_edges())
+        ex.close()
+
+    def test_unsupervised_scatter_sizes_raises_on_dead_shard(self):
+        from repro.service import ShardDeadError
+
+        ex = ShardedExecutor(_spec(), 2, supervision=None)
+        ex.kill_shard(1)
+        with pytest.raises(ShardDeadError):
+            ex.scatter_sizes()
+        ex.close()
+
     def test_executor_close_idempotent_with_dead_shard(self):
         ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
-        ex._shards[0].kill()
+        ex.kill_shard(0)
         ex.close()
         ex.close()  # second close is a no-op, not an error
 
@@ -401,7 +418,7 @@ class TestGracefulDegradation:
 
         ex = ShardedExecutor(_spec(), 2, supervision=_SUP, injector=Probe())
         svc = _service(ex)
-        ex._shards[0].kill()
+        ex.kill_shard(0)
         # an edge routed to the dead shard, so the flush must recover it
         u, v = _edge_for_shard(0, exclude=set(_spec()["edges"]))
         svc.submit_update("insert", u, v)
@@ -425,7 +442,7 @@ class TestGracefulDegradation:
     def test_recovery_visible_in_metrics_histogram(self):
         ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
         svc = _service(ex)
-        ex._shards[0].kill()
+        ex.kill_shard(0)
         u, v = _edge_for_shard(0, exclude=set(_spec()["edges"]))
         svc.submit_update("insert", u, v)
         svc.flush()
@@ -470,8 +487,8 @@ class TestShutdownPaths:
         ex = ShardedExecutor(_spec(), 2, supervision=None)
         svc = _service(ex)
         svc.submit_update("insert", 30, 31)
-        ex._shards[0].kill()
-        ex._shards[1].kill()
+        ex.kill_shard(0)
+        ex.kill_shard(1)
         svc.stop()  # final flush fails internally, recorded in metrics
         assert svc.metrics.snapshot().get("shutdown_flush_failures", 0) >= 1
         svc.close()

@@ -575,6 +575,17 @@ class TestShardedExecutorInproc:
         assert [s["seed"] for s in ex.shard_specs] == [5, 6, 7]
         ex.close()
 
+    def test_close_frees_shard_state(self):
+        from repro.service.shard import _SHARDS
+
+        spec = {"kind": "spanner", "n": 8, "edges": [(0, 1), (2, 3)],
+                "seed": 5, "k": 2}
+        ex = ShardedExecutor(spec, shards=2, processes=False)
+        mine = {(ex._token, 0), (ex._token, 1)}
+        assert mine <= _SHARDS.keys()
+        ex.close()
+        assert not mine & _SHARDS.keys()
+
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             ShardedExecutor({"kind": "spanner", "n": 4}, shards=0)
@@ -586,9 +597,7 @@ class TestShardedExecutorMultiprocessing:
         edges = gnm_random_graph(24, 80, seed=7)
         spec = {"kind": "spanner", "n": 24, "edges": edges, "seed": 7,
                 "k": 2, "base_capacity": 16}
-        with ShardedExecutor(
-            spec, shards=2, processes=True, start_method="fork"
-        ) as ex:
+        with ShardedExecutor(spec, shards=2, processes=True) as ex:
             before = ex.gather_edges()
             assert before  # workers answered
             res = ex.apply(UpdateBatch(deletions=edges[:10]))
