@@ -7,26 +7,51 @@ seeded structure on the checkpointed edges and replaying the WAL tail
 (``seq > epoch``) — the batch-dynamic determinism argument makes that
 reproduce a valid state byte-for-byte on every attempt.
 
-Checkpoints are written atomically (tmp file + ``os.replace``) and carry a
-CRC over their canonical JSON body, so a crash mid-checkpoint leaves a
-``.tmp`` orphan the loader ignores, and bit rot is detected rather than
-replayed.  Only the newest valid checkpoint is kept.
+Format of ``checkpoint-<epoch:012d>.bin`` (all integers little-endian)::
+
+    magic    8 bytes   b"RCKP1\\x00\\x00\\x00"
+    header   [u32 crc32][u64 epoch][u32 shards][u32 count] * shards
+    edges    [u64 u << 32 | v] * count, for each shard in order
+
+Each shard's keys are sorted ascending, so the file is a deterministic
+function of the state.  The CRC covers every byte after itself.  Vertex
+ids use the WAL's u32 range; an id outside it raises on save instead of
+wrapping.
+
+Checkpoints are written atomically (tmp file + ``fsync`` +
+``os.replace``), so a crash mid-checkpoint leaves a ``.tmp`` orphan the
+loader ignores.  Bad magic, a CRC mismatch or a wrong length marks a
+file damaged rather than replayed; a file of any other format (e.g. a
+JSON checkpoint of an older release) fails the magic check.  Only the
+newest checkpoint is kept.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import re
+import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from repro.graph.dynamic_graph import Edge
 
 __all__ = ["Checkpoint", "CheckpointStore", "CheckpointError"]
 
 _PREFIX = "checkpoint-"
-_SUFFIX = ".json"
+_SUFFIX = ".bin"
+# every published checkpoint name, whatever its format: checkpoint-<epoch>.*
+_CANDIDATE = re.compile(rf"{_PREFIX}(\d+)\..+")
+_MAGIC = b"RCKP1\x00\x00\x00"
+_CRC = struct.Struct("<I")
+_BODY = len(_MAGIC) + _CRC.size         # first byte the CRC covers
+_FIXED = struct.Struct("<QI")           # epoch, shards
+_KEY = np.dtype("<u8")
+_U32_MAX = 0xFFFFFFFF
 
 
 class CheckpointError(RuntimeError):
@@ -45,16 +70,56 @@ class Checkpoint:
         return len(self.shard_edges)
 
 
-def _body(epoch: int, shard_edges: list[set[Edge]]) -> dict:
-    return {
-        "epoch": epoch,
-        "shards": [sorted([int(u), int(v)] for u, v in edges)
-                   for edges in shard_edges],
-    }
+def _keys(edges: set[Edge]) -> np.ndarray:
+    """Sorted ``u << 32 | v`` keys of one shard's edges."""
+    out_of_range = ValueError(
+        f"checkpoint vertex ids must lie in [0, {_U32_MAX}]")
+    try:
+        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                          count=2 * len(edges))
+    except OverflowError:
+        raise out_of_range from None
+    if ids.size and (ids.min() < 0 or ids.max() > _U32_MAX):
+        raise out_of_range
+    keys = ids[0::2].astype(_KEY) << np.uint64(32) | ids[1::2].astype(_KEY)
+    keys.sort()
+    return keys
 
 
-def _crc(body: dict) -> int:
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
+def _encode(epoch: int, shard_edges: list[set[Edge]]) -> list:
+    """The file as buffers: magic, CRC, header, one key array per shard."""
+    keys = [_keys(edges) for edges in shard_edges]
+    head = _FIXED.pack(epoch, len(keys)) + struct.pack(
+        f"<{len(keys)}I", *(k.size for k in keys))
+    crc = zlib.crc32(head)
+    for k in keys:
+        crc = zlib.crc32(k, crc)
+    return [_MAGIC, _CRC.pack(crc), head, *keys]
+
+
+def _decode(data: bytes) -> Checkpoint:
+    """Parse and verify one checkpoint file's bytes (ValueError if bad)."""
+    counts_at = _BODY + _FIXED.size
+    if not data.startswith(_MAGIC):
+        raise ValueError("bad magic")
+    if len(data) < counts_at:
+        raise ValueError(f"{len(data)} bytes is shorter than the header")
+    if zlib.crc32(memoryview(data)[_BODY:]) != \
+            _CRC.unpack_from(data, len(_MAGIC))[0]:
+        raise ValueError("crc mismatch")
+    epoch, shards = _FIXED.unpack_from(data, _BODY)
+    off = counts_at + 4 * shards
+    counts = (struct.unpack_from(f"<{shards}I", data, counts_at)
+              if len(data) >= off else ())
+    if len(data) != off + _KEY.itemsize * sum(counts):
+        raise ValueError(f"length {len(data)} does not match the header")
+    shard_edges = []
+    for count in counts:
+        keys = np.frombuffer(data, dtype=_KEY, count=count, offset=off)
+        off += keys.nbytes
+        shard_edges.append(set(zip((keys >> np.uint64(32)).tolist(),
+                                   (keys & np.uint64(_U32_MAX)).tolist())))
+    return Checkpoint(epoch=epoch, shard_edges=shard_edges)
 
 
 class CheckpointStore:
@@ -71,16 +136,17 @@ class CheckpointStore:
              interrupt=None) -> Path:
         """Write checkpoint ``epoch`` atomically; prunes older ones.
 
+        Raises ValueError if a vertex id is outside the u32 range.
         ``interrupt`` is a fault-injection hook called between writing the
         tmp file and publishing it — raising there simulates a crash
         mid-checkpoint (the orphaned ``.tmp`` must be ignored on load).
         """
-        body = _body(epoch, shard_edges)
-        body["crc"] = _crc({k: body[k] for k in ("epoch", "shards")})
+        buffers = _encode(epoch, shard_edges)
         path = self._path(epoch)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(body, fh)
+        with open(tmp, "wb") as fh:
+            for buf in buffers:
+                fh.write(buf)
             fh.flush()
             os.fsync(fh.fileno())
         if interrupt is not None:
@@ -92,30 +158,24 @@ class CheckpointStore:
         return path
 
     def load(self) -> Checkpoint | None:
-        """Newest valid checkpoint, or None.  Orphaned ``.tmp`` files and
-        checksum-damaged checkpoints are skipped (older valid ones win);
-        if damaged checkpoints exist but no valid one does, raise
-        :class:`CheckpointError` rather than silently restart from zero.
+        """Newest valid checkpoint, or None.  Every
+        ``checkpoint-<epoch>.*`` file but a ``.tmp`` orphan is a
+        candidate; damaged or foreign-format ones are skipped (older
+        valid ones win); if candidates exist but none is valid, raise
+        :class:`CheckpointError` naming them rather than silently restart
+        from zero.
         """
-        candidates = sorted(
-            self.directory.glob(f"{_PREFIX}*{_SUFFIX}"), reverse=True
-        )
+        candidates = []
+        for path in self.directory.iterdir():
+            match = _CANDIDATE.fullmatch(path.name)
+            if match and not path.name.endswith(".tmp"):
+                candidates.append((int(match.group(1)), path))
         damaged: list[str] = []
-        for path in candidates:
+        for _epoch, path in sorted(candidates, reverse=True):
             try:
-                body = json.loads(path.read_text())
-                expected = body.get("crc")
-                core = {"epoch": body["epoch"], "shards": body["shards"]}
-                if expected != _crc(core):
-                    raise ValueError("crc mismatch")
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+                return _decode(path.read_bytes())
+            except ValueError as exc:
                 damaged.append(f"{path.name}: {exc}")
-                continue
-            return Checkpoint(
-                epoch=int(body["epoch"]),
-                shard_edges=[{(int(u), int(v)) for u, v in part}
-                             for part in body["shards"]],
-            )
         if damaged:
             raise CheckpointError(
                 "no valid checkpoint; damaged candidates: "

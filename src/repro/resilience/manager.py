@@ -23,7 +23,13 @@ from pathlib import Path
 from repro.graph.dynamic_graph import Edge
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
-from repro.resilience.wal import WalReadResult, WalRecord, WalWriter, read_wal
+from repro.resilience.wal import (
+    WalCorruptionError,
+    WalReadResult,
+    WalRecord,
+    WalWriter,
+    read_wal,
+)
 from repro.workloads.streams import UpdateBatch
 
 __all__ = [
@@ -59,6 +65,26 @@ class SupervisionConfig:
     restart_budget: int = 3         # pool worker replacements per dispatch
 
 
+def _tail_after(records: list[WalRecord], epoch: int,
+                path: Path) -> list[WalRecord]:
+    """The records with ``seq > epoch``, which must run contiguously
+    from ``epoch + 1``.
+
+    Every durable commit is logged at the next consecutive seq, so a
+    missing seq is a lost commit: replaying past it would silently drop
+    its updates, hence :class:`WalCorruptionError` naming the seq.
+    """
+    tail = [r for r in records if r.seq > epoch]
+    for expected, rec in enumerate(tail, start=epoch + 1):
+        if rec.seq != expected:
+            raise WalCorruptionError(
+                f"{path}: commit seq={expected} is missing (checkpoint "
+                f"epoch {epoch}, next logged seq={rec.seq}); replaying "
+                "past the gap would lose it", seq=expected,
+            )
+    return tail
+
+
 class RecoveryManager:
     """WAL + checkpoint lifecycle for one service instance."""
 
@@ -91,8 +117,9 @@ class RecoveryManager:
     def _recover(self) -> tuple[Checkpoint | None, WalReadResult]:
         checkpoint = self.checkpoints.load()
         wal = read_wal(self.wal_path)
-        if checkpoint is not None:
-            wal.records = [r for r in wal.records if r.seq > checkpoint.epoch]
+        wal.records = _tail_after(wal.records,
+                                  checkpoint.epoch if checkpoint else 0,
+                                  self.wal_path)
         return checkpoint, wal
 
     # -- recovered state -----------------------------------------------------
@@ -149,16 +176,18 @@ class RecoveryManager:
         the worker and desynchronize the supervisor's bookkeeping.  Only a
         live restart passes this; a cold restart replays the full log,
         which is both legal and the better state.
+
+        Raises :class:`WalCorruptionError` if the log is damaged or skips
+        a seq past the checkpoint epoch.
         """
         from repro.service.shard import split_by_shard
 
         base = self.base_edges(shard_idx, shards, initial)
         epoch = self.checkpoint.epoch if self.checkpoint else 0
-        wal = read_wal(self.wal_path)
+        tail = _tail_after(read_wal(self.wal_path).records, epoch,
+                           self.wal_path)
         replay: list[UpdateBatch] = []
-        for rec in wal.records:
-            if rec.seq <= epoch:
-                continue
+        for rec in tail:
             if skip_seqs and rec.seq in skip_seqs:
                 continue
             sub = UpdateBatch(

@@ -33,6 +33,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from repro.workloads.streams import UpdateBatch
@@ -97,13 +98,12 @@ class WalReadResult:
 
 def encode_record(seq: int, batch: UpdateBatch) -> bytes:
     """Serialize one record (header + checksummed payload)."""
-    parts = [_PAYLOAD_FIXED.pack(seq, len(batch.insertions),
-                                 len(batch.deletions))]
-    for u, v in batch.insertions:
-        parts.append(_EDGE.pack(u, v))
-    for u, v in batch.deletions:
-        parts.append(_EDGE.pack(u, v))
-    payload = b"".join(parts)
+    n_ins, n_del = len(batch.insertions), len(batch.deletions)
+    payload = struct.pack(
+        f"<QII{2 * (n_ins + n_del)}I", seq, n_ins, n_del,
+        *chain.from_iterable(batch.insertions),
+        *chain.from_iterable(batch.deletions),
+    )
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -116,13 +116,10 @@ def decode_record(payload: bytes) -> WalRecord:
             f"record seq={seq}: payload is {len(payload)} bytes, "
             f"edge counts imply {need}", seq=seq,
         )
-    off = _PAYLOAD_FIXED.size
-    edges = [_EDGE.unpack_from(payload, off + i * _EDGE.size)
-             for i in range(n_ins + n_del)]
-    return WalRecord(seq, UpdateBatch(
-        insertions=[(u, v) for u, v in edges[:n_ins]],
-        deletions=[(u, v) for u, v in edges[n_ins:]],
-    ))
+    edges = list(_EDGE.iter_unpack(
+        memoryview(payload)[_PAYLOAD_FIXED.size:]))
+    return WalRecord(seq, UpdateBatch(insertions=edges[:n_ins],
+                                      deletions=edges[n_ins:]))
 
 
 class WalWriter:

@@ -9,7 +9,11 @@ shutdown-path satellites (idempotent close/stop, admission overload,
 driver interrupt handling).
 """
 
+import json
+import random
+import struct
 import threading
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +153,33 @@ class TestWalEncoding:
         assert [r.seq for r in read_wal(path).records] == [3, 4, 5]
 
 
+# byte range of the u64 epoch field: after the 8-byte magic and u32 crc
+_EPOCH_FIELD = slice(12, 20)
+vertex_st = st.one_of(st.integers(0, 64), st.integers(2**32 - 8, 2**32 - 1),
+                      st.integers(0, 2**32 - 1))
+shard_edges_st = st.lists(
+    st.sets(st.tuples(vertex_st, vertex_st), max_size=20),
+    min_size=1, max_size=4,
+)
+
+
+def _with_valid_crc(data: bytes) -> bytes:
+    """``data`` with its u32 crc field (after the magic) recomputed."""
+    return data[:8] + struct.pack("<I", zlib.crc32(data[12:])) + data[12:]
+
+
+_DAMAGE = {
+    "truncated": lambda data: data[:-3],
+    "truncated_header": lambda data: data[:16],
+    "flipped_payload_byte": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
+    "bad_magic": lambda data: b"X" + data[1:],
+    "trailing_garbage": lambda data: data + b"\x00" * 8,
+    # a checksum-consistent file whose edge region disagrees with the
+    # header's counts (what a buggy writer, not bit rot, would produce)
+    "extra_key_valid_crc": lambda data: _with_valid_crc(data + b"\x00" * 8),
+}
+
+
 class TestCheckpointStore:
     def test_round_trip_and_prune(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -158,7 +189,7 @@ class TestCheckpointStore:
         assert ckpt == Checkpoint(7, [{(1, 2), (3, 4)}, {(5, 6)}])
         assert ckpt.shards == 2
         # older checkpoint was pruned by the newer save
-        assert len(list(tmp_path.glob("checkpoint-*.json"))) == 1
+        assert len(list(tmp_path.glob("checkpoint-*.bin"))) == 1
 
     def test_orphan_tmp_ignored(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -169,12 +200,73 @@ class TestCheckpointStore:
     def test_damaged_checkpoint_raises_when_no_valid_one(self, tmp_path):
         store = CheckpointStore(tmp_path)
         path = store.save(3, [{(1, 2)}])
-        path.write_text(path.read_text().replace('"epoch": 3', '"epoch": 4'))
+        data = bytearray(path.read_bytes())
+        data[_EPOCH_FIELD] = struct.pack("<Q", 4)  # epoch 3 -> 4
+        path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             store.load()
 
     def test_empty_directory_loads_none(self, tmp_path):
         assert CheckpointStore(tmp_path).load() is None
+
+
+class TestCheckpointCodec:
+    @given(epoch=st.integers(0, 2**64 - 1), shard_edges=shard_edges_st)
+    @settings(max_examples=60)
+    def test_round_trip(self, tmp_path_factory, epoch, shard_edges):
+        """Any per-shard edge sets (empty shards, ids near 2^32-1) load
+        back exactly."""
+        store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
+        store.save(epoch, shard_edges)
+        assert store.load() == Checkpoint(epoch, shard_edges)
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_damaged_file_alone_raises(self, tmp_path, damage):
+        path = CheckpointStore(tmp_path).save(7, [{(1, 2), (3, 4)}, {(5, 6)}])
+        path.write_bytes(_DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(CheckpointError, match=path.name):
+            CheckpointStore(tmp_path).load()
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_older_valid_checkpoint_wins_over_damaged(self, tmp_path, damage):
+        store = CheckpointStore(tmp_path)
+        older = store.save(3, [{(1, 2)}, set()])
+        older_bytes = older.read_bytes()
+        newer = store.save(7, [{(1, 2), (3, 4)}, {(5, 6)}])  # prunes 3
+        newer.write_bytes(_DAMAGE[damage](newer.read_bytes()))
+        older.write_bytes(older_bytes)
+        assert store.load() == Checkpoint(3, [{(1, 2)}, set()])
+
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (2**32, 0),
+                                      (0, 2**32), (2**64, 0)])
+    def test_out_of_range_vertex_rejected(self, tmp_path, edge):
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ValueError, match="vertex ids"):
+            store.save(1, [{(0, 1)}, {edge}])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_same_state_gives_identical_bytes(self, tmp_path):
+        rng = random.Random(5)
+        edges = [(rng.randrange(2**32), rng.randrange(2**32))
+                 for _ in range(200)] + [(2**32 - 1, 0), (0, 2**32 - 1)]
+        same, other_order = set(edges), set(reversed(edges))
+        assert same == other_order and list(same) != list(other_order)
+        a = CheckpointStore(tmp_path / "a").save(5, [same, set()])
+        b = CheckpointStore(tmp_path / "b").save(5, [other_order, set()])
+        assert a.read_bytes() == b.read_bytes()
+        again = CheckpointStore(tmp_path / "a").save(5, [same, set()])
+        assert again.read_bytes() == b.read_bytes()
+
+    def test_legacy_json_checkpoint_refused(self, tmp_path):
+        """A JSON checkpoint of an older release is a candidate that
+        fails the magic check, never a silent restart from seq 1."""
+        legacy = tmp_path / "checkpoint-000000000005.json"
+        legacy.write_text(json.dumps(
+            {"epoch": 5, "shards": [[[1, 2]], []], "crc": 0}))
+        with pytest.raises(CheckpointError, match=legacy.name):
+            CheckpointStore(tmp_path).load()
+        with pytest.raises(CheckpointError, match=legacy.name):
+            RecoveryManager(ResilienceConfig(directory=tmp_path))
 
 
 class TestRecoveryManager:
@@ -223,6 +315,44 @@ class TestRecoveryManager:
         mgr2.log_applied(2, _batch(ins=[(5, 6)]))  # ...and replaced cleanly
         mgr2.close()
         assert [r.seq for r in read_wal(path).records] == [1, 2]
+
+    def test_wal_gap_after_lost_checkpoint_raises(self, tmp_path):
+        """Commits 1-6 with a checkpoint at 4, then the checkpoint file is
+        lost: the truncated WAL starts at 5, so reopening must name the
+        missing seq 1 instead of replaying 5-6 onto the initial graph."""
+        mgr = RecoveryManager(ResilienceConfig(
+            directory=tmp_path, checkpoint_interval=4))
+        edges: set = set()
+        for seq in range(1, 7):
+            edge = (seq, seq + 1)
+            mgr.log_applied(seq, _batch(ins=[edge]))
+            edges.add(edge)
+            if mgr.should_checkpoint():
+                mgr.write_checkpoint(seq, [set(edges)])
+        mgr.close()
+        for path in tmp_path.glob("checkpoint-*"):
+            path.unlink()
+        with pytest.raises(WalCorruptionError, match="seq=1 is missing") as err:
+            RecoveryManager(ResilienceConfig(directory=tmp_path))
+        assert err.value.seq == 1
+
+    def test_wal_gap_mid_tail_raises(self, tmp_path):
+        w = WalWriter(tmp_path / "wal.log")
+        for seq in (1, 2, 4):
+            w.append(seq, _batch(ins=[(seq, seq + 1)]))
+        w.close()
+        with pytest.raises(WalCorruptionError) as err:
+            RecoveryManager(ResilienceConfig(directory=tmp_path))
+        assert err.value.seq == 3
+
+    def test_shard_recovery_plan_refuses_gap(self, tmp_path):
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        mgr.log_applied(1, _batch(ins=[(1, 2)]))
+        mgr.log_applied(3, _batch(ins=[(3, 4)]))
+        with pytest.raises(WalCorruptionError) as err:
+            mgr.shard_recovery_plan(0, 2, [])
+        assert err.value.seq == 2
+        mgr.close()
 
     def test_shard_recovery_plan_routes_tail(self, tmp_path):
         initial = [(0, 1), (0, 2), (1, 2), (2, 3)]
