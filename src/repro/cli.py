@@ -330,7 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         wal_dir=args.wal_dir,
         checkpoint_interval=args.checkpoint_interval,
         parallel=args.parallel,
-        substrate=args.substrate,
     )
 
     # SIGTERM behaves like Ctrl-C: the driver drains admitted updates,
@@ -524,7 +523,6 @@ def _cmd_bench_queries(args: argparse.Namespace) -> int:
         seed=args.seed,
         repeats=1 if args.smoke else args.repeats,
         parallel=args.parallel,
-        substrate=args.substrate,
     )
     report = run_bench_queries(cfg)
     payload = report.to_dict()
@@ -910,10 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="answer batched reads over an N-worker process "
                         "pool (N >= 2; answers and charges are identical "
                         "to the default inline path)")
-    p.add_argument("--substrate", choices=["array", "dict"],
-                   default="array",
-                   help="snapshot adjacency substrate for the read path "
-                        "(answers and charges are identical on both)")
     p.add_argument("--listen", type=str, default=None, metavar="HOST:PORT",
                    help="serve over TCP instead of the synthetic driver "
                         "(port 0 = ephemeral, announced as NET-LISTEN)")
@@ -993,10 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=0, metavar="N",
                    help="also time a third pass through an N-worker "
                         "process pool (N >= 2; informational, no bar)")
-    p.add_argument("--substrate", choices=["array", "dict"],
-                   default="array",
-                   help="snapshot adjacency substrate for the read path "
-                        "(answers and charges are identical on both)")
     p.add_argument("--smoke", action="store_true",
                    help="CI mode: <=800 requests, no speedup bar")
     p.add_argument("--json", action="store_true",

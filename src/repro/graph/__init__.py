@@ -1,6 +1,6 @@
 """Dynamic graph store, generators, and sequential traversals."""
 
-from repro.graph.array_graph import SUBSTRATES, ArrayDynamicGraph, make_graph
+from repro.graph.array_graph import ArrayDynamicGraph
 from repro.graph.dynamic_graph import DynamicGraph, Edge, norm_edge
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.generators import (
@@ -24,8 +24,6 @@ from repro.graph.traversal import (
 __all__ = [
     "ArrayDynamicGraph",
     "DynamicGraph",
-    "SUBSTRATES",
-    "make_graph",
     "Edge",
     "norm_edge",
     "adjacency_from_edges",

@@ -43,12 +43,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graph.dynamic_graph import DynamicGraph, Edge, norm_edge
+from repro.graph.dynamic_graph import Edge, norm_edge
 
-__all__ = ["ArrayDynamicGraph", "SUBSTRATES", "make_graph"]
-
-#: substrate names accepted by :func:`make_graph` and the serving config
-SUBSTRATES = ("array", "dict")
+__all__ = ["ArrayDynamicGraph"]
 
 _I32 = np.int32
 _I64 = np.int64
@@ -483,18 +480,3 @@ def _within_group_offsets(sorted_keys: np.ndarray) -> np.ndarray:
     run_starts = idx[new_run]
     return idx - np.repeat(run_starts, np.diff(np.append(run_starts, k)))
 
-
-def make_graph(n: int, edges: Iterable[Edge] = (), substrate: str = "array"):
-    """Build a graph on the chosen substrate.
-
-    ``substrate="array"`` (the default) returns an
-    :class:`ArrayDynamicGraph`; ``"dict"`` the reference
-    :class:`DynamicGraph`.  Both expose the identical mutation/query API.
-    """
-    if substrate == "array":
-        return ArrayDynamicGraph(n, edges)
-    if substrate == "dict":
-        return DynamicGraph(n, edges)
-    raise ValueError(
-        f"unknown substrate {substrate!r}; expected one of {SUBSTRATES}"
-    )

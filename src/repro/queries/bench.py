@@ -54,10 +54,6 @@ class BenchQueriesConfig:
     # the singleton and charged-batch passes are unchanged, so the gate's
     # pinned work/depth totals never depend on this knob
     parallel: int = 0
-    # snapshot adjacency substrate ("array" | "dict"); answers and
-    # charged totals are identical on both (the gate's pinned work/depth
-    # constants are substrate-invariant)
-    substrate: str = "array"
 
 
 @dataclass
@@ -167,11 +163,7 @@ def _make_windows(
 def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
     """Run the SRV3 comparison; deterministic shape for a fixed config."""
     from repro.queries.batch import coalesce_queries
-    from repro.service.engine import (
-        LocalExecutor,
-        ServiceConfig,
-        SpannerService,
-    )
+    from repro.service.engine import LocalExecutor, SpannerService
 
     t_start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -194,7 +186,6 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
             backend = ProcessPoolBackend(cfg.parallel, min_items=32)
         svc = SpannerService(
             LocalExecutor(spec),
-            config=ServiceConfig(substrate=cfg.substrate),
             parallel=backend,
         )
         cm = CostModel()

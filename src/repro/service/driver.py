@@ -93,10 +93,6 @@ class ServeConfig:
     # instead of the singleton query API.  Answers and recorded charges
     # are identical either way.
     parallel: int = 0
-    # snapshot adjacency substrate for the read path: "array" (CSR /
-    # numpy frontier kernels) or "dict" (legacy dict-of-sets).  Answers
-    # and recorded charges are identical on both.
-    substrate: str = "array"
 
 
 @dataclass
@@ -191,7 +187,6 @@ def run_serve(cfg: ServeConfig, verify: bool = True) -> ServeReport:
                     max_pending=cfg.queue_capacity,
                     request_timeout=cfg.request_timeout,
                 ),
-                substrate=cfg.substrate,
             ),
             clock=clock.now,
             recovery=recovery,

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.graph.array_graph import SUBSTRATES, ArrayDynamicGraph
+from repro.graph.array_graph import ArrayDynamicGraph
 from repro.graph.dynamic_graph import Edge
 from repro.graph.traversal import bfs_distances
 from repro.pram.cost import NULL_COST_MODEL, CostModel
@@ -149,14 +149,13 @@ class LocalExecutor:
 
     def __init__(self, spec: dict[str, Any]) -> None:
         self.spec = dict(spec)
+        self.n = int(self.spec["n"])
         self._cost = CostModel()
         self._backend = build_backend(self.spec, self._cost)
         self.applied_batches: list[UpdateBatch] = []
-        self._graph: set[Edge] = self.initial_edges()
-
-    def initial_edges(self) -> set[Edge]:
-        """Edge set the backend was constructed with."""
-        return {tuple(e) for e in self.spec.get("edges", ())}
+        self._graph: set[Edge] = {
+            tuple(e) for e in self.spec.get("edges", ())
+        }
 
     def output_edges(self) -> set[Edge]:
         """The structure's current output (spanner/sparsifier) edges."""
@@ -256,23 +255,6 @@ class PendingQuery:
 class ServiceConfig:
     batcher: BatcherConfig = field(default_factory=BatcherConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: snapshot adjacency container for the read path: "array" keeps an
-    #: :class:`~repro.graph.array_graph.ArrayDynamicGraph` (CSR kernels),
-    #: "dict" the legacy dict-of-sets.  Answers and recorded charges are
-    #: identical on both (see docs/substrate.md).
-    substrate: str = "array"
-
-
-def _executor_n(executor) -> int | None:
-    """Vertex count from the executor's build spec, if it carries one."""
-    spec = getattr(executor, "spec", None)
-    if spec is None:
-        specs = getattr(executor, "shard_specs", None)
-        spec = specs[0] if specs else None
-    try:
-        return int(spec["n"])
-    except (TypeError, KeyError, ValueError):
-        return None
 
 
 class SpannerService:
@@ -322,7 +304,9 @@ class SpannerService:
         self._m_queue_depth = m.gauge("queue_depth")
         self._clock = clock
         self._lock = threading.RLock()
-        self.queue = CoalescingQueue(executor.initial_edges(), clock=clock)
+        # the executor may already hold a replayed WAL tail (cold-start
+        # recovery), so seed membership from its live graph, not its spec
+        self.queue = CoalescingQueue(executor.graph_union(), clock=clock)
         self.batcher = AdaptiveBatcher(self.config.batcher)
         self.admission = AdmissionController(self.config.admission)
         # durable WAL+checkpoint lifecycle (None = in-memory only)
@@ -341,18 +325,12 @@ class SpannerService:
         self._snap_lock = threading.Lock()
         self._snapshot: set[Edge] = set(executor.output_edges())
         self._snapshot_seq = self._next_seq - 1
-        if self.config.substrate not in SUBSTRATES:
-            raise ValueError(
-                f"unknown substrate {self.config.substrate!r}; "
-                f"expected one of {SUBSTRATES}"
-            )
-        self._substrate = self.config.substrate
-        # vertex count for the array adjacency and for substrate-invariant
-        # BFS charges (dict adjacency len counts only non-isolated
-        # vertices); falls back to the snapshot's max endpoint when the
-        # executor's spec does not carry n
-        self._n = _executor_n(executor)
-        self._adj = None  # lazy BFS adjacency (substrate-dependent)
+        # vertex count: bounds every admitted write and sizes the BFS
+        # adjacency and the traversal charges
+        self._n = executor.n
+        # lazy BFS adjacency over the snapshot; built on the first
+        # traversal read, then kept in lockstep by snapshot deltas
+        self._adj: ArrayDynamicGraph | None = None
         # reads waiting to be answered at the next flush cycle
         self._pending_reads: list[PendingQuery] = []
         # stats from the most recent batched answer pass (inspection)
@@ -366,7 +344,13 @@ class SpannerService:
     def submit_update(
         self, op: str, u: int, v: int, now: float | None = None
     ) -> SubmitResponse:
-        """Submit one edge insert/delete; may trigger an inline flush."""
+        """Submit one edge insert/delete; may trigger an inline flush.
+
+        Raises ``ValueError`` for an endpoint outside ``[0, n)`` (as for a
+        self-loop): such an edge could never enter the read adjacency.
+        """
+        if not (0 <= u < self._n and 0 <= v < self._n):
+            raise ValueError(f"edge ({u}, {v}) outside [0, {self._n})")
         if self._degraded.is_set():
             # a shard is mid-recovery: shed immediately (without queueing
             # behind the recovering flush) with a retry hint sized to the
@@ -473,7 +457,7 @@ class SpannerService:
                 else:
                     # an isolated/unknown source yields {u: 0}, so the
                     # .get(v) is None — no membership probe needed (and
-                    # ``in`` on the array substrate means edge membership)
+                    # ``in`` on the array graph means edge membership)
                     d = bfs_distances(adj, u, target=v).get(v)
                 if kind == "connected":
                     return QueryResult(d is not None, stale, as_of)
@@ -521,7 +505,7 @@ class SpannerService:
                 items,
                 edge_set=self._snapshot,
                 adjacency=self._adjacency(),
-                n=self._query_n(),
+                n=self._n,
                 cost=cost or NULL_COST_MODEL,
                 backend=self.parallel_backend,
                 adj_version=self._snapshot_seq,
@@ -875,61 +859,20 @@ class SpannerService:
             self.flush()
             return verify_service(self, self.executor, deep=deep)
 
-    def _adjacency(self):
-        """Lazy BFS adjacency over the snapshot (substrate-dependent)."""
+    def _adjacency(self) -> ArrayDynamicGraph:
+        """Lazy BFS adjacency over the snapshot."""
         if self._adj is None:
-            if self._substrate == "array":
-                n = self._n
-                if n is None:
-                    n = 1 + max(
-                        (max(e) for e in self._snapshot), default=-1
-                    )
-                self._adj = ArrayDynamicGraph(n, self._snapshot)
-            else:
-                adj: dict[int, set[int]] = {}
-                for a, b in self._snapshot:
-                    adj.setdefault(a, set()).add(b)
-                    adj.setdefault(b, set()).add(a)
-                self._adj = adj
+            self._adj = ArrayDynamicGraph(self._n, self._snapshot)
         return self._adj
 
     def _adj_apply_delta(self, ins, dels) -> None:
         """Keep the lazy adjacency in lockstep with a snapshot delta.
 
-        Caller holds ``_snap_lock``.  Both substrates apply the delta
-        in place; the array path falls back to a rebuild-on-next-read if
-        the delta steps outside the arena's vertex range (possible only
-        when ``n`` had to be inferred from the snapshot).
+        Caller holds ``_snap_lock``.
         """
         if self._adj is None:
             return
-        if self._substrate == "array":
-            try:
-                # both batch ops validate before mutating, so a failure
-                # leaves the graph untouched and the rebuild is safe
-                if dels:
-                    self._adj.delete_batch(dels)
-                if ins:
-                    self._adj.insert_batch(ins)
-            except (KeyError, ValueError):
-                self._adj = None
-        else:
-            for a, b in dels:
-                self._adj[a].discard(b)
-                self._adj[b].discard(a)
-            for a, b in ins:
-                self._adj.setdefault(a, set()).add(b)
-                self._adj.setdefault(b, set()).add(a)
-
-    def _query_n(self) -> int | None:
-        """Vertex count handed to the traversal charge model.
-
-        Explicit ``n`` keeps charges substrate-invariant: a dict-of-sets
-        adjacency has ``len`` = #non-isolated vertices while the array
-        substrate's is the true ``n``.
-        """
-        if self._n is not None:
-            return self._n
-        if self._substrate == "array":
-            return len(self._adjacency())
-        return None
+        if dels:
+            self._adj.delete_batch(dels)
+        if ins:
+            self._adj.insert_batch(ins)

@@ -188,6 +188,7 @@ class ShardedExecutor:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
+        self.n = int(spec["n"])
         self.supervision = supervision
         self.recovery = recovery
         self.injector = injector or NULL_INJECTOR
@@ -257,10 +258,6 @@ class ShardedExecutor:
         self.backend.kill_worker(i)
 
     # -- executor protocol ---------------------------------------------------
-
-    def initial_edges(self) -> set[Edge]:
-        """Union of every shard's construction edge set."""
-        return {e for s in self.shard_specs for e in s["edges"]}
 
     def output_edges(self) -> set[Edge]:
         """Alias for :meth:`gather_edges` (executor protocol)."""

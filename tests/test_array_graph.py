@@ -34,7 +34,6 @@ from repro.graph import (
     DynamicGraph,
     complete_graph,
     gnm_random_graph,
-    make_graph,
     norm_edge,
     random_connected_graph,
 )
@@ -145,14 +144,6 @@ class TestEquivalence:
             # failed batches left the graph untouched
             assert set(g.edges()) == {(0, 1)}
 
-    def test_make_graph_selects_substrate(self):
-        assert isinstance(make_graph(4, [(0, 1)]), ArrayDynamicGraph)
-        assert isinstance(
-            make_graph(4, [(0, 1)], substrate="dict"), DynamicGraph
-        )
-        with pytest.raises(ValueError, match="substrate"):
-            make_graph(4, [], substrate="csr")
-
 
 # -- generator termination at the density boundary ---------------------------
 
@@ -205,9 +196,11 @@ class TestGnmBoundary:
 class TestEmptyBatchContract:
     @pytest.mark.parametrize("substrate", ["dict", "array"])
     def test_multi_source_bfs_no_sources(self, substrate):
-        adj = make_graph(6, [(0, 1), (1, 2)], substrate=substrate)
         if substrate == "dict":
-            adj = {v: set(adj.neighbors(v)) for v in range(6)}
+            g = DynamicGraph(6, [(0, 1), (1, 2)])
+            adj = {v: set(g.neighbors(v)) for v in range(6)}
+        else:
+            adj = ArrayDynamicGraph(6, [(0, 1), (1, 2)])
         cm = CostModel()
         with cm.frame() as fr:
             out = multi_source_bfs(adj, [], n=6, cost=cm)
@@ -243,10 +236,10 @@ class TestEmptyBatchContract:
 
 class TestSelfLoopRejection:
     def test_direct_both_substrates(self):
-        for substrate in ("dict", "array"):
+        for graph_cls in (DynamicGraph, ArrayDynamicGraph):
             with pytest.raises(ValueError, match="self-loop"):
-                make_graph(4, [(2, 2)], substrate=substrate)
-            g = make_graph(4, [(0, 1)], substrate=substrate)
+                graph_cls(4, [(2, 2)])
+            g = graph_cls(4, [(0, 1)])
             with pytest.raises(ValueError, match="self-loop"):
                 g.insert_batch([(3, 3)])
             with pytest.raises(ValueError, match="self-loop"):

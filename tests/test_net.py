@@ -41,7 +41,9 @@ from repro.service.admission import AdmissionConfig
 from repro.workloads import UpdateBatch
 
 
-def _spec(n=24, edges=((0, 1), (1, 2), (2, 3)), seed=5):
+def _spec(n=512, edges=((0, 1), (1, 2), (2, 3)), seed=5):
+    # n covers every vertex the tests below write (the engine rejects
+    # endpoints outside [0, n))
     return {"kind": "spanner", "n": n, "k": 2,
             "edges": [list(e) for e in edges], "seed": seed}
 
@@ -156,6 +158,20 @@ class TestReplicationLog:
 
 
 class TestServerRoundTrip:
+    def test_out_of_range_write_is_bad_request(self):
+        """An endpoint outside [0, n) is a bad request that releases its
+        idempotency claim and leaves every later read working."""
+        with _manager(autostart=False) as tm, ThreadedServer(tm) as srv:
+            with NetClient(srv.host, srv.port) as c:
+                with pytest.raises(ServerError, match="bad_request.*outside"):
+                    c.submit("insert", 3, 512, idem="k")
+                assert c.submit("insert", 3, 5, idem="k") == "accepted"
+                assert c.flush() == 1
+                assert c.query("distance", (0, 3)) == 3.0
+                assert c.query("connected", (0, 7)) is False
+                batch = c.query_batch([("distance", (3, 5))])
+                assert batch["values"] == [1.0]
+
     def test_submit_query_metrics_admin(self):
         with _manager() as tm, ThreadedServer(tm) as srv:
             with NetClient(srv.host, srv.port) as c:
@@ -495,6 +511,30 @@ class TestReplica:
                     assert result.ok, str(result)
                 finally:
                     replica.close()
+
+
+class TestRecoveredTenant:
+    def test_queue_sees_replayed_wal_tail(self, tmp_path):
+        """A tenant rebuilt from checkpoint + WAL tail admits writes
+        against the recovered graph, not the checkpoint base."""
+        wal_dir = str(tmp_path / "wal")
+        config = TenantConfig(name="default", spec=_spec(), wal_dir=wal_dir,
+                              checkpoint_interval=10**9, autostart=False)
+        crashed = TenantManager().create(config).service
+        assert crashed.submit_update("insert", 7, 9).accepted
+        crashed.flush()
+        # abandon without close: no final checkpoint, so the insert
+        # survives only in the WAL tail
+        crashed.recovery.close()
+        with TenantManager() as tm:
+            svc = tm.create(config).service
+            assert (7, 9) in svc.graph_edges()
+            assert svc.submit_update("insert", 7, 9).outcome == \
+                "rejected_duplicate"
+            assert svc.submit_update("delete", 7, 9).outcome == "accepted"
+            svc.flush()
+            assert (7, 9) not in svc.graph_edges()
+            assert svc.self_check().ok
 
 
 # -- graceful drain -----------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import adjacency_from_edges, bfs_distances
 from repro.resilience import (
     Checkpoint,
     CheckpointError,
@@ -513,6 +514,32 @@ class TestBootstrap:
         ex2.close()
         mgr2.close()
 
+    def test_queue_sees_replayed_wal_tail(self, tmp_path):
+        """After a restart with a WAL tail, admission judges writes
+        against the recovered graph, not the checkpoint base."""
+        spec = _spec()
+        e = _edge_for_shard(0, exclude=set(spec["edges"]))
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        ex, _ = bootstrap_executor(spec, 2, mgr, supervision=_SUP)
+        svc = _service(ex, recovery=mgr)
+        assert svc.submit_update("insert", *e).accepted
+        svc.flush()
+        # abandon without close: no final checkpoint, so the insert
+        # survives only in the WAL tail
+        ex.close()
+        mgr.close()
+        mgr2 = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        ex2, _ = bootstrap_executor(spec, 2, mgr2)   # unsupervised
+        svc2 = _service(ex2, recovery=mgr2)
+        assert svc2.graph_edges() == ex2.graph_union()
+        assert svc2.submit_update("insert", *e).outcome == \
+            "rejected_duplicate"
+        assert svc2.submit_update("delete", *e).outcome == "accepted"
+        svc2.flush()
+        assert e not in svc2.graph_edges()
+        assert svc2.self_check().ok
+        svc2.close()
+
     def test_resharding_checkpoint_rejected(self, tmp_path):
         spec = _spec()
         mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
@@ -567,6 +594,30 @@ class TestGracefulDegradation:
         post = svc.query_info("size")
         assert not post.stale
         assert svc.self_check(deep=False).ok
+        svc.close()
+
+    def test_resync_reads_match_bfs_over_snapshot(self):
+        """A supervised restart resynchronizes the snapshot from the live
+        shards; traversal reads must then follow the resynced edges."""
+        ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
+        svc = _service(ex)
+        svc.query("distance", (0, 1))   # build the lazy read adjacency
+        ex.kill_shard(0)
+        u, v = _edge_for_shard(0, exclude=set(_spec()["edges"]))
+        svc.submit_update("insert", u, v)
+        svc.flush()
+        assert svc.metrics.snapshot()["recoveries"] >= 1
+        ref = adjacency_from_edges(32, svc.snapshot_edges())
+        pairs = [(a, b) for a in range(32) for b in range(a + 1, 32)]
+        expect = []
+        for a, b in pairs:
+            d = bfs_distances(ref, a).get(b)
+            expect.append(float("inf") if d is None else float(d))
+        assert [svc.query("distance", p) for p in pairs] == expect
+        assert [svc.query("connected", p) for p in pairs] == \
+            [d != float("inf") for d in expect]
+        batch = svc.query_batch([("distance", p) for p in pairs])
+        assert [r.value for r in batch] == expect
         svc.close()
 
     def test_recovery_visible_in_metrics_histogram(self):

@@ -413,6 +413,13 @@ def _local_service(n=32, m=96, seed=5, **batcher_kw):
     return svc, clk, edges, spec
 
 
+def _absent_edge(edges, n=32):
+    """An in-range edge not in ``edges`` (a write the engine accepts)."""
+    present = set(edges)
+    return next((u, v) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in present)
+
+
 class TestSpannerService:
     def test_snapshot_hides_pending_updates(self):
         svc, clk, edges, _ = _local_service()
@@ -529,6 +536,25 @@ class TestSpannerService:
             svc.stop()
         assert svc.graph_edges() == set(edges[1:])
 
+    def test_out_of_range_write_rejected_before_admission(self):
+        """A write naming a vertex outside [0, n) raises like a self-loop
+        and never reaches the queue, so traversal reads keep working."""
+        svc, _, edges, _ = _local_service()   # n = 32
+        for op, u, v in (("insert", 3, 50), ("insert", 32, 3),
+                         ("insert", -1, 4), ("delete", 3, 50)):
+            with pytest.raises(ValueError, match=r"outside \[0, 32\)"):
+                svc.submit_update(op, u, v)
+        assert svc.queue.depth == 0
+        assert svc.metrics.counter("requests_update").value == 0
+        svc.submit_update("delete", *edges[0])
+        svc.flush()
+        u, v = edges[1]
+        assert svc.query("connected", (u, v))
+        assert svc.query("distance", (u, v)) == 1.0
+        assert [r.value for r in svc.query_batch(
+            [("distance", (u, v)), ("connected", (u, v))])] == [1.0, True]
+        assert svc.self_check().ok
+
 
 # -- sharded executor --------------------------------------------------------
 
@@ -556,7 +582,7 @@ class TestShardedExecutorInproc:
         spec = {"kind": "spanner", "n": 32, "edges": edges, "seed": 6,
                 "k": 2, "base_capacity": 16}
         ex = ShardedExecutor(spec, shards=3, processes=False)
-        assert ex.initial_edges() == set(edges)
+        assert ex.graph_union() == set(edges)
         batch = UpdateBatch(deletions=edges[:30])
         res = ex.apply(batch)
         assert res.work >= res.critical_work > 0
@@ -667,7 +693,7 @@ class TestEngineReplication:
         for e in edges[:6]:
             primary.submit_update("delete", *e)
         primary.flush()
-        primary.submit_update("insert", 300, 301)
+        primary.submit_update("insert", *_absent_edge(edges))
         primary.flush()
         for seq, batch in shipped:
             replica.apply_replicated(seq, batch)
@@ -718,13 +744,14 @@ class TestEngineReplication:
         info = svc.query_info("size")
         assert info.stale is True
         assert info.as_of_seq == svc.committed_seq
-        resp = svc.submit_update("insert", 400, 401)
+        fresh = _absent_edge(edges)
+        resp = svc.submit_update("insert", *fresh)
         assert not resp.accepted
         assert resp.outcome == "shed_degraded"
         assert resp.retry_after is not None and resp.retry_after > 0
         svc.set_degraded(False)
         assert svc.query_info("size").stale is False
-        assert svc.submit_update("insert", 400, 401).accepted
+        assert svc.submit_update("insert", *fresh).accepted
 
     def test_admission_query_quota(self):
         ctrl = AdmissionController(AdmissionConfig(max_inflight_queries=2))

@@ -58,10 +58,6 @@ EXACT_FIELDS = ("work", "depth")
 #: headroom factor applied when (re)writing memory ceilings
 MEMORY_HEADROOM = 1.5
 
-#: snapshot adjacency substrate the serving scenarios run on; set from
-#: --substrate so CI can gate both backends (charges must not move)
-SUBSTRATE = "array"
-
 
 def _best_of(repeats: int, fn):
     """(best elapsed seconds, last result) over ``repeats`` runs."""
@@ -114,13 +110,11 @@ def bench_srv_service_throughput(smoke: bool) -> dict:
     if smoke:
         cfg = ServeConfig(n=48, m=160, requests=600, seed=11, shards=2,
                           processes=False, max_delay=8e-3,
-                          queue_capacity=4096, max_batch=100_000,
-                          substrate=SUBSTRATE)
+                          queue_capacity=4096, max_batch=100_000)
     else:
         cfg = ServeConfig(n=192, m=768, requests=6000, seed=11, shards=2,
                           processes=False, max_delay=8e-3,
-                          queue_capacity=4096, max_batch=100_000,
-                          substrate=SUBSTRATE)
+                          queue_capacity=4096, max_batch=100_000)
     best_rps = 0.0
     report = None
     for _ in range(1 if smoke else 3):
@@ -231,10 +225,9 @@ def bench_srv3_read_mix(smoke: bool) -> dict:
     from repro.queries.bench import BenchQueriesConfig, run_bench_queries
 
     if smoke:
-        cfg = BenchQueriesConfig(requests=800, repeats=1,
-                                 substrate=SUBSTRATE)
+        cfg = BenchQueriesConfig(requests=800, repeats=1)
     else:
-        cfg = BenchQueriesConfig(repeats=3, substrate=SUBSTRATE)
+        cfg = BenchQueriesConfig(repeats=3)
     report = run_bench_queries(cfg)
     assert report.verified, report.violations
     if not smoke:
@@ -360,15 +353,7 @@ def main(argv: list[str] | None = None) -> int:
                          "hatch for intentional footprint changes)")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="allowed fractional throughput regression")
-    ap.add_argument("--substrate", choices=["array", "dict"],
-                    default="array",
-                    help="snapshot adjacency substrate for the serving "
-                         "scenarios (charges must match the baseline on "
-                         "both)")
     args = ap.parse_args(argv)
-
-    global SUBSTRATE
-    SUBSTRATE = args.substrate
 
     current = measure(args.smoke)
 
