@@ -593,60 +593,32 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
-def _print_chaos_json(report, rows=None) -> int:
-    """Emit a chaos campaign report as one JSON object; exit status."""
+def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    payload = {
-        "ok": report.ok,
-        "divergences": report.divergence_count,
-        "wall_s": round(report.wall_seconds, 3),
-        "rows": rows if rows is not None else report.rows(),
-    }
-    print(json.dumps(payload, sort_keys=True))
-    return 0 if report.ok else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience.chaos import (
-        CHAOS_PLAN_KINDS,
-        NET_PLAN_KINDS,
-        REPLICA_PLAN_KINDS,
+        CATALOGUE,
         ChaosConfig,
         recovery_latency_sweep,
-        run_chaos_campaign,
-        run_net_chaos_campaign,
-        run_replica_chaos_campaign,
+        resolve_plans,
+        run_campaign,
     )
 
-    if args.net:
-        known = NET_PLAN_KINDS
-    elif args.replica:
-        known = REPLICA_PLAN_KINDS
-    else:
-        known = CHAOS_PLAN_KINDS
-    plans = known
-    if args.plans:
-        plans = tuple(args.plans.split(","))
-        unknown = [p for p in plans if p not in known]
-        if unknown:
-            print(f"unknown plans {unknown}; "
-                  f"choose from {list(known)}", file=sys.stderr)
-            return 2
+    try:
+        plans = resolve_plans(args.plans.split(",") if args.plans
+                              else CATALOGUE)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     seeds = args.seeds
     requests = args.requests
     shards = args.shards
     if args.smoke:
-        # CI-friendly: 2 shards, one seed per plan, deterministic
-        # in-process workers; the whole campaign stays well under 60s
+        # CI-friendly: 2 shards, one seed per plan, <=1200 requests; the
+        # whole catalogue stays well under a minute
         seeds = min(seeds, 1)
         requests = min(requests, 1200)
         shards = min(shards, 2)
-        if args.net and not args.plans:
-            # one partition + one torn-frame run through the proxy,
-            # oracle-verified, well under a minute
-            plans = ("net_partition", "net_torn_frame")
-            requests = min(requests, 400)
     cfg = ChaosConfig(
         requests=requests,
         shards=shards,
@@ -660,67 +632,31 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         rows = recovery_latency_sweep(cfg)
         ok = all(r["divergences"] == 0 for r in rows)
         if args.json:
-            import json
-
             print(json.dumps({"ok": ok, "rows": rows}, sort_keys=True))
-            return 0 if ok else 1
-        print(format_table(
-            rows, "RSL1: recovery latency vs checkpoint interval"))
+        else:
+            print(format_table(
+                rows, "RSL1: recovery latency vs checkpoint interval"))
         return 0 if ok else 1
-    if args.net:
-        report = run_net_chaos_campaign(
-            cfg, log=(None if args.json
-                      else lambda msg: print(f"[chaos] {msg}")))
-        if args.json:
-            return _print_chaos_json(report, rows=report.net_rows())
-        print(format_table(
-            report.net_rows(),
-            title=f"repro chaos --net: {len(plans)} wire-fault plan(s) x "
-                  f"{seeds} seed(s)",
-        ))
-        print(f"\nwall time: {report.wall_seconds:.1f}s")
-        if report.ok:
-            print("no divergences — every acked write applied exactly once "
-                  "and primary, replica, and log replay agree "
-                  "(oracle-verified)")
-            return 0
-        for run in report.runs:
-            for d in run.divergences:
-                print(f"\nDIVERGENCE {d}")
-        return 1
-    if args.replica:
-        report = run_replica_chaos_campaign(
-            cfg, log=(None if args.json
-                      else lambda msg: print(f"[chaos] {msg}")))
-        if args.json:
-            return _print_chaos_json(report)
-        print(format_table(
-            report.rows(),
-            title=f"repro chaos --replica: {len(plans)} fault plan(s) x "
-                  f"{seeds} seed(s)",
-        ))
-        print(f"\nwall time: {report.wall_seconds:.1f}s")
-        if report.ok:
-            print("no divergences — every replica fault converged back to "
-                  "the primary's exact state (oracle-verified)")
-            return 0
-        for run in report.runs:
-            for d in run.divergences:
-                print(f"\nDIVERGENCE {d}")
-        return 1
-    report = run_chaos_campaign(
+    report = run_campaign(
         cfg, log=(None if args.json
                   else lambda msg: print(f"[chaos] {msg}")))
     if args.json:
-        return _print_chaos_json(report)
+        print(json.dumps({
+            "ok": report.ok,
+            "divergences": report.divergence_count,
+            "wall_s": round(report.wall_seconds, 3),
+            "rows": report.rows(),
+        }, sort_keys=True))
+        return 0 if report.ok else 1
     print(format_table(
         report.rows(),
         title=f"repro chaos: {len(plans)} fault plan(s) x {seeds} seed(s)",
     ))
     print(f"\nwall time: {report.wall_seconds:.1f}s")
     if report.ok:
-        print("no divergences — every fault was recovered to the exact "
-              "Workload.replay ground truth (oracle-verified)")
+        print("no divergences — every fault converged to the exact "
+              "Workload.replay ground truth of the committed log "
+              "(oracle-verified)")
         return 0
     for run in report.runs:
         for d in run.divergences:
@@ -1027,8 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="deterministic fault-injection campaign over the serving "
-             "engine: kill/hang/corrupt, then verify exact recovery",
+        help="deterministic fault-injection campaign over the engine, "
+             "its replicas and the wire, then verify exact recovery",
     )
     p.add_argument("--seeds", type=int, default=3,
                    help="seeded runs per fault plan")
@@ -1037,7 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="client requests per run")
     p.add_argument("--shards", type=int, default=2)
     p.add_argument("--plans", type=str, default=None,
-                   help="comma-separated subset of fault plans")
+                   help="comma-separated plan or family names (service, "
+                        "replica, net); default: the whole catalogue")
     p.add_argument("--checkpoint-interval", type=int, default=8)
     p.add_argument("--processes", action="store_true",
                    help="use real worker processes (default: deterministic "
@@ -1047,13 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rsl1", action="store_true",
                    help="run the RSL1 recovery-latency-vs-checkpoint-"
                         "interval sweep instead of the full campaign")
-    p.add_argument("--replica", action="store_true",
-                   help="run the log-shipping replica fault plans "
-                        "(crash-mid-catchup, lag window) instead")
-    p.add_argument("--net", action="store_true",
-                   help="run the wire-fault plans through the in-process "
-                        "fault proxy (partition/latency/torn-frame/reset/"
-                        "worker-kill) with a resilient client")
     p.add_argument("--json", action="store_true",
                    help="emit the campaign report as one JSON object")
     p.set_defaults(func=_cmd_chaos)

@@ -16,15 +16,12 @@ See ``docs/resilience.md`` for the failure model and formats.
 """
 
 from repro.resilience.chaos import (
-    CHAOS_PLAN_KINDS,
-    REPLICA_PLAN_KINDS,
+    CATALOGUE,
+    FAMILIES,
     ChaosConfig,
     ChaosReport,
     ChaosRunResult,
-    run_chaos_campaign,
-    run_chaos_once,
-    run_replica_chaos_campaign,
-    run_replica_chaos_once,
+    run_campaign,
 )
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -55,8 +52,7 @@ from repro.resilience.wal import (
 )
 
 __all__ = [
-    "CHAOS_PLAN_KINDS",
-    "REPLICA_PLAN_KINDS",
+    "CATALOGUE",
     "ChaosConfig",
     "ChaosReport",
     "ChaosRunResult",
@@ -64,6 +60,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointInterrupted",
     "CheckpointStore",
+    "FAMILIES",
     "FaultInjector",
     "NULL_INJECTOR",
     "RecoveryManager",
@@ -79,8 +76,5 @@ __all__ = [
     "bootstrap_executor",
     "corrupt_record",
     "read_wal",
-    "run_chaos_campaign",
-    "run_chaos_once",
-    "run_replica_chaos_campaign",
-    "run_replica_chaos_once",
+    "run_campaign",
 ]

@@ -1,32 +1,51 @@
-"""Deterministic chaos harness for the serving engine.
+"""Deterministic chaos harness: one catalogue of seeded fault plans.
 
-Runs the end-to-end service (queue → batcher → supervised shards →
-WAL/checkpoints) under seeded fault plans injected through the production
-hooks (:mod:`repro.resilience.faults`), then asserts that the recovered
-state is *exactly* the ``Workload.replay`` ground truth of the committed
-batch log, cross-checked structurally through the differential oracle
-(:func:`repro.oracle.verify_service`).  Every plan, seed, and batch
-boundary is deterministic, so a failing campaign run is a reproducer, not
-an anecdote — the same discipline arXiv:2506.16477 applies to dynamic
-trees with adversarial batch schedules.
+Every plan belongs to one *family*, and each family has one runner: it
+builds the family's topology, injects the plan's faults through the
+production hooks (:mod:`repro.resilience.faults`, the in-process
+:class:`~repro.net.faultproxy.FaultProxy`), and hands the states it
+observed to one shared replay verifier.  The committed batch log,
+replayed from the initial graph through ``Workload.replay`` (which raises
+on any lost or double apply), must equal every observed view, and the
+differential oracle (:mod:`repro.oracle.service`) must agree.  Plans,
+seeds and batch boundaries are all deterministic, so a failing run is a
+reproducer, not an anecdote — the discipline arXiv:2506.16477 applies to
+dynamic trees under adversarial batch schedules.
 
-Plan catalogue (``CHAOS_PLAN_KINDS``):
+Catalogue (``FAMILIES``; plan names are unique across families):
+
+**service** — queue → batcher → supervised shards → WAL/checkpoints;
+views: shard graph union, coalescing-queue view, cold-restart state.
 
 ``kill_pre_apply``    worker killed just before applying its sub-batch
-``kill_post_apply``   worker killed right after applying (reply may be
-                      consumed or lost — both must converge)
+``kill_post_apply``   worker killed right after applying
 ``drop_reply``        the shard's reply is lost; the deadline must fire
-``delay_reply``       the reply stalls past the deadline (hung worker)
-``poison_batch``      the worker dies on *every* attempt of one batch —
-                      must quarantine after the crash-loop budget
-``corrupt_wal_live``  a WAL record is corrupted on disk, then a worker is
-                      killed — recovery must detect the damage and fall
-                      back to the in-memory history
-``corrupt_wal_tail``  the final WAL record is damaged, then the engine is
-                      cold-restarted — the torn tail must be dropped
-``checkpoint_crash``  the process "dies" between writing and publishing a
-                      checkpoint — the orphan must be ignored and the WAL
-                      kept un-truncated
+``delay_reply``       the worker hangs in its update past the deadline and
+                      is killed, rebuilt, and retried (always on worker
+                      processes: in-process nothing preempts a blocked call)
+``poison_batch``      every attempt of one batch crashes — must quarantine
+``corrupt_wal_live``  a WAL record is damaged, then a worker killed —
+                      recovery must fall back to the in-memory history
+``corrupt_wal_tail``  the last WAL record is damaged before a cold restart
+``checkpoint_crash``  crash between writing and publishing a checkpoint
+
+**replica** — an in-process log-shipping replica fetching in tiny seeded
+chunks, so records tear at chunk boundaries; view: the replica's graph.
+
+``replica_crash_catchup``  the replica dies mid-catch-up; a fresh one
+                           replays the shipped log from byte 0
+``replica_lag``            polling suspended while the primary commits:
+                           lag gauge up, every read tagged ``stale``
+
+**net** — a TCP primary, a read replica, and a retrying client behind
+fault-proxy links; views: the client's acked expectation, the primary's
+live edges, the replica's graph, all against the shipped log.
+
+``net_partition``    black-hole the client link; timed heal
+``net_latency``      per-chunk delay window; hedged reads kick in
+``net_torn_frame``   cut frames mid-length on client + replica links
+``net_reset``        hard RST storms on client and replica links
+``net_worker_kill``  SIGKILL a pool worker mid-dispatch under traffic
 
 Used by ``python -m repro.cli chaos`` and the ``chaos-smoke`` CI job.
 """
@@ -55,41 +74,68 @@ from repro.resilience.wal import corrupt_record
 from repro.workloads.streams import UpdateBatch, Workload, request_stream
 
 __all__ = [
-    "CHAOS_PLAN_KINDS",
-    "NET_PLAN_KINDS",
-    "REPLICA_PLAN_KINDS",
+    "CATALOGUE",
+    "FAMILIES",
     "ChaosConfig",
     "ChaosInjector",
     "ChaosPlan",
     "ChaosReport",
     "ChaosRunResult",
     "recovery_latency_sweep",
-    "run_chaos_campaign",
-    "run_chaos_once",
-    "run_net_chaos_campaign",
-    "run_net_chaos_once",
-    "run_replica_chaos_campaign",
-    "run_replica_chaos_once",
+    "resolve_plans",
+    "run_campaign",
+    "run_plan",
 ]
 
-CHAOS_PLAN_KINDS = (
-    "kill_pre_apply",
-    "kill_post_apply",
-    "drop_reply",
-    "delay_reply",
-    "poison_batch",
-    "corrupt_wal_live",
-    "corrupt_wal_tail",
-    "checkpoint_crash",
-)
+#: family name → its plan names, in catalogue order
+FAMILIES: dict[str, tuple[str, ...]] = {
+    "service": (
+        "kill_pre_apply",
+        "kill_post_apply",
+        "drop_reply",
+        "delay_reply",
+        "poison_batch",
+        "corrupt_wal_live",
+        "corrupt_wal_tail",
+        "checkpoint_crash",
+    ),
+    "replica": ("replica_crash_catchup", "replica_lag"),
+    "net": (
+        "net_partition",
+        "net_latency",
+        "net_torn_frame",
+        "net_reset",
+        "net_worker_kill",
+    ),
+}
+#: plan name → family name
+CATALOGUE: dict[str, str] = {
+    kind: family for family, kinds in FAMILIES.items() for kind in kinds
+}
 
-# plans whose live run must end byte-identical to the replay ground truth
-_EXACT_PLANS = frozenset(CHAOS_PLAN_KINDS) - {"poison_batch"}
-# plans for which the post-run cold restart is checked too
+# service plans for which the post-run cold restart is checked too
 _COLD_RESTART_PLANS = frozenset({
     "kill_pre_apply", "kill_post_apply", "drop_reply", "delay_reply",
     "corrupt_wal_tail", "checkpoint_crash",
 })
+
+
+def resolve_plans(names) -> tuple[str, ...]:
+    """Expand family names to their plans, keeping plan names as given.
+
+    Raises ValueError, naming the whole catalogue, on an unknown name.
+    """
+    out: list[str] = []
+    for name in names:
+        if name in FAMILIES:
+            out.extend(FAMILIES[name])
+        elif name in CATALOGUE:
+            out.append(name)
+        else:
+            raise ValueError(
+                f"unknown plan {name!r}; choose from families "
+                f"{list(FAMILIES)} or plans {list(CATALOGUE)}")
+    return tuple(dict.fromkeys(out))
 
 
 @dataclass
@@ -100,6 +146,10 @@ class ChaosPlan:
     shard: int
     at_seq: int               # first commit seq at which the fault may fire
     corrupt_seq: int | None = None  # for corrupt_wal_live
+    # the plan's generator, past the draws above; the replica and net
+    # runners keep drawing their schedules from it
+    rng: np.random.Generator | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -110,7 +160,7 @@ class ChaosConfig:
     shards: int = 2
     seeds: int = 5
     seed0: int = 0
-    plans: tuple[str, ...] = CHAOS_PLAN_KINDS
+    plans: tuple[str, ...] = tuple(CATALOGUE)   # plan or family names
     processes: bool = False
     checkpoint_interval: int = 8
     max_batch: int = 24
@@ -123,7 +173,11 @@ class ChaosConfig:
 
 @dataclass
 class ChaosRunResult:
-    """Outcome of one seeded run under one fault plan."""
+    """Outcome of one seeded run under one fault plan.
+
+    For net plans ``recoveries`` counts replica rebuilds and ``restarts``
+    pool-worker restarts; the client-side counters are zero elsewhere.
+    """
 
     plan: ChaosPlan
     seed: int
@@ -137,7 +191,6 @@ class ChaosRunResult:
     recovery_latency_s: float = 0.0
     wall_seconds: float = 0.0
     divergences: list[str] = field(default_factory=list)
-    # net-campaign observations (``run_net_chaos_once``); zero elsewhere
     client_retries: int = 0
     reconnects: int = 0
     dedup_hits: int = 0
@@ -147,6 +200,10 @@ class ChaosRunResult:
     @property
     def ok(self) -> bool:
         return not self.divergences
+
+    def diverge(self, msg: str) -> None:
+        """Record one divergence, tagged with the plan and seed."""
+        self.divergences.append(f"{self.plan.kind} seed={self.seed}: {msg}")
 
 
 @dataclass
@@ -164,82 +221,71 @@ class ChaosReport:
         return sum(len(r.divergences) for r in self.runs)
 
     def rows(self) -> list[dict]:
-        """Per-plan aggregate table (the CLI's output)."""
+        """Per-plan aggregate table over every family (the CLI's output)."""
         by_kind: dict[str, list[ChaosRunResult]] = {}
         for r in self.runs:
             by_kind.setdefault(r.plan.kind, []).append(r)
         rows = []
         for kind in sorted(by_kind):
             rs = by_kind[kind]
-            n_rec = sum(r.recoveries for r in rs)
-            lat = [r.recovery_latency_s / max(r.recoveries, 1)
+
+            def total(attr: str) -> int:
+                return sum(getattr(r, attr) for r in rs)
+
+            lat = [r.recovery_latency_s / r.recoveries
                    for r in rs if r.recoveries]
             rows.append({
                 "plan": kind,
                 "runs": len(rs),
-                "fired": sum(r.fired for r in rs),
-                "recoveries": n_rec,
-                "restarts": sum(r.restarts for r in rs),
-                "quarantined": sum(r.quarantined for r in rs),
+                "fired": total("fired"),
+                "commits": total("commits"),
+                "recoveries": total("recoveries"),
+                "restarts": total("restarts"),
+                "quarantined": total("quarantined"),
                 "mean_recovery_ms": round(
                     1000 * sum(lat) / len(lat), 2) if lat else 0.0,
+                "retries": total("client_retries"),
+                "reconnects": total("reconnects"),
+                "dedup_hits": total("dedup_hits"),
+                "hedged_reads": total("hedged_reads"),
+                "breaker_trips": total("breaker_trips"),
                 "divergences": sum(len(r.divergences) for r in rs),
             })
         return rows
 
-    def net_rows(self) -> list[dict]:
-        """Per-plan aggregate table for the wire-fault campaign (RSL2)."""
-        by_kind: dict[str, list[ChaosRunResult]] = {}
-        for r in self.runs:
-            by_kind.setdefault(r.plan.kind, []).append(r)
-        rows = []
-        for kind in sorted(by_kind):
-            rs = by_kind[kind]
-            rows.append({
-                "plan": kind,
-                "runs": len(rs),
-                "fired": sum(r.fired for r in rs),
-                "commits": sum(r.commits for r in rs),
-                "retries": sum(r.client_retries for r in rs),
-                "reconnects": sum(r.reconnects for r in rs),
-                "dedup_hits": sum(r.dedup_hits for r in rs),
-                "hedged_reads": sum(r.hedged_reads for r in rs),
-                "breaker_trips": sum(r.breaker_trips for r in rs),
-                "worker_restarts": sum(r.restarts for r in rs),
-                "replica_rebuilds": sum(r.recoveries for r in rs),
-                "divergences": sum(len(r.divergences) for r in rs),
-            })
-        return rows
+
+# (plan kind, apply phase) → the action :meth:`ChaosInjector.on_apply` takes
+_APPLY_FAULTS = {
+    ("kill_pre_apply", "pre"): "kill",
+    ("kill_post_apply", "post"): "kill",
+    ("corrupt_wal_live", "pre"): "kill",
+    ("delay_reply", "pre"): "stall",
+}
 
 
 class ChaosInjector(FaultInjector):
-    """Executes one :class:`ChaosPlan` through the production hooks."""
+    """Executes one service :class:`ChaosPlan` through the production hooks.
 
-    def __init__(self, plan: ChaosPlan) -> None:
+    ``stall_s`` is how long a ``delay_reply`` worker blocks in its update;
+    it must exceed the supervisor's reply deadline.
+    """
+
+    def __init__(self, plan: ChaosPlan, stall_s: float) -> None:
         self.plan = plan
+        self.stall_s = stall_s
         self.fired = 0
-        self.restarts_seen = 0
 
     def _due(self, shard: int, seq: int | None) -> bool:
         return (shard == self.plan.shard and seq is not None
                 and seq >= self.plan.at_seq and self.fired == 0)
 
     def on_apply(self, shard: int, when: str, seq: int | None):
-        """Kill the target worker pre/post apply per the plan."""
-        kind = self.plan.kind
-        if kind == "kill_pre_apply" and when == "pre" \
-                and self._due(shard, seq):
-            self.fired += 1
-            return "kill"
-        if kind == "kill_post_apply" and when == "post" \
-                and self._due(shard, seq):
-            self.fired += 1
-            return "kill"
-        if kind == "corrupt_wal_live" and when == "pre" \
-                and self._due(shard, seq):
-            self.fired += 1
-            return "kill"
-        return None
+        """Kill or stall the target worker pre/post apply per the plan."""
+        action = _APPLY_FAULTS.get((self.plan.kind, when))
+        if action is None or not self._due(shard, seq):
+            return None
+        self.fired += 1
+        return ("stall", self.stall_s) if action == "stall" else action
 
     def _poison(self, shard: int, seq: int | None) -> bool:
         # latch onto the first eligible seq we ever see, then make every
@@ -255,16 +301,13 @@ class ChaosInjector(FaultInjector):
         return seq == latched
 
     def on_recv(self, shard: int, seq: int | None):
-        """Drop or delay the target shard's reply per the plan."""
+        """Drop the target shard's reply per the plan."""
         if self.plan.kind == "poison_batch" and self._poison(shard, seq):
             self.fired += 1
             return "drop"
         if self.plan.kind == "drop_reply" and self._due(shard, seq):
             self.fired += 1
             return "drop"
-        if self.plan.kind == "delay_reply" and self._due(shard, seq):
-            self.fired += 1
-            return ("delay", 0.3)
         return None
 
     def on_wal_record(self, seq: int, data: bytes) -> bytes:
@@ -284,24 +327,58 @@ class ChaosInjector(FaultInjector):
                 f"simulated crash publishing checkpoint epoch={epoch}"
             )
 
-    def on_restart(self, shard: int, attempt: int) -> None:
-        """Count worker restarts (observation only)."""
-        self.restarts_seen += 1
+
+def _plan_seed(kind: str, seed: int) -> int:
+    # NB: not hash() — PYTHONHASHSEED would break determinism
+    return seed * 7919 + sum(kind.encode()) % 1000
 
 
-def _make_plan(kind: str, rng: np.random.Generator,
-               shards: int) -> ChaosPlan:
+def _draw_plan(kind: str, seed: int, shards: int) -> ChaosPlan:
+    """The seeded plan for one (kind, seed) run; service plans also draw
+    their target shard, the others always target shard 0."""
+    rng = np.random.default_rng(_plan_seed(kind, seed))
     at_seq = int(rng.integers(3, 9))
-    plan = ChaosPlan(kind=kind, shard=int(rng.integers(0, shards)),
-                     at_seq=at_seq)
-    if kind == "corrupt_wal_live":
-        plan.corrupt_seq = max(1, at_seq - 2)
-    return plan
+    shard = int(rng.integers(0, shards)) if CATALOGUE[kind] == "service" \
+        else 0
+    return ChaosPlan(
+        kind=kind, shard=shard, at_seq=at_seq,
+        corrupt_seq=(max(1, at_seq - 2) if kind == "corrupt_wal_live"
+                     else None),
+        rng=rng,
+    )
 
 
-def run_chaos_once(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
-                   workdir: str | Path) -> ChaosRunResult:
-    """One seeded service run under one fault plan (see module docstring)."""
+def _verify(result: ChaosRunResult, n: int, initial_edges, batches,
+            views: dict[str, set], oracle=None) -> None:
+    """The replay check every run ends with.
+
+    Replays ``batches`` from ``initial_edges`` through ``Workload.replay``
+    (which raises on an op that is illegal in sequence: a lost or double
+    apply); every observed view must then equal the replayed truth, and
+    the oracle's verification, when given, must pass.
+    """
+    initial = [tuple(e) for e in initial_edges]
+    truth = set(initial)
+    try:
+        for _, truth in Workload(n, initial, list(batches)).replay():
+            pass
+    except ValueError as exc:
+        result.diverge("committed log is not sequentially legal "
+                       f"(lost or double apply): {exc}")
+    for name, got in views.items():
+        if got != truth:
+            result.diverge(f"{name} != replay truth "
+                           f"({len(got ^ truth)} edge(s) differ)")
+    if oracle is not None and not oracle.ok:
+        result.diverge(f"oracle: {oracle}")
+
+
+# -- service family -----------------------------------------------------------
+
+
+def _run_service(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
+                 result: ChaosRunResult, workdir: str | Path) -> None:
+    """The engine under one service plan, then a cold restart."""
     from repro.oracle.service import verify_service
     from repro.service.admission import AdmissionConfig
     from repro.service.batcher import BatcherConfig
@@ -309,9 +386,9 @@ def run_chaos_once(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
     from repro.service.engine import ServiceConfig, SpannerService
     from repro.service.shard import ShardedExecutor
 
-    t0 = time.perf_counter()
-    result = ChaosRunResult(plan=plan, seed=seed)
-    rundir = Path(workdir) / f"{plan.kind}-{seed}"
+    # a fresh directory per run: never boot on an earlier run's WAL
+    Path(workdir).mkdir(parents=True, exist_ok=True)
+    rundir = tempfile.mkdtemp(prefix=f"{plan.kind}-{seed}-", dir=workdir)
     initial_edges, requests = request_stream(
         cfg.n, cfg.m, cfg.requests, seed=seed,
         query_prob=cfg.query_prob,
@@ -321,7 +398,7 @@ def run_chaos_once(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
         "seed": seed + 1000, "k": 2,
         "base_capacity": max(16, cfg.m // max(1, 4 * cfg.shards)),
     }
-    injector = ChaosInjector(plan)
+    injector = ChaosInjector(plan, stall_s=4 * cfg.recv_deadline)
     supervision = SupervisionConfig(
         recv_deadline=cfg.recv_deadline,
         backoff_base=cfg.backoff_base,
@@ -336,7 +413,8 @@ def run_chaos_once(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
         injector=injector,
     )
     executor = ShardedExecutor(
-        spec, cfg.shards, processes=cfg.processes,
+        spec, cfg.shards,
+        processes=cfg.processes or plan.kind == "delay_reply",
         supervision=supervision, recovery=manager, injector=injector,
     )
     clock = SimClock()
@@ -374,135 +452,65 @@ def run_chaos_once(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
         * snap.get("recovery_latency_s.count", 0)
     )
 
-    def diverge(msg: str) -> None:
-        result.divergences.append(f"{plan.kind} seed={seed}: {msg}")
-
-    # ground truth: replaying the committed batch log from the initial graph
-    truth = set(initial_edges)
-    wl = Workload(cfg.n, list(initial_edges), [b for _, b in committed])
-    try:
-        for _, truth in wl.replay():
-            pass
-    except ValueError as exc:
-        diverge(f"committed log is not sequentially legal: {exc}")
-
+    batches = [b for _, b in committed]
+    # poison_batch checks liveness + quarantine, not equivalence
+    exact = plan.kind != "poison_batch"
+    _verify(result, cfg.n, initial_edges, batches,
+            {"graph union": executor.graph_union(),
+             "coalescing-queue view": service.graph_edges()}
+            if exact else {},
+            verify_service(service, executor, deep=cfg.deep_verify)
+            if exact else None)
     if injector.fired == 0 and plan.kind != "corrupt_wal_tail":
         # corrupt_wal_tail injects nothing during the run: the damage is
         # done to the finished log below, before the cold restart
-        diverge("fault plan never fired (plan/seed mismatch)")
-    if plan.kind in _EXACT_PLANS:
-        live = executor.graph_union()
-        if live != truth:
-            diverge(f"graph union != replay truth "
-                    f"({len(live ^ truth)} edge(s) differ)")
-        if service.graph_edges() != truth:
-            diverge("coalescing-queue view != replay truth")
-        verification = verify_service(service, executor,
-                                      deep=cfg.deep_verify)
-        if not verification.ok:
-            diverge(f"oracle: {verification}")
+        result.diverge("fault plan never fired (plan/seed mismatch)")
+    if exact:
         if plan.kind not in ("checkpoint_crash", "corrupt_wal_tail") \
                 and result.recoveries == 0:
-            diverge("no recovery was recorded despite an injected fault")
-    else:  # poison_batch: liveness + quarantine, not equivalence
+            result.diverge("no recovery was recorded despite an injected "
+                           "fault")
+    else:
         if result.quarantined == 0:
-            diverge("poison batch was never quarantined")
+            result.diverge("poison batch was never quarantined")
         if not executor.quarantined:
-            diverge("executor kept no quarantine record")
+            result.diverge("executor kept no quarantine record")
         # the engine must still be serving: a fresh gather answers
         if not isinstance(executor.gather_edges(), set):
-            diverge("gather failed after quarantine")  # pragma: no cover
+            result.diverge("gather failed after quarantine")  # pragma: no cover
     if plan.kind == "checkpoint_crash" and result.checkpoint_failures == 0:
-        diverge("mid-checkpoint crash never happened")
+        result.diverge("mid-checkpoint crash never happened")
     if plan.kind == "corrupt_wal_live" and result.wal_fallbacks == 0 \
             and result.recoveries > 0:
-        diverge("corrupt WAL never forced the in-memory fallback")
+        result.diverge("corrupt WAL never forced the in-memory fallback")
 
     # crash-style shutdown: no final flush/checkpoint, workers just die
     executor.close()
     manager.close()
 
-    if plan.kind in _COLD_RESTART_PLANS and result.ok:
-        expected = truth
-        if plan.kind == "corrupt_wal_tail" and committed:
-            last_seq = committed[-1][0]
-            if not corrupt_record(manager.wal_path, last_seq):
-                diverge(f"could not corrupt WAL record seq={last_seq}")
-            # the damaged tail record must be dropped: expected state is
-            # the replay of every committed batch but the last
-            expected = set(initial_edges)
-            prefix = Workload(cfg.n, list(initial_edges),
-                              [b for _, b in committed[:-1]])
-            for _, expected in prefix.replay():
-                pass
-        manager2 = RecoveryManager(ResilienceConfig(directory=rundir))
-        try:
-            ex2, _last = bootstrap_executor(
-                spec, cfg.shards, manager2, processes=False,
-                supervision=supervision,
-            )
-            rebuilt = ex2.graph_union()
-            if rebuilt != expected:
-                diverge(f"cold restart diverged "
-                        f"({len(rebuilt ^ expected)} edge(s) differ)")
-            ex2.close()
-        finally:
-            manager2.close()
-
-    result.wall_seconds = time.perf_counter() - t0
-    return result
-
-
-def run_chaos_campaign(cfg: ChaosConfig, log=None) -> ChaosReport:
-    """Sweep every configured plan × seed; returns the full report."""
-    t0 = time.perf_counter()
-    report = ChaosReport(config=cfg)
-    workdir = cfg.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    cleanup = cfg.workdir is None
+    if plan.kind not in _COLD_RESTART_PLANS or not result.ok:
+        return
+    if plan.kind == "corrupt_wal_tail" and committed:
+        last_seq = committed[-1][0]
+        if not corrupt_record(manager.wal_path, last_seq):
+            result.diverge(f"could not corrupt WAL record seq={last_seq}")
+        # the damaged tail record must be dropped: the expected state is
+        # the replay of every committed batch but the last
+        batches = batches[:-1]
+    manager2 = RecoveryManager(ResilienceConfig(directory=rundir))
     try:
-        for kind in cfg.plans:
-            for s in range(cfg.seeds):
-                seed = cfg.seed0 + s
-                # NB: not hash() — PYTHONHASHSEED would break determinism
-                kind_salt = sum(kind.encode()) % 1000
-                rng = np.random.default_rng(seed * 7919 + kind_salt)
-                plan = _make_plan(kind, rng, cfg.shards)
-                run = run_chaos_once(cfg, plan, seed, workdir)
-                report.runs.append(run)
-                if log is not None:
-                    status = "ok" if run.ok else "DIVERGED"
-                    log(f"{kind} seed={seed} shard={plan.shard} "
-                        f"at_seq={plan.at_seq}: {status} "
-                        f"(fired={run.fired}, recoveries={run.recoveries})")
+        ex2, _last = bootstrap_executor(
+            spec, cfg.shards, manager2, processes=False,
+            supervision=supervision,
+        )
+        _verify(result, cfg.n, initial_edges, batches,
+                {"cold restart": ex2.graph_union()})
+        ex2.close()
     finally:
-        if cleanup:
-            shutil.rmtree(workdir, ignore_errors=True)
-    report.wall_seconds = time.perf_counter() - t0
-    return report
+        manager2.close()
 
 
-# -- replica fault plans ------------------------------------------------------
-
-#: Log-shipping replica fault catalogue (``python -m repro.cli chaos
-#: --replica``):
-#:
-#: ``replica_crash_catchup``  a replica dies partway through catch-up; a
-#:                            freshly bootstrapped replacement replaying
-#:                            the shipped log from byte 0 must converge to
-#:                            the primary's *exact* state
-#: ``replica_lag``            the replica's poll loop is suspended while
-#:                            the primary keeps committing — the lag gauge
-#:                            must rise and every read must carry the
-#:                            ``stale`` tag until catch-up clears both
-REPLICA_PLAN_KINDS = ("replica_crash_catchup", "replica_lag")
-
-NET_PLAN_KINDS = (
-    "net_partition",    # black-hole the client link; timed heal
-    "net_latency",      # per-chunk delay window; hedged reads kick in
-    "net_torn_frame",   # cut frames mid-length on client + replica links
-    "net_reset",        # hard RST storms on client and replica links
-    "net_worker_kill",  # SIGKILL a pool worker mid-dispatch under traffic
-)
+# -- replica family -----------------------------------------------------------
 
 
 class _LocalShippingClient:
@@ -529,18 +537,14 @@ class _LocalShippingClient:
         pass
 
 
-def run_replica_chaos_once(cfg: ChaosConfig, kind: str,
-                           seed: int) -> ChaosRunResult:
-    """One seeded log-shipping run under one replica fault plan."""
+def _run_replica(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
+                 result: ChaosRunResult, workdir: str | Path) -> None:
+    """A log-shipping replica of an in-process primary under one plan."""
     from repro.net.replica import LogShippingReplica, ReplicaConfig
     from repro.net.tenants import TenantConfig, TenantManager
     from repro.oracle.service import verify_replica
 
-    t0 = time.perf_counter()
-    kind_salt = sum(kind.encode()) % 1000
-    rng = np.random.default_rng(seed * 7919 + kind_salt)
-    plan = ChaosPlan(kind=kind, shard=0, at_seq=int(rng.integers(3, 9)))
-    result = ChaosRunResult(plan=plan, seed=seed)
+    rng = plan.rng
     initial_edges, requests = request_stream(
         cfg.n, cfg.m, cfg.requests, seed=seed, query_prob=0.0,
     )
@@ -550,9 +554,6 @@ def run_replica_chaos_once(cfg: ChaosConfig, kind: str,
     # tiny seeded fetch chunks tear records mid-boundary on purpose: the
     # stream decoder must reassemble them exactly like a torn WAL tail
     chunk = int(rng.integers(8, 96))
-
-    def diverge(msg: str) -> None:
-        result.divergences.append(f"{kind} seed={seed}: {msg}")
 
     def make_replica(primary_tenant) -> LogShippingReplica:
         return LogShippingReplica(
@@ -572,7 +573,7 @@ def run_replica_chaos_once(cfg: ChaosConfig, kind: str,
         service.flush()
 
         replica = make_replica(tenant)
-        if kind == "replica_crash_catchup":
+        if plan.kind == "replica_crash_catchup":
             partial = int(rng.integers(1, 6))
             replica.catch_up(max_records=partial)
             result.fired = 1
@@ -586,66 +587,35 @@ def run_replica_chaos_once(cfg: ChaosConfig, kind: str,
             service.submit_update(op, u, v)
         service.flush()
 
-        if kind == "replica_lag":
+        if plan.kind == "replica_lag":
             # the poll loop was suspended this whole window; the replica
             # must know it is behind and say so on every read
             replica.note_primary_seq(service.committed_seq)
             result.fired = 1
             if replica.lag <= 0:
-                diverge("no lag observed during the suspended poll window")
+                result.diverge("no lag observed during the suspended poll "
+                               "window")
             gauge = replica.service.metrics.gauge(
                 "replica_lag_commits").value
             if gauge <= 0:
-                diverge("replica_lag_commits gauge was not raised")
-            info = replica.service.query_info("size")
-            if not info.stale:
-                diverge("lagging replica served a read without the "
-                        "stale tag")
+                result.diverge("replica_lag_commits gauge was not raised")
+            if not replica.service.query_info("size").stale:
+                result.diverge("lagging replica served a read without "
+                               "the stale tag")
 
         replica.catch_up()
         result.commits = len(committed)
         if replica.lag != 0:
-            diverge(f"lag is {replica.lag} after full catch-up")
-        info = replica.service.query_info("size")
-        if info.stale:
-            diverge("caught-up replica still tags reads stale")
-
-        truth = set(initial_edges)
-        wl = Workload(cfg.n, list(initial_edges), [b for _, b in committed])
-        try:
-            for _, truth in wl.replay():
-                pass
-        except ValueError as exc:
-            diverge(f"committed log is not sequentially legal: {exc}")
-        if replica.service.graph_edges() != truth:
-            diverge("replica graph view != replay ground truth")
-        verification = verify_replica(service, replica.service)
-        if not verification.ok:
-            diverge(f"oracle: {verification}")
+            result.diverge(f"lag is {replica.lag} after full catch-up")
+        if replica.service.query_info("size").stale:
+            result.diverge("caught-up replica still tags reads stale")
+        _verify(result, cfg.n, initial_edges, [b for _, b in committed],
+                {"replica graph view": replica.service.graph_edges()},
+                verify_replica(service, replica.service))
         replica.close()
 
-    result.wall_seconds = time.perf_counter() - t0
-    return result
 
-
-def run_replica_chaos_campaign(cfg: ChaosConfig, log=None) -> ChaosReport:
-    """Sweep the replica fault plans × seeds (``cli chaos --replica``)."""
-    t0 = time.perf_counter()
-    report = ChaosReport(config=cfg)
-    kinds = tuple(p for p in cfg.plans if p in REPLICA_PLAN_KINDS) \
-        or REPLICA_PLAN_KINDS
-    for kind in kinds:
-        for s in range(cfg.seeds):
-            seed = cfg.seed0 + s
-            run = run_replica_chaos_once(cfg, kind, seed)
-            report.runs.append(run)
-            if log is not None:
-                status = "ok" if run.ok else "DIVERGED"
-                log(f"{kind} seed={seed}: {status} "
-                    f"(commits={run.commits}, "
-                    f"recoveries={run.recoveries})")
-    report.wall_seconds = time.perf_counter() - t0
-    return report
+# -- net family ---------------------------------------------------------------
 
 
 def _net_pool_kernel(payload, shared, cost=None):
@@ -666,8 +636,8 @@ def _kill_quietly(pid: int) -> None:
         pass
 
 
-def _pool_kill_exercise(rng: np.random.Generator, result: ChaosRunResult,
-                        diverge) -> None:
+def _pool_kill_exercise(rng: np.random.Generator,
+                        result: ChaosRunResult) -> None:
     """SIGKILL one pool worker mid-dispatch; supervision must requeue the
     lost task, fork a replacement, and return byte-identical results."""
     from repro.parallel.pool import ProcessPoolBackend
@@ -686,34 +656,31 @@ def _pool_kill_exercise(rng: np.random.Generator, result: ChaosRunResult,
             vals = [r.value
                     for r in pool.map_chunks(_net_pool_kernel, chunks)]
             if vals != expect:
-                diverge(f"pool round {rnd} diverged after worker kill")
+                result.diverge(f"pool round {rnd} diverged after worker "
+                               "kill")
         timer.join()
         vals = [r.value for r in pool.map_chunks(_net_pool_kernel, chunks)]
         if vals != expect:
-            diverge("pool post-kill round diverged")
+            result.diverge("pool post-kill round diverged")
         if pool.worker_restarts_total < 1:
-            diverge("worker kill produced no supervised restart")
+            result.diverge("worker kill produced no supervised restart")
         result.restarts += pool.worker_restarts_total
     finally:
         pool.close()
 
 
-def run_net_chaos_once(cfg: ChaosConfig, kind: str,
-                       seed: int) -> ChaosRunResult:
-    """One seeded client/server/replica run under one wire-fault plan.
+def _run_net(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
+             result: ChaosRunResult, workdir: str | Path) -> None:
+    """One client/server/replica run under one wire-fault plan.
 
     Topology: a real :class:`~repro.net.server.ThreadedServer` primary, a
     :class:`~repro.net.faultproxy.FaultProxy` on the client link (and a
     second one on the replica link for the torn/reset plans), a
     :class:`~repro.net.resilient.ResilientClient` issuing a seeded toggle
-    workload through the proxy, and a log-shipping replica.
-
-    The client tracks the *expected* edge set from its own acked submits;
-    at the end the full replication log is fetched from byte 0, replayed
-    through :class:`~repro.workloads.streams.Workload` (which raises on
-    any sequentially-illegal — i.e. double- or lost-applied — op), and
-    the replay ground truth must equal the client's expectation, the
-    primary's live edge set, and the replica's state.
+    workload through the proxy, and a log-shipping replica.  The client
+    tracks the *expected* edge set from its own acked submits; at the end
+    the full replication log is fetched from byte 0 and verified against
+    that expectation, the primary's live edges, and the replica's state.
     """
     from repro.net.client import NetClient
     from repro.net.faultproxy import FaultProxy
@@ -726,17 +693,9 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
     from repro.service.admission import AdmissionConfig
     from repro.service.batcher import BatcherConfig
 
-    t0 = time.perf_counter()
-    kind_salt = sum(kind.encode()) % 1000
-    rng = np.random.default_rng(seed * 7919 + kind_salt)
+    kind = plan.kind
+    rng = plan.rng
     n_req = cfg.requests
-    plan = ChaosPlan(kind=kind, shard=0,
-                     at_seq=int(rng.integers(3, 9)))
-    result = ChaosRunResult(plan=plan, seed=seed)
-
-    def diverge(msg: str) -> None:
-        result.divergences.append(f"{kind} seed={seed}: {msg}")
-
     initial_edges, _ = request_stream(cfg.n, cfg.m, 1, seed=seed,
                                       query_prob=0.0)
     spec = {"kind": "spanner", "n": cfg.n, "edges": initial_edges,
@@ -765,7 +724,7 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
         backoff_base_s=0.01, backoff_cap_s=0.25,
         breaker_threshold=3, breaker_reset_s=0.1,
         hedge_after_s=(0.02 if kind == "net_latency" else None),
-        seed=seed * 7919 + kind_salt,
+        seed=_plan_seed(kind, seed),
     )
 
     with TenantManager() as tenants:
@@ -793,17 +752,14 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                                    NetServerConfig(read_only=True)).start()
                     if replicated else None)
 
-            def rebuild_replica() -> None:
-                nonlocal replica
-                replica.close()
-                replica = make_replica()
-                result.recoveries += 1
-
             def sync_replica() -> None:
+                nonlocal replica
                 try:
                     replica.catch_up()
                 except Exception:
-                    rebuild_replica()
+                    replica.close()
+                    replica = make_replica()
+                    result.recoveries += 1
                     replica.catch_up()
 
             client = ResilientClient(
@@ -813,41 +769,37 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                 client_id=f"chaos-{kind}-{seed}",
             )
             heal_timer: threading.Timer | None = None
+
+            def partition() -> None:
+                nonlocal heal_timer
+                proxy.partition()
+                heal_timer = threading.Timer(heal_delay, proxy.heal)
+                heal_timer.start()
+
+            # request index → the fault injected just before it; the
+            # first torn ACK commits but the client never hears, so its
+            # retry must dedup
+            schedule = {
+                "net_partition": {fire_at[0]: partition},
+                "net_latency": {
+                    fire_at[0]: lambda: proxy.set_latency(latency_s)},
+                "net_torn_frame": {
+                    fire_at[0]: lambda: proxy.tear_next("s2c"),
+                    fire_at[1]: lambda: proxy.tear_next("c2s", rst=True),
+                    fire_at[2]: lambda: rproxy.tear_next("s2c")},
+                "net_reset": {fire_at[0]: proxy.reset_all,
+                              fire_at[1]: proxy.reset_all,
+                              fire_at[2]: rproxy.reset_all},
+                "net_worker_kill": {
+                    fire_at[0]: lambda: _pool_kill_exercise(rng, result)},
+            }[kind]
             try:
                 for i in range(n_req):
-                    if kind == "net_partition" and i == fire_at[0]:
-                        proxy.partition()
+                    if i in schedule:
                         result.fired += 1
-                        heal_timer = threading.Timer(heal_delay, proxy.heal)
-                        heal_timer.start()
-                    elif kind == "net_latency":
-                        if i == fire_at[0]:
-                            proxy.set_latency(latency_s)
-                            result.fired += 1
-                        elif i == latency_end:
-                            proxy.set_latency(0.0)
-                    elif kind == "net_torn_frame":
-                        if i == fire_at[0]:
-                            # tear the next ACK: the op commits but the
-                            # client never hears — the retry must dedup
-                            proxy.tear_next("s2c")
-                            result.fired += 1
-                        elif i == fire_at[1]:
-                            proxy.tear_next("c2s", rst=True)
-                            result.fired += 1
-                        elif i == fire_at[2]:
-                            rproxy.tear_next("s2c")
-                            result.fired += 1
-                    elif kind == "net_reset":
-                        if i in (fire_at[0], fire_at[1]):
-                            proxy.reset_all()
-                            result.fired += 1
-                        elif i == fire_at[2]:
-                            rproxy.reset_all()
-                            result.fired += 1
-                    elif kind == "net_worker_kill" and i == fire_at[0]:
-                        result.fired += 1
-                        _pool_kill_exercise(rng, result, diverge)
+                        schedule[i]()
+                    elif kind == "net_latency" and i == latency_end:
+                        proxy.set_latency(0.0)
 
                     a, b = universe[int(rng.integers(len(universe)))]
                     op = "delete" if (a, b) in expected else "insert"
@@ -855,8 +807,8 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                     status = info.get("status")
                     if status not in ("accepted", "coalesced_dedup",
                                       "coalesced_cancel"):
-                        diverge(f"unexpected submit outcome {status!r} "
-                                f"for {op} ({a}, {b})")
+                        result.diverge(f"unexpected submit outcome "
+                                       f"{status!r} for {op} ({a}, {b})")
                     expected.symmetric_difference_update({(a, b)})
                     if (i + 1) % flush_every == 0:
                         client.flush()
@@ -864,7 +816,7 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                     if (i + 1) % read_every == 0:
                         client.query_info("size")
             except Exception as exc:      # noqa: BLE001 - recorded verbatim
-                diverge(f"workload died at request {i}: {exc!r}")
+                result.diverge(f"workload died at request {i}: {exc!r}")
             finally:
                 if heal_timer is not None:
                     heal_timer.cancel()
@@ -879,7 +831,7 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                 client.flush()
                 sync_replica()
             except Exception as exc:      # noqa: BLE001
-                diverge(f"post-fault settle failed: {exc!r}")
+                result.diverge(f"post-fault settle failed: {exc!r}")
 
             direct = NetClient(srv.host, srv.port)
             decoder = WalStreamDecoder()
@@ -891,39 +843,24 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                     break
                 records.extend(decoder.feed(chunk))
             result.commits = len(records)
-            truth = {tuple(e) for e in initial_edges}
-            wl = Workload(cfg.n, [tuple(e) for e in initial_edges],
-                          [r.batch for r in records])
-            try:
-                for _, truth in wl.replay():
-                    pass
-            except ValueError as exc:
-                diverge("shipped log is not sequentially legal "
-                        f"(double/lost apply): {exc}")
-            if truth != expected:
-                diverge("log-replay truth != acked-client expectation "
-                        f"({len(truth ^ expected)} edge(s) differ)")
-            live = direct.edges()
-            if live != truth:
-                diverge(f"primary live edges != log replay "
-                        f"({len(live ^ truth)} differ)")
-            if replica.service.graph_edges() != truth:
-                diverge("replica state != log replay")
-            verification = verify_replica(tenant.service, replica.service)
-            if not verification.ok:
-                diverge(f"oracle: {verification}")
+            _verify(result, cfg.n, initial_edges, [r.batch for r in records],
+                    {"acked client expectation": expected,
+                     "primary live edges": direct.edges(),
+                     "replica state": replica.service.graph_edges()},
+                    verify_replica(tenant.service, replica.service))
             direct.close()
 
             # plan-specific liveness assertions: the fault must actually
             # have exercised the resilience path it targets
             if kind == "net_torn_frame" and tenant.idempotency.dedup_hits < 1:
-                diverge("torn ACK was not absorbed by idempotency dedup")
+                result.diverge("torn ACK was not absorbed by idempotency "
+                               "dedup")
             if kind == "net_partition" and client.retries < 1:
-                diverge("partition produced no client retries")
+                result.diverge("partition produced no client retries")
             if kind == "net_reset" and client.reconnects < 1:
-                diverge("resets produced no client reconnects")
+                result.diverge("resets produced no client reconnects")
             if kind == "net_latency" and client.hedged < 1:
-                diverge("latency window produced no hedged reads")
+                result.diverge("latency window produced no hedged reads")
 
             result.client_retries = client.retries
             result.reconnects = client.reconnects
@@ -935,26 +872,47 @@ def run_net_chaos_once(cfg: ChaosConfig, kind: str,
                 rsrv.stop()
             replica.close()
 
+
+# -- the campaign -------------------------------------------------------------
+
+_RUNNERS = {"service": _run_service, "replica": _run_replica, "net": _run_net}
+
+
+def run_plan(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
+             workdir: str | Path) -> ChaosRunResult:
+    """One seeded run of one plan through its family's runner.
+
+    Service runs keep their WAL and checkpoints in a fresh directory
+    under ``workdir``.
+    """
+    t0 = time.perf_counter()
+    result = ChaosRunResult(plan=plan, seed=seed)
+    _RUNNERS[CATALOGUE[plan.kind]](cfg, plan, seed, result, workdir)
     result.wall_seconds = time.perf_counter() - t0
     return result
 
 
-def run_net_chaos_campaign(cfg: ChaosConfig, log=None) -> ChaosReport:
-    """Sweep the wire-fault plans × seeds (``cli chaos --net``)."""
+def run_campaign(cfg: ChaosConfig, log=None) -> ChaosReport:
+    """Sweep every configured plan (family names expand) × seed."""
+    kinds = resolve_plans(cfg.plans)
     t0 = time.perf_counter()
     report = ChaosReport(config=cfg)
-    kinds = tuple(p for p in cfg.plans if p in NET_PLAN_KINDS) \
-        or NET_PLAN_KINDS
-    for kind in kinds:
-        for s in range(cfg.seeds):
-            seed = cfg.seed0 + s
-            run = run_net_chaos_once(cfg, kind, seed)
-            report.runs.append(run)
-            if log is not None:
-                status = "ok" if run.ok else "DIVERGED"
-                log(f"{kind} seed={seed}: {status} "
-                    f"(commits={run.commits}, retries={run.client_retries}, "
-                    f"dedup={run.dedup_hits})")
+    workdir = cfg.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
+    try:
+        for kind in kinds:
+            for seed in range(cfg.seed0, cfg.seed0 + cfg.seeds):
+                plan = _draw_plan(kind, seed, cfg.shards)
+                run = run_plan(cfg, plan, seed, workdir)
+                report.runs.append(run)
+                if log is not None:
+                    log(f"{kind} seed={seed} shard={plan.shard} "
+                        f"at_seq={plan.at_seq}: "
+                        f"{'ok' if run.ok else 'DIVERGED'} "
+                        f"(fired={run.fired}, commits={run.commits}, "
+                        f"recoveries={run.recoveries})")
+    finally:
+        if cfg.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
     report.wall_seconds = time.perf_counter() - t0
     return report
 
@@ -974,7 +932,7 @@ def recovery_latency_sweep(
             **{**cfg.__dict__, "checkpoint_interval": interval,
                "plans": ("kill_pre_apply",), "seeds": runs},
         )
-        report = run_chaos_campaign(sub)
+        report = run_campaign(sub)
         recs = sum(r.recoveries for r in report.runs)
         lat = sum(r.recovery_latency_s for r in report.runs)
         rows.append({

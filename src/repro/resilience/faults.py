@@ -29,11 +29,13 @@ class FaultInjector:
     Hooks return *actions* the caller executes, so the injector never
     touches engine internals directly:
 
-    * :meth:`on_apply` → ``None`` or ``"kill"`` (kill the shard's worker
-      at that point);
-    * :meth:`on_recv` → ``None``, ``"drop"`` (discard the shard's reply so
-      the deadline expires), or ``("delay", seconds)`` (stall past the
-      deadline);
+    * :meth:`on_apply` → ``None``, ``"kill"`` (kill the shard's worker
+      at that point), or, before the apply only, ``("stall", seconds)``
+      (the worker blocks that long inside its update request; past the
+      reply deadline a worker process is killed, rebuilt and the batch
+      retried, while an in-process shard just runs late);
+    * :meth:`on_recv` → ``None`` or ``"drop"`` (discard the shard's reply
+      so the deadline expires);
     * :meth:`on_wal_record` → the bytes to actually write (corruption);
     * :meth:`on_checkpoint` → may raise :class:`CheckpointInterrupted`;
     * :meth:`on_restart` → pure observation (tests assert degraded-mode

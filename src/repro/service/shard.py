@@ -92,9 +92,10 @@ def shard_task(args: tuple, shared: Any, cost: CostModel | None = None):
     * ``("init", spec, replay)`` builds the backend on ``spec`` and
       applies the ``(insertions, deletions)`` pairs of ``replay``;
       replies True, and raises what the build raises;
-    * ``("update", insertions, deletions)`` replies
+    * ``("update", insertions, deletions[, stall_s])`` replies
       ``(δ_ins, δ_del, work, depth)``, charged under the backend's own
-      :class:`~repro.pram.cost.CostModel` frame;
+      :class:`~repro.pram.cost.CostModel` frame; an injected ``stall_s``
+      first blocks the worker that long, as a hung worker would;
     * ``("edges",)`` replies the output edges as a list;
     * ``("ping",)`` replies the output size.
 
@@ -118,6 +119,8 @@ def shard_task(args: tuple, shared: Any, cost: CostModel | None = None):
     backend, cm = state
     try:
         if op == "update":
+            if len(args) > 4:
+                time.sleep(args[4])
             with cm.frame() as fr:
                 d_ins, d_del = backend.update(insertions=args[2],
                                               deletions=args[3])
@@ -292,13 +295,16 @@ class ShardedExecutor:
             if ins_parts[i] or del_parts[i]
         ]
         sup = self.supervision
-        for i in touched:
-            if self.injector.on_apply(i, "pre", seq) == "kill":
+        requests = [("update", ins_parts[i], del_parts[i]) for i in touched]
+        for j, i in enumerate(touched):
+            action = self.injector.on_apply(i, "pre", seq)
+            if action == "kill":
                 self.kill_shard(i)
+            elif action is not None:  # ("stall", seconds)
+                requests[j] += (action[1],)
         # one dispatch for every touched shard: process shards run in
         # parallel
-        replies = self._call(touched, [
-            ("update", ins_parts[i], del_parts[i]) for i in touched])
+        replies = self._call(touched, requests)
         delta_ins: set[Edge] = set()
         delta_del: set[Edge] = set()
         work = 0
@@ -359,15 +365,8 @@ class ShardedExecutor:
 
     def _received(self, i: int, reply, seq: int | None):
         """Shard ``i``'s update reply after the injector's ``on_recv``
-        hook, which may lose or stall it (None, as for a dead shard)."""
-        if reply is None:
-            return None
-        action = self.injector.on_recv(i, seq)
-        if action == "drop":
-            return None
-        if isinstance(action, tuple) and action[0] == "delay":
-            # simulate a stalled worker: the reply misses its deadline
-            time.sleep(min(action[1], self._deadline))
+        hook, which may lose it (None, as for a dead shard)."""
+        if reply is None or self.injector.on_recv(i, seq) == "drop":
             return None
         return reply
 

@@ -1,11 +1,10 @@
 """Chaos-harness tests: seeded fault campaigns + a real ``kill -9``.
 
-The campaign tests run the deterministic in-process harness (every plan
-kind, equivalence asserted against the ``Workload.replay`` ground truth
-inside :func:`repro.resilience.chaos.run_chaos_once` itself).  The
-process test delivers an actual SIGKILL to a live shard worker mid-stream
-and asserts the engine recovers instead of hanging — the PR's headline
-acceptance criterion.
+The campaign tests run the deterministic harness over the plan catalogue
+(equivalence against the ``Workload.replay`` ground truth is asserted
+inside :func:`repro.resilience.chaos.run_plan` itself).  The process test
+delivers an actual SIGKILL to a live shard worker mid-stream and asserts
+the engine recovers instead of hanging.
 """
 
 import multiprocessing as mp
@@ -19,11 +18,13 @@ import repro.service.shard as shard_mod
 
 from repro.resilience import RecoveryManager, ResilienceConfig
 from repro.resilience.chaos import (
-    CHAOS_PLAN_KINDS,
+    CATALOGUE,
+    FAMILIES,
     ChaosConfig,
     ChaosPlan,
-    run_chaos_campaign,
-    run_chaos_once,
+    resolve_plans,
+    run_campaign,
+    run_plan,
 )
 from repro.resilience.manager import SupervisionConfig
 from repro.service import ShardedExecutor
@@ -43,47 +44,83 @@ def _edge_for_shard(shard, taken, n=32, shards=2):
     raise AssertionError("no free edge routes to the target shard")
 
 
+def _counters(report):
+    return [(r.plan, r.commits, r.fired, r.recoveries, r.restarts,
+             r.quarantined) for r in report.runs]
+
+
+class TestCatalogue:
+    def test_plan_names_are_unique_across_families(self):
+        names = [k for kinds in FAMILIES.values() for k in kinds]
+        assert len(names) == len(set(names)) == len(CATALOGUE)
+        assert not set(names) & set(FAMILIES)
+        for family, kinds in FAMILIES.items():
+            assert all(CATALOGUE[k] == family for k in kinds)
+
+    def test_family_name_expands_to_its_plans(self):
+        assert resolve_plans(["net"]) == FAMILIES["net"]
+        assert resolve_plans(["replica_lag", "replica"]) == (
+            "replica_lag", "replica_crash_catchup")
+        assert resolve_plans(CATALOGUE) == tuple(CATALOGUE)
+
+    def test_unknown_plan_names_the_catalogue(self):
+        with pytest.raises(ValueError, match="net_partition"):
+            resolve_plans(["kill_pre_apply", "no_such_plan"])
+
+
 class TestChaosCampaign:
     def test_every_plan_kind_recovers_exactly(self, tmp_path):
-        """One seed per plan over the full catalogue: zero divergences."""
-        cfg = ChaosConfig(requests=900, seeds=1, workdir=str(tmp_path))
-        report = run_chaos_campaign(cfg)
+        """One seed per service plan: zero divergences."""
+        cfg = ChaosConfig(requests=900, seeds=1, plans=("service",),
+                          workdir=str(tmp_path))
+        report = run_campaign(cfg)
         problems = [d for r in report.runs for d in r.divergences]
         assert report.ok, problems
-        assert len(report.runs) == len(CHAOS_PLAN_KINDS)
+        assert len(report.runs) == len(FAMILIES["service"])
         # every run actually exercised its fault (or, for the tail plan,
         # the post-run corruption path)
         for r in report.runs:
             if r.plan.kind != "corrupt_wal_tail":
                 assert r.fired >= 1, r.plan.kind
 
-    def test_campaign_is_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("plans,requests", [
+        (("kill_pre_apply", "checkpoint_crash"), 600),
+        (("replica_lag",), 200),
+    ], ids=["service", "replica"])
+    def test_campaign_is_deterministic(self, tmp_path, plans, requests):
         """Same seed, same plan → byte-identical outcome counters."""
-        cfg = ChaosConfig(requests=600, seeds=1,
-                          plans=("kill_pre_apply", "checkpoint_crash"))
-        a = run_chaos_campaign(ChaosConfig(
+        cfg = ChaosConfig(requests=requests, seeds=1, plans=plans)
+        a = run_campaign(ChaosConfig(
             **{**cfg.__dict__, "workdir": str(tmp_path / "a")}))
-        b = run_chaos_campaign(ChaosConfig(
+        b = run_campaign(ChaosConfig(
             **{**cfg.__dict__, "workdir": str(tmp_path / "b")}))
-        for ra, rb in zip(a.runs, b.runs):
-            assert (ra.plan, ra.commits, ra.fired, ra.recoveries,
-                    ra.quarantined) == (
-                   rb.plan, rb.commits, rb.fired, rb.recoveries,
-                   rb.quarantined)
+        assert a.ok and b.ok
+        assert _counters(a) == _counters(b)
+
+    def test_rerun_into_one_workdir_starts_fresh(self, tmp_path):
+        """A second campaign into the same workdir must not boot on the
+        first one's WAL and checkpoints."""
+        cfg = ChaosConfig(requests=400, seeds=1, plans=("kill_pre_apply",),
+                          workdir=str(tmp_path))
+        a = run_campaign(cfg)
+        b = run_campaign(cfg)
+        assert a.ok and b.ok, [r.divergences for r in a.runs + b.runs]
+        assert _counters(a) == _counters(b)
+        assert b.runs[0].recoveries == b.runs[0].restarts == 1
 
     def test_divergence_is_reported_not_swallowed(self, tmp_path):
         """A plan that never fires must be flagged as a divergence."""
         cfg = ChaosConfig(requests=300, seeds=1)
         # at_seq far beyond the number of commits the run produces
         plan = ChaosPlan(kind="kill_pre_apply", shard=0, at_seq=10**6)
-        res = run_chaos_once(cfg, plan, seed=0, workdir=str(tmp_path))
+        res = run_plan(cfg, plan, seed=0, workdir=str(tmp_path))
         assert not res.ok
         assert any("never fired" in d for d in res.divergences)
 
     def test_report_rows_aggregate_by_plan(self, tmp_path):
         cfg = ChaosConfig(requests=600, seeds=2,
                           plans=("drop_reply",), workdir=str(tmp_path))
-        report = run_chaos_campaign(cfg)
+        report = run_campaign(cfg)
         assert report.ok
         (row,) = report.rows()
         assert row["plan"] == "drop_reply"
@@ -188,9 +225,10 @@ class TestRealProcessKill:
         """A slim campaign over real worker processes also converges."""
         cfg = ChaosConfig(requests=500, seeds=1, processes=True,
                           recv_deadline=2.0,
-                          plans=("kill_pre_apply", "kill_post_apply"),
+                          plans=("kill_pre_apply", "kill_post_apply",
+                                 "delay_reply"),
                           workdir=str(tmp_path))
-        report = run_chaos_campaign(cfg)
+        report = run_campaign(cfg)
         problems = [d for r in report.runs for d in r.divergences]
         assert report.ok, problems
 
@@ -264,49 +302,32 @@ class TestRealProcessKill:
 
 class TestReplicaChaosCampaign:
     def test_replica_plans_converge_exactly(self):
-        from repro.resilience.chaos import (
-            REPLICA_PLAN_KINDS,
-            run_replica_chaos_campaign,
-        )
-
-        cfg = ChaosConfig(requests=300, seeds=2)
-        report = run_replica_chaos_campaign(cfg)
-        assert len(report.runs) == len(REPLICA_PLAN_KINDS) * 2
+        cfg = ChaosConfig(requests=300, seeds=2, plans=("replica",))
+        report = run_campaign(cfg)
+        assert len(report.runs) == len(FAMILIES["replica"]) * 2
         assert report.ok, [r.divergences for r in report.runs
                            if not r.ok]
         assert report.divergence_count == 0
         kinds = {r.plan.kind for r in report.runs}
-        assert kinds == set(REPLICA_PLAN_KINDS)
+        assert kinds == set(FAMILIES["replica"])
         # the crash plan restarts its replica from scratch at least once
         crash = [r for r in report.runs
                  if r.plan.kind == "replica_crash_catchup"]
         assert all(r.recoveries >= 1 for r in crash)
 
-    def test_replica_campaign_is_deterministic(self):
-        from repro.resilience.chaos import run_replica_chaos_campaign
-
-        cfg = ChaosConfig(requests=200, seeds=1,
-                          plans=("replica_lag",))
-        a = run_replica_chaos_campaign(cfg)
-        b = run_replica_chaos_campaign(cfg)
-        assert [r.commits for r in a.runs] == [r.commits for r in b.runs]
-        assert a.ok and b.ok
-
 
 class TestNetChaosCampaign:
-    """Wire faults through the in-process FaultProxy (``chaos --net``)."""
+    """Wire faults through the in-process FaultProxy (the net family)."""
 
     def test_wire_plans_converge_exactly(self):
-        from repro.resilience.chaos import run_net_chaos_campaign
-
         cfg = ChaosConfig(requests=250, seeds=1,
                           plans=("net_torn_frame", "net_partition",
                                  "net_reset"))
-        report = run_net_chaos_campaign(cfg)
+        report = run_campaign(cfg)
         assert len(report.runs) == 3
         assert report.ok, [r.divergences for r in report.runs
                            if not r.ok]
-        rows = {row["plan"]: row for row in report.net_rows()}
+        rows = {row["plan"]: row for row in report.rows()}
         # every plan's targeted resilience path actually fired: a torn
         # ACK forces an idempotent replay, a partition forces retries,
         # a reset storm forces reconnects (handshake replay)
@@ -318,19 +339,15 @@ class TestNetChaosCampaign:
             assert row["commits"] >= 1
 
     def test_hedged_reads_fire_under_latency(self):
-        from repro.resilience.chaos import run_net_chaos_once
-
-        cfg = ChaosConfig(requests=250, seeds=1)
-        res = run_net_chaos_once(cfg, "net_latency", seed=0)
+        cfg = ChaosConfig(requests=250, seeds=1, plans=("net_latency",))
+        (res,) = run_campaign(cfg).runs
         assert res.ok, res.divergences
         assert res.hedged_reads >= 1
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_worker_kill_is_supervised(self):
-        from repro.resilience.chaos import run_net_chaos_once
-
-        cfg = ChaosConfig(requests=150, seeds=1)
-        res = run_net_chaos_once(cfg, "net_worker_kill", seed=0)
+        cfg = ChaosConfig(requests=150, seeds=1, plans=("net_worker_kill",))
+        (res,) = run_campaign(cfg).runs
         assert res.ok, res.divergences
         # the SIGKILLed pool worker was replaced and its task requeued
         assert res.restarts >= 1

@@ -188,13 +188,21 @@ class TestServeFamilyJson:
         import json
 
         rc = main([
-            "chaos", "--replica", "--smoke", "--requests", "200",
+            "chaos", "--plans", "replica", "--smoke", "--requests", "200",
             "--json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["divergences"] == 0
+
+    def test_chaos_unknown_plan_exits_2_listing_catalogue(self, capsys):
+        from repro.resilience.chaos import CATALOGUE, FAMILIES
+
+        assert main(["chaos", "--plans", "net,no_such_plan"]) == 2
+        err = capsys.readouterr().err
+        assert "'no_such_plan'" in err
+        assert all(name in err for name in [*FAMILIES, *CATALOGUE])
 
 
 class TestNetParser:
