@@ -151,9 +151,11 @@ class ArrayDynamicGraph:
         return self._m
 
     def __contains__(self, edge: Edge) -> bool:
+        """Edge membership; False, not a raise, for a self-loop or an
+        out-of-range pair."""
         u, v = edge
-        a, b = norm_edge(u, v)
-        if not (0 <= a and b < self.n):
+        a, b = (u, v) if u < v else (v, u)
+        if not (0 <= a and b < self.n) or a == b:
             return False
         return self._has(a, b)
 

@@ -46,8 +46,9 @@ class DynamicGraph:
         return len(self._edges)
 
     def __contains__(self, edge: Edge) -> bool:
+        """Edge membership; a self-loop is never an edge (no raise)."""
         u, v = edge
-        return norm_edge(u, v) in self._edges
+        return u != v and norm_edge(u, v) in self._edges
 
     def edges(self) -> Iterator[Edge]:
         """Iterate the current (normalized) edges."""

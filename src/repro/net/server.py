@@ -403,7 +403,7 @@ class NetServer:
             return ok_envelope(
                 req_id,
                 committed_seq=svc.committed_seq,
-                snapshot_size=len(svc.snapshot_edges()),
+                snapshot_size=svc.snapshot_size(),
                 queue_depth=svc.queue.depth,
                 degraded=svc._degraded.is_set(),
                 replication_last_seq=tenant.replication.last_seq,

@@ -36,6 +36,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.connectivity.euler_tour import EulerTourForest
+from repro.graph.array_graph import ArrayDynamicGraph
 from repro.graph.dynamic_graph import Edge
 from repro.graph.traversal import bfs_distances, bfs_distances_bounded
 from repro.oracle.violations import Violation
@@ -85,7 +86,7 @@ def singleton_answers(
     A literal transcription of the serving engine's
     :meth:`~repro.service.engine.SpannerService.query` dispatch, so
     "batch == singleton" here is exactly the equivalence the engine
-    promises its clients.
+    promises its clients, over dict-of-sets views.
     """
     if adjacency is None:
         adjacency = _adjacency(edge_set)
@@ -133,11 +134,10 @@ def check_query_batch(
     """
     items = list(items)
     adjacency = _adjacency(edge_set)
+    graph = ArrayDynamicGraph(n, edge_set)
     viols: list[Violation] = []
     cost = CostModel()
-    batch, stats = answer_queries(
-        items, edge_set=edge_set, adjacency=adjacency, n=n, cost=cost,
-    )
+    batch, stats = answer_queries(items, graph, cost=cost)
     single = singleton_answers(items, edge_set, adjacency)
     for i, (got, ref) in enumerate(zip(batch, single)):
         if got != ref:
@@ -151,10 +151,7 @@ def check_query_batch(
     if rng is not None and len(items) > 1:
         orders.append(list(rng.permutation(len(items))))
     for perm in orders:
-        reordered, _ = answer_queries(
-            [items[i] for i in perm],
-            edge_set=edge_set, adjacency=adjacency, n=n,
-        )
+        reordered, _ = answer_queries([items[i] for i in perm], graph)
         for j, i in enumerate(perm):
             if reordered[j] != batch[i]:
                 viols.append(Violation(
@@ -163,9 +160,7 @@ def check_query_batch(
                     f"order but {reordered[j]!r} after reordering",
                 ))
                 break
-    doubled, _ = answer_queries(
-        items + items, edge_set=edge_set, adjacency=adjacency, n=n,
-    )
+    doubled, _ = answer_queries(items + items, graph)
     if doubled[:len(items)] != batch or doubled[len(items):] != batch:
         viols.append(Violation(
             "duplication-variance",
@@ -232,7 +227,7 @@ def check_empty_batch(
         ))
     cost = CostModel()
     answers, stats = answer_queries(
-        [], edge_set=edge_set, adjacency=adjacency, n=n, cost=cost,
+        [], ArrayDynamicGraph(n, edge_set), cost=cost,
     )
     if answers != [] or stats.work or stats.depth:
         viols.append(Violation(

@@ -658,26 +658,24 @@ class BatchQueryStats:
 
 def answer_queries(
     items: Sequence[tuple[str, Any]] | QueryBatch,
+    graph,
     *,
-    edge_set: set[Edge],
-    adjacency: Adjacency,
-    n: int | None = None,
     cost: CostModel = NULL_COST_MODEL,
     backend=None,
     adj_version: Any = None,
 ) -> tuple[list[Any], BatchQueryStats]:
     """Answer a whole query batch from one snapshot via shared traversals.
 
-    ``edge_set`` and ``adjacency`` are two views of the same snapshot
-    (the engine passes its flushed snapshot and the lazily-built BFS
-    adjacency).  Unknown kinds raise before anything is answered.
+    ``graph`` is the snapshot, an
+    :class:`~repro.graph.array_graph.ArrayDynamicGraph`; ``graph.n``
+    sizes the charges.  Unknown kinds raise before anything is answered.
 
     Answers are exactly the query-at-a-time answers: ``size`` / ``edges``
-    / ``contains`` read the snapshot directly; all ``distance`` keys
-    share one :func:`multi_source_bfs` sweep; all ``connected`` keys
-    share one :func:`batch_components` labeling.  Returns the per-item
-    answer list (original order and multiplicity) plus
-    :class:`BatchQueryStats` carrying the charged work/depth.
+    / ``contains`` read the graph directly; all ``distance`` keys share
+    one :func:`multi_source_bfs` sweep; all ``connected`` keys share one
+    :func:`batch_components` labeling.  Returns the per-item answer list
+    (original order and multiplicity) plus :class:`BatchQueryStats`
+    carrying the charged work/depth.
     """
     if isinstance(items, QueryBatch):
         items = items.items
@@ -690,25 +688,26 @@ def answer_queries(
         elif kind == "connected":
             conn_pairs.append(payload)
     answers: dict[tuple[str, Any], Any] = {}
+    n = graph.n
     with cost.frame() as fr:
         cost.charge_hash_op(len(items))  # key dedup semisort
         dists = batch_distances(
-            adjacency, dist_pairs, n=n, cost=cost,
+            graph, dist_pairs, n=n, cost=cost,
             backend=backend, adj_version=adj_version,
         ) if dist_pairs else []
         conns = batch_connected(
-            adjacency, conn_pairs, n=n, cost=cost,
+            graph, conn_pairs, n=n, cost=cost,
             backend=backend, adj_version=adj_version,
         ) if conn_pairs else []
         di = ci = 0
         for key in keys:
             kind, payload = key
             if kind == "size":
-                answers[key] = len(edge_set)
+                answers[key] = graph.m
             elif kind == "edges":
-                answers[key] = set(edge_set)
+                answers[key] = graph.edge_set()
             elif kind == "contains":
-                answers[key] = payload in edge_set
+                answers[key] = payload in graph
                 cost.charge_hash_op()
             elif kind == "distance":
                 answers[key] = dists[di]

@@ -6,11 +6,11 @@ run either in-process (:class:`LocalExecutor`) or across sharded worker
 processes (:class:`repro.service.shard.ShardedExecutor`).
 
 Consistency model: updates are queued, coalesced, and applied in batches;
-queries are answered from the engine's *snapshot* — the structure's output
-edge set as of the last flush, kept current via the ``(δ_ins, δ_del)``
-deltas every structure returns.  A query therefore never interleaves with
-a half-applied batch (snapshot consistency); pass ``consistency="fresh"``
-to force a flush first and read your own writes.
+queries are answered from the engine's *snapshot* — one array graph of
+the structure's output edges as of the last flush, kept current via the
+``(δ_ins, δ_del)`` deltas every structure returns.  A query therefore
+never interleaves with a half-applied batch (snapshot consistency); pass
+``consistency="fresh"`` to force a flush first and read your own writes.
 
 Reads batch too: :meth:`SpannerService.query_batch` answers many reads
 from one snapshot via shared traversals (:mod:`repro.queries.batch`), and
@@ -320,17 +320,15 @@ class SpannerService:
         self._degraded: threading.Event = getattr(
             executor, "degraded", None
         ) or threading.Event()
-        # snapshot = structure output as of the last flush; guarded by its
-        # own lock so queries stay served while a flush recovers a shard
-        self._snap_lock = threading.Lock()
-        self._snapshot: set[Edge] = set(executor.output_edges())
-        self._snapshot_seq = self._next_seq - 1
-        # vertex count: bounds every admitted write and sizes the BFS
-        # adjacency and the traversal charges
+        # vertex count: bounds every admitted write and sizes the
+        # snapshot graph and the traversal charges
         self._n = executor.n
-        # lazy BFS adjacency over the snapshot; built on the first
-        # traversal read, then kept in lockstep by snapshot deltas
-        self._adj: ArrayDynamicGraph | None = None
+        # snapshot = structure output as of the last flush, the one graph
+        # every read walks; guarded by its own lock so queries stay served
+        # while a flush recovers a shard
+        self._snap_lock = threading.Lock()
+        self._graph = ArrayDynamicGraph(self._n, executor.output_edges())
+        self._snapshot_seq = self._next_seq - 1
         # reads waiting to be answered at the next flush cycle
         self._pending_reads: list[PendingQuery] = []
         # stats from the most recent batched answer pass (inspection)
@@ -347,7 +345,7 @@ class SpannerService:
         """Submit one edge insert/delete; may trigger an inline flush.
 
         Raises ``ValueError`` for an endpoint outside ``[0, n)`` (as for a
-        self-loop): such an edge could never enter the read adjacency.
+        self-loop): such an edge could never enter the snapshot graph.
         """
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise ValueError(f"edge ({u}, {v}) outside [0, {self._n})")
@@ -439,26 +437,23 @@ class SpannerService:
             stale = self._degraded.is_set()
             if stale:
                 self._m_stale_reads.inc()
-            snap = self._snapshot
+            g = self._graph
             as_of = self._snapshot_seq
             if kind == "size":
-                return QueryResult(len(snap), stale, as_of)
+                return QueryResult(g.m, stale, as_of)
             if kind == "edges":
-                return QueryResult(set(snap), stale, as_of)
+                return QueryResult(g.edge_set(), stale, as_of)
             if kind == "contains":
-                u, v = payload
-                e = (u, v) if u < v else (v, u)
-                return QueryResult(e in snap, stale, as_of)
+                return QueryResult(payload in g, stale, as_of)
             if kind in ("distance", "connected"):
                 u, v = payload
-                adj = self._adjacency()
                 if u == v:
                     d = 0
                 else:
                     # an isolated/unknown source yields {u: 0}, so the
                     # .get(v) is None — no membership probe needed (and
-                    # ``in`` on the array graph means edge membership)
-                    d = bfs_distances(adj, u, target=v).get(v)
+                    # ``in`` on the graph means edge membership)
+                    d = bfs_distances(g, u, target=v).get(v)
                 if kind == "connected":
                     return QueryResult(d is not None, stale, as_of)
                 return QueryResult(
@@ -503,9 +498,7 @@ class SpannerService:
             as_of = self._snapshot_seq
             answers, stats = answer_queries(
                 items,
-                edge_set=self._snapshot,
-                adjacency=self._adjacency(),
-                n=self._n,
+                self._graph,
                 cost=cost or NULL_COST_MODEL,
                 backend=self.parallel_backend,
                 adj_version=self._snapshot_seq,
@@ -595,7 +588,8 @@ class SpannerService:
         Updates the snapshot by deltas, keeps the queue's membership view
         in lockstep (so :meth:`graph_edges` and the oracle's graph checks
         hold on replicas), and fires commit hooks; it does *not* WAL-log
-        (replica state is derived, the primary owns durability).
+        (replica state is derived, the primary owns durability).  A gap
+        or an endpoint outside ``[0, n)`` raises before anything applies.
         """
         with self._lock:
             if seq != self._next_seq:
@@ -603,16 +597,20 @@ class SpannerService:
                     f"replicated seq {seq} is not the next expected "
                     f"{self._next_seq}; the shipped log has a gap"
                 )
+            n = self._n
+            for u, v in (*batch.insertions, *batch.deletions):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(
+                        f"replicated edge ({u}, {v}) outside [0, {n})"
+                    )
             t0 = time.perf_counter()
             result = self.executor.apply(batch, seq=seq)
             latency = time.perf_counter() - t0
             self._next_seq = seq + 1
             self.queue.sync_applied(batch)
             with self._snap_lock:
-                self._snapshot -= result.delta_del
-                self._snapshot |= result.delta_ins
-                self._snapshot_seq = seq
                 self._adj_apply_delta(result.delta_ins, result.delta_del)
+                self._snapshot_seq = seq
             m = self.metrics
             m.counter("replicated_batches").inc()
             m.counter("ops_applied").inc(batch.size)
@@ -669,17 +667,18 @@ class SpannerService:
                 # output different edges, so the delta stream is void —
                 # resynchronize the snapshot from the live workers
                 self._record_recovery(result)
-                resynced = self.executor.gather_edges()
+                # built outside the snapshot lock, so reads keep being
+                # served from the old graph until the swap
+                resynced = ArrayDynamicGraph(
+                    self._n, self.executor.gather_edges()
+                )
                 with self._snap_lock:
-                    self._snapshot = set(resynced)
+                    self._graph = resynced
                     self._snapshot_seq = seq
-                    self._adj = None
             else:
                 with self._snap_lock:
-                    self._snapshot -= result.delta_del
-                    self._snapshot |= result.delta_ins
-                    self._snapshot_seq = seq
                     self._adj_apply_delta(result.delta_ins, result.delta_del)
+                    self._snapshot_seq = seq
             m.counter("flushes").inc()
             m.counter("ops_applied").inc(drained.batch.size)
             m.histogram("batch_size").observe(drained.batch.size)
@@ -838,8 +837,13 @@ class SpannerService:
 
     def snapshot_edges(self) -> set[Edge]:
         """The output edge set as of the last flush."""
-        with self._lock:
-            return set(self._snapshot)
+        with self._snap_lock:
+            return self._graph.edge_set()
+
+    def snapshot_size(self) -> int:
+        """Edge count of the snapshot, without copying it."""
+        with self._snap_lock:
+            return self._graph.m
 
     def graph_edges(self) -> set[Edge]:
         """The *graph* edge set implied by every applied batch."""
@@ -859,20 +863,12 @@ class SpannerService:
             self.flush()
             return verify_service(self, self.executor, deep=deep)
 
-    def _adjacency(self) -> ArrayDynamicGraph:
-        """Lazy BFS adjacency over the snapshot."""
-        if self._adj is None:
-            self._adj = ArrayDynamicGraph(self._n, self._snapshot)
-        return self._adj
-
     def _adj_apply_delta(self, ins, dels) -> None:
-        """Keep the lazy adjacency in lockstep with a snapshot delta.
+        """Apply one output delta to the snapshot graph.
 
         Caller holds ``_snap_lock``.
         """
-        if self._adj is None:
-            return
         if dels:
-            self._adj.delete_batch(dels)
+            self._graph.delete_batch(dels)
         if ins:
-            self._adj.insert_batch(ins)
+            self._graph.insert_batch(ins)

@@ -16,8 +16,9 @@ Also the PR's edge-case bugfix sweep:
 * the empty-batch contract (no sources / no items → empty result, zero
   charges) is uniform across ``multi_source_bfs``, ``answer_queries``,
   and ``bfs_distances_bounded``;
-* self-loops are rejected with ``ValueError`` at every entry point —
-  both substrates directly, the service engine, and the wire protocol;
+* self-loops are rejected with ``ValueError`` at every write entry
+  point — both substrates directly, the service engine, and the wire
+  protocol — while membership (``(u, u) in g``) answers False;
 * the ES-tree bucket scans produce identical answers *and* identical
   charges whether run inline, on a sequential backend, or shipped to a
   process pool.
@@ -38,7 +39,12 @@ from repro.graph import (
     random_connected_graph,
 )
 from repro.pram.cost import CostModel
-from repro.queries.batch import answer_queries, multi_source_bfs
+from repro.queries.batch import (
+    answer_queries,
+    batch_connected,
+    batch_distances,
+    multi_source_bfs,
+)
 
 
 def _ref_views(g: DynamicGraph):
@@ -103,7 +109,7 @@ class TestEquivalence:
 
     @settings(max_examples=40, deadline=None)
     @given(_script(), st.integers(0, 2**31))
-    def test_answer_queries_charges_identical(self, script, qseed):
+    def test_batch_reads_charges_identical(self, script, qseed):
         import numpy as np
 
         n, initial, _ = script
@@ -114,20 +120,17 @@ class TestEquivalence:
             dict_adj.setdefault(b, set()).add(a)
         arr = ArrayDynamicGraph(n, edge_set)
         rng = np.random.default_rng(qseed)
-        items = [("size", None)]
-        for _ in range(int(rng.integers(1, 8))):
-            kind = ("distance", "connected", "contains")[
-                int(rng.integers(0, 3))
-            ]
-            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-            items.append((kind, (u, v)))
+        pairs = [(int(rng.integers(0, n)), int(rng.integers(0, n)))
+                 for _ in range(int(rng.integers(1, 8)))]
         results = {}
         for name, adj in (("dict", dict_adj), ("array", arr)):
-            cm = CostModel()
-            answers, stats = answer_queries(
-                items, edge_set=edge_set, adjacency=adj, n=n, cost=cm,
-            )
-            results[name] = (answers, stats.work, stats.depth)
+            out = []
+            for read in (batch_distances, batch_connected):
+                cm = CostModel()
+                with cm.frame() as fr:
+                    answers = read(adj, pairs, n=n, cost=cm)
+                out.append((answers, fr.work, fr.depth))
+            results[name] = out
         assert results["dict"] == results["array"]
 
     def test_error_contracts_match(self):
@@ -210,8 +213,7 @@ class TestEmptyBatchContract:
     def test_answer_queries_empty_batch(self):
         cm = CostModel()
         answers, stats = answer_queries(
-            [], edge_set={(0, 1)}, adjacency={0: {1}, 1: {0}}, n=2,
-            cost=cm,
+            [], ArrayDynamicGraph(2, [(0, 1)]), cost=cm,
         )
         assert answers == []
         assert (stats.work, stats.depth) == (0, 0)
@@ -245,6 +247,9 @@ class TestSelfLoopRejection:
             with pytest.raises(ValueError, match="self-loop"):
                 g.delete_batch([(1, 1)])
             assert set(g.edges()) == {(0, 1)}
+            # membership answers, writes raise
+            assert (3, 3) not in g
+            assert (0, 1) in g and (1, 0) in g
 
     def test_engine_submit(self):
         from repro.service.engine import LocalExecutor, SpannerService
@@ -258,6 +263,8 @@ class TestSelfLoopRejection:
                 svc.submit_update("insert", 3, 3)
             with pytest.raises(ValueError, match="self-loop"):
                 svc.submit_update("delete", 0, 0)
+            assert svc.query("contains", (3, 3)) is False
+            assert svc.query_batch([("contains", (3, 3))])[0].value is False
         finally:
             svc.close()
 

@@ -187,6 +187,7 @@ class TestServerRoundTrip:
                 stats = c.admin("stats")
                 assert stats["committed_seq"] == 1
                 assert stats["replication_last_seq"] == 1
+                assert stats["snapshot_size"] == c.query("size")
                 text = c.metrics()
                 assert "# TYPE repro_flushes counter" in text
                 assert 'tenant="default"' in text

@@ -333,7 +333,12 @@ class TestServiceSelfCheck:
         for e in edges[:5]:
             svc.submit_update("delete", *e)
         svc.flush()
-        svc._snapshot.add((0, 1023))  # corrupt the served view
+        # corrupt the graph every read walks: the oracle must see it
+        extra = next((u, v) for u in range(24) for v in range(u + 1, 24)
+                     if (u, v) not in svc.snapshot_edges())
+        before = svc.query("distance", extra)
+        svc._graph.insert_batch([extra])
+        assert svc.query("distance", extra) == 1.0 != before
         result = verify_service(svc, svc.executor)
         assert not result.ok
         assert any(v.kind == "snapshot-drift" for v in result.violations)

@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, adjacency_from_edges, bfs_distances, gnm_random_graph
+from repro.graph import (
+    ArrayDynamicGraph,
+    DynamicGraph,
+    adjacency_from_edges,
+    bfs_distances,
+    gnm_random_graph,
+)
 from repro.pram import CostModel
 from repro.queries import DynamicCutOracle, DynamicDistanceOracle
 from repro.sparsifier import FullyDynamicSpectralSparsifier
@@ -363,8 +369,7 @@ class TestCoalesceAndAnswer:
             payload = None if kind in ("size", "edges") else \
                 tuple(map(int, rng.integers(0, 40, 2)))
             items.append((kind, payload))
-        answers, stats = answer_queries(
-            items, edge_set=edges, adjacency=adj, n=40)
+        answers, stats = answer_queries(items, ArrayDynamicGraph(40, edges))
         assert answers == singleton_answers(items, edges, adj)
         assert stats.queries == 60
         assert stats.unique <= 60
@@ -407,12 +412,11 @@ class TestBatchInvariance:
            st.randoms(use_true_random=False))
     def test_order_invariant(self, n_seed, q_seed, rnd):
         n, edges, items = self._graph_and_items(n_seed, q_seed)
-        adj = _adj(edges)
-        base, _ = answer_queries(items, edge_set=edges, adjacency=adj, n=n)
+        graph = ArrayDynamicGraph(n, edges)
+        base, _ = answer_queries(items, graph)
         perm = list(range(len(items)))
         rnd.shuffle(perm)
-        shuffled, _ = answer_queries(
-            [items[i] for i in perm], edge_set=edges, adjacency=adj, n=n)
+        shuffled, _ = answer_queries([items[i] for i in perm], graph)
         assert shuffled == [base[i] for i in perm]
 
     @settings(max_examples=60, deadline=None)
@@ -420,11 +424,9 @@ class TestBatchInvariance:
            st.integers(1, 3))
     def test_duplication_invariant(self, n_seed, q_seed, copies):
         n, edges, items = self._graph_and_items(n_seed, q_seed)
-        adj = _adj(edges)
-        base, base_stats = answer_queries(
-            items, edge_set=edges, adjacency=adj, n=n)
-        rep, rep_stats = answer_queries(
-            items * (copies + 1), edge_set=edges, adjacency=adj, n=n)
+        graph = ArrayDynamicGraph(n, edges)
+        base, base_stats = answer_queries(items, graph)
+        rep, rep_stats = answer_queries(items * (copies + 1), graph)
         assert rep == base * (copies + 1)
         # duplicates coalesce away: unique keys don't grow with copies
         assert rep_stats.unique == base_stats.unique
@@ -433,8 +435,7 @@ class TestBatchInvariance:
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
     def test_matches_singleton_path(self, n_seed, q_seed):
         n, edges, items = self._graph_and_items(n_seed, q_seed)
-        answers, _ = answer_queries(
-            items, edge_set=edges, adjacency=_adj(edges), n=n)
+        answers, _ = answer_queries(items, ArrayDynamicGraph(n, edges))
         assert answers == singleton_answers(items, edges)
 
 

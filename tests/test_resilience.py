@@ -598,17 +598,21 @@ class TestGracefulDegradation:
 
     def test_resync_reads_match_bfs_over_snapshot(self):
         """A supervised restart resynchronizes the snapshot from the live
-        shards; traversal reads must then follow the resynced edges."""
+        shards; every read kind must then follow the resynced edges."""
         ex = ShardedExecutor(_spec(), 2, supervision=_SUP)
         svc = _service(ex)
-        svc.query("distance", (0, 1))   # build the lazy read adjacency
         ex.kill_shard(0)
         u, v = _edge_for_shard(0, exclude=set(_spec()["edges"]))
         svc.submit_update("insert", u, v)
         svc.flush()
         assert svc.metrics.snapshot()["recoveries"] >= 1
-        ref = adjacency_from_edges(32, svc.snapshot_edges())
+        live = ex.gather_edges()
+        assert svc.snapshot_edges() == live
+        assert svc.query("size") == len(live)
         pairs = [(a, b) for a in range(32) for b in range(a + 1, 32)]
+        assert [svc.query("contains", p) for p in pairs] == \
+            [p in live for p in pairs]
+        ref = adjacency_from_edges(32, live)
         expect = []
         for a, b in pairs:
             d = bfs_distances(ref, a).get(b)

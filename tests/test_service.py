@@ -705,12 +705,33 @@ class TestEngineReplication:
 
     def test_apply_replicated_rejects_gaps(self):
         svc, _, edges, _ = _local_service()
-        batch = UpdateBatch(insertions=[(200, 201)])
+        e = next((u, v) for u in range(32) for v in range(u + 1, 32)
+                 if (u, v) not in set(edges))
+        batch = UpdateBatch(insertions=[e])
         with pytest.raises(ValueError, match="gap"):
             svc.apply_replicated(5, batch)
         svc.apply_replicated(1, batch)
         with pytest.raises(ValueError, match="gap"):
             svc.apply_replicated(1, batch)  # replay of an applied seq
+
+    def test_apply_replicated_rejects_out_of_range(self):
+        """A shipped endpoint outside [0, n) is refused before the batch
+        reaches the executor: nothing applied, the seq does not advance,
+        and reads keep working."""
+        svc, _, edges, _ = _local_service()
+        before = svc.snapshot_edges()
+        for bad in ((200, 201), (3, 32), (-1, 4)):
+            with pytest.raises(ValueError, match="outside"):
+                svc.apply_replicated(1, UpdateBatch(insertions=[bad]))
+        with pytest.raises(ValueError, match="outside"):
+            svc.apply_replicated(1, UpdateBatch(deletions=[(0, 99)]))
+        assert svc.committed_seq == 0
+        assert svc.executor.applied_batches == []
+        assert svc.snapshot_edges() == before
+        assert svc.query_batch([("distance", (0, 1))])[0].value == \
+            svc.query("distance", (0, 1))
+        svc.apply_replicated(1, UpdateBatch(deletions=[edges[0]]))
+        assert svc.committed_seq == 1
 
     def test_align_seq_bootstraps_numbering(self):
         svc, _, edges, _ = _local_service()
