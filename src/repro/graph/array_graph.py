@@ -29,7 +29,9 @@ parallel backend's version-keyed adjacency broadcast — see
 ``(id(graph), graph.version)``.  :meth:`csr` returns the compacted
 ``(indptr, indices)`` view, cached per epoch, that the vectorized frontier
 kernels in :mod:`repro.queries.batch` and :mod:`repro.graph.traversal`
-consume.
+consume; :meth:`segments` exposes the live arena itself, which the
+point-to-point search reads so that a read between mutations builds no
+CSR.
 
 Charge preservation: this class performs no cost-model charging of its own
 (neither does ``DynamicGraph``); the traversal kernels that consume it
@@ -57,8 +59,8 @@ class ArrayDynamicGraph:
     Behaviourally identical to :class:`DynamicGraph` (the Hypothesis
     equivalence suite in ``tests/test_array_graph.py`` asserts it on
     random interleaved update sequences); additionally exposes the
-    array-native accessors :meth:`neighbors_array` and :meth:`csr` plus
-    the :attr:`version` epoch counter.
+    array-native accessors :meth:`neighbors_array`, :meth:`segments`
+    and :meth:`csr` plus the :attr:`version` epoch counter.
     """
 
     #: minimum slack granted to a relocated vertex segment
@@ -208,6 +210,12 @@ class ArrayDynamicGraph:
 
     def __getitem__(self, v: int) -> np.ndarray:
         return self.neighbors_array(v)
+
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live arena as ``(start, deg, arena)``: ``v``'s neighbors
+        are ``arena[start[v]:start[v] + deg[v]]``.  Zero-copy and valid
+        until the next mutation; callers must not write to it."""
+        return self._start, self._deg, self._nbr
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Compacted ``(indptr, indices)`` snapshot, cached per epoch."""

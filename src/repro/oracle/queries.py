@@ -86,7 +86,11 @@ def singleton_answers(
     A literal transcription of the serving engine's
     :meth:`~repro.service.engine.SpannerService.query` dispatch, so
     "batch == singleton" here is exactly the equivalence the engine
-    promises its clients, over dict-of-sets views.
+    promises its clients, over dict-of-sets views.  On a dict-of-sets
+    ``bfs_distances`` runs the one-sided scalar BFS, not the engine's
+    bidirectional arena search, so this reference stays an independent
+    algorithm (the service read probe in :mod:`repro.oracle.service`
+    relies on that).
     """
     if adjacency is None:
         adjacency = _adjacency(edge_set)

@@ -10,19 +10,30 @@ cross-checked against
 3. the :meth:`Workload.replay` edge-set ground truth vs the coalescing
    queue's membership view,
 4. (``deep=True``) the structure-level invariants: output ⊆ graph per
-   shard and the (2k−1) stretch bound on each shard's replayed spanner.
+   shard and the (2k−1) stretch bound on each shard's replayed spanner,
+5. a bounded read probe: seeded singleton ``distance``/``connected``
+   reads (plus ``u == v`` and out-of-range ids) answered through
+   :meth:`~repro.service.engine.SpannerService.query_info` must equal
+   the reference path (:func:`repro.oracle.queries.singleton_answers`)
+   over the snapshot's edges.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from repro.oracle.invariants import check_output_subset, check_spanner_stretch
+from repro.oracle.queries import singleton_answers
 from repro.oracle.violations import Violation
 from repro.pram.cost import CostModel
 from repro.workloads.streams import Workload
 
 __all__ = ["ServiceVerification", "verify_replica", "verify_service"]
+
+#: seeded random pairs in the read probe (the fixed edge cases ride along)
+READ_PROBE_PAIRS = 64
+READ_PROBE_SEED = 0
 
 
 @dataclass
@@ -178,4 +189,32 @@ def verify_service(service, executor, deep: bool = False,
                 f"replayed graph edge set != coalescing queue membership "
                 f"view ({len(replay_graph ^ queue_view)} edge(s) differ)",
             ))
+    drift = _check_reads(service, executor.n)
+    if drift is not None:
+        result.violations.append(drift)
     return result
+
+
+def _check_reads(service, n: int) -> Violation | None:
+    """Answer a fixed, seeded set of singleton ``distance``/``connected``
+    reads through ``service.query_info`` and compare them with the
+    reference one-sided BFS over ``service.snapshot_edges()``.  The caller
+    must hold the snapshot still (``self_check`` holds the engine lock).
+    """
+    rng = random.Random(READ_PROBE_SEED)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(READ_PROBE_PAIRS if n else 0)]
+    # u == v (in and out of range), negative and past-the-end ids
+    pairs += [(0, 0), (n, n), (-1, 0), (0, -1), (-1, -2), (n - 1, n)]
+    items = [(kind, p) for p in pairs for kind in ("distance", "connected")]
+    want = singleton_answers(items, service.snapshot_edges())
+    got = [service.query_info(kind, p).value for kind, p in items]
+    bad = [(item, g, w) for item, g, w in zip(items, got, want) if g != w]
+    if not bad:
+        return None
+    (kind, pair), g, w = bad[0]
+    return Violation(
+        "read-drift",
+        f"{len(bad)} of {len(items)} probe reads differ from BFS over the "
+        f"snapshot (first: {kind} {pair} answered {g!r}, expected {w!r})",
+    )

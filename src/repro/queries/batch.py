@@ -269,9 +269,10 @@ def _multi_source_bfs_csr(
         level += 1
         if bound is not None and level > bound:
             break
-        counts = indptr[frontier_v + 1] - indptr[frontier_v]
+        first = indptr[frontier_v]
+        counts = indptr[frontier_v + 1] - first
         scans = int(len(frontier_v)) + phantom + int(counts.sum())
-        nbrs = _gather_neighbors(indptr, indices, frontier_v)
+        nbrs = _gather_neighbors(indices, first, counts)
         masks = np.repeat(frontier_m, counts)
         add = masks & ~reached[nbrs]
         keep = add != 0
@@ -429,9 +430,10 @@ def _batch_components_csr(
         label[v0] = v0
         frontier = np.array([v0], dtype=np.int64)
         while len(frontier):
-            counts = indptr[frontier + 1] - indptr[frontier]
+            first = indptr[frontier]
+            counts = indptr[frontier + 1] - first
             scans = int(len(frontier)) + int(counts.sum())
-            nbrs = _gather_neighbors(indptr, indices, frontier).astype(
+            nbrs = _gather_neighbors(indices, first, counts).astype(
                 np.int64
             )
             new = nbrs[label[nbrs] < 0]

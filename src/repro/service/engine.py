@@ -400,8 +400,11 @@ class SpannerService:
         """Answer a read against the maintained output.
 
         Kinds: ``"size"``, ``"edges"``, ``"contains"`` (payload = edge),
-        ``"distance"`` / ``"connected"`` (payload = ``(u, v)``, BFS over
-        the snapshot).  ``consistency="fresh"`` flushes pending updates
+        ``"distance"`` / ``"connected"`` (payload = ``(u, v)``, one
+        bidirectional BFS over the snapshot graph's live arena: it stops
+        at the first level where the two sides meet and builds no CSR
+        view; an id outside ``[0, n)`` is unreachable unless
+        ``u == v``).  ``consistency="fresh"`` flushes pending updates
         first (read-your-writes); the default answers from the last
         flushed snapshot.  Use :meth:`query_info` to also learn whether
         the answer was served stale during a shard recovery.
@@ -853,8 +856,9 @@ class SpannerService:
     def self_check(self, deep: bool = False):
         """Cross-check the served state against the shared oracle
         (:func:`repro.oracle.verify_service`): flush pending updates, then
-        replay every applied batch through a freshly built backend and
-        compare output/graph views.  Returns a
+        replay every applied batch through a freshly built backend,
+        compare output/graph views and check a seeded probe of singleton
+        ``distance``/``connected`` answers.  Returns a
         :class:`~repro.oracle.service.ServiceVerification`.
         """
         from repro.oracle.service import verify_service

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
+    ArrayDynamicGraph,
     DynamicGraph,
     adjacency_from_edges,
     barbell_graph,
@@ -195,19 +196,35 @@ def test_bfs_oracle_property(n, data):
     )
 
 
+def _dict_adjacency(n, edges):
+    """Snapshot-style dict-of-sets: only vertices with edges are keys."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
 class TestTraversalEdgeCases:
     """The pruned and unpruned BFS modes share one edge-case contract
-    (both are on the serving engine's distance/connected path)."""
+    (both are on the serving engine's distance/connected path).
+
+    ``build`` makes the adjacency under test and ``sparse`` the one whose
+    isolated vertices are absent; :class:`TestTraversalEdgeCasesArray`
+    reruns every case on the array substrate."""
+
+    build = staticmethod(adjacency_from_edges)
+    sparse = staticmethod(_dict_adjacency)
 
     @pytest.mark.parametrize("target", [None, 3])
     def test_source_equals_target(self, target):
-        adj = adjacency_from_edges(5, [(0, 1), (1, 2)])
+        adj = self.build(5, [(0, 1), (1, 2)])
         dist = bfs_distances(adj, 3, target=3 if target else None)
         assert dist[3] == 0
 
     def test_self_target_skips_traversal(self):
         # u == v settles at 0 even when u has neighbors
-        adj = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        adj = self.build(4, [(0, 1), (1, 2), (2, 3)])
         assert bfs_distances(adj, 1, target=1) == {1: 0}
 
     @pytest.mark.parametrize("pruned", [False, True])
@@ -215,29 +232,76 @@ class TestTraversalEdgeCases:
         # snapshot adjacencies only key vertices that currently have
         # edges; an isolated source must read as "no neighbors", not
         # KeyError in one mode and a sweep in the other
-        adj = {0: {1}, 1: {0}}
+        adj = self.sparse(2, [(0, 1)])
         dist = bfs_distances(adj, 7, target=0 if pruned else None)
         assert dist == {7: 0}
 
     @pytest.mark.parametrize("pruned", [False, True])
     def test_disconnected_target_absent(self, pruned):
-        adj = adjacency_from_edges(6, [(0, 1), (1, 2), (4, 5)])
+        adj = self.build(6, [(0, 1), (1, 2), (4, 5)])
         dist = bfs_distances(adj, 0, target=4 if pruned else None)
         assert 4 not in dist and 5 not in dist
 
     def test_pruned_agrees_with_unpruned_at_target(self):
         edges = gnm_random_graph(30, 50, seed=21)
-        adj = adjacency_from_edges(30, edges)
+        adj = self.build(30, edges)
         full = bfs_distances(adj, 0)
         for v in range(30):
             assert bfs_distances(adj, 0, target=v).get(v) == full.get(v)
 
     def test_bounded_absent_source(self):
-        assert bfs_distances_bounded({0: {1}, 1: {0}}, 9, 3) == {9: 0}
+        adj = self.sparse(2, [(0, 1)])
+        assert bfs_distances_bounded(adj, 9, 3) == {9: 0}
 
     @pytest.mark.parametrize("limit", [0, -1, -10])
     def test_bounded_nonpositive_limit(self, limit):
         # a non-positive limit must never expand the frontier (it used
         # to fall through to a full unbounded sweep)
-        adj = adjacency_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        adj = self.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert bfs_distances_bounded(adj, 0, limit) == {0: 0}
+
+
+class TestTraversalEdgeCasesArray(TestTraversalEdgeCases):
+    """The same contract on :class:`ArrayDynamicGraph`, whose target mode
+    is the bidirectional arena search."""
+
+    build = staticmethod(ArrayDynamicGraph)
+    sparse = staticmethod(ArrayDynamicGraph)
+
+    @pytest.mark.parametrize("u, v", [(-1, 3), (3, -1), (-1, -2), (3, 9)])
+    def test_out_of_range_endpoint_unreachable(self, u, v):
+        # the range check precedes any numpy indexing: -1 must not wrap
+        # around to the last vertex
+        g = self.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert bfs_distances(g, u, target=v) == {u: 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_bidirectional_target_mode_property(n, data):
+    """Target mode on the array substrate (bidirectional, over the live
+    arena) answers every pair exactly like its own full sweep and like
+    the one-sided scalar search on a dict-of-sets, including isolated
+    vertices, several components and out-of-range or negative ids."""
+    # vertices carry a component label; edges only join equal labels
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if labels[a] == labels[b]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                               max_size=60)) if pairs else []
+    # build half, insert the rest (relocating segments), then delete a
+    # subset, so the arena has slack, moved segments and dead slots
+    half = len(edges) // 2
+    g = ArrayDynamicGraph(n, edges[:half])
+    g.insert_batch(edges[half:])
+    gone = data.draw(st.lists(st.sampled_from(edges), unique=True)) \
+        if edges else []
+    g.delete_batch(gone)
+    adj = _dict_adjacency(n, set(edges) - set(gone))
+    ids = range(-2, n + 2)
+    for u in ids:
+        full = bfs_distances(g, u)
+        for v in ids:
+            got = bfs_distances(g, u, target=v).get(v)
+            assert got == full.get(v), (u, v)
+            assert got == bfs_distances(adj, u, target=v).get(v), (u, v)

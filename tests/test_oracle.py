@@ -344,6 +344,26 @@ class TestServiceSelfCheck:
         assert any(v.kind == "snapshot-drift" for v in result.violations)
         assert "FAILED" in str(result)
 
+    def test_wrong_singleton_reads_detected(self, monkeypatch):
+        # edge sets all agree; only the read kernel is wrong (every
+        # distance of 2 or more comes back one too long), so only the
+        # read probe can see it
+        import repro.service.engine as engine
+        from repro.graph.traversal import bfs_distances
+
+        def off_by_one(adj, source, n=None, target=None):
+            dist = bfs_distances(adj, source, n, target)
+            return {v: d + (d >= 2) for v, d in dist.items()}
+
+        svc, edges = _service()
+        for e in edges[:5]:
+            svc.submit_update("delete", *e)
+        assert svc.self_check().ok
+        monkeypatch.setattr(engine, "bfs_distances", off_by_one)
+        result = svc.self_check()
+        assert [v.kind for v in result.violations] == ["read-drift"]
+        assert "expected" in str(result)
+
     def test_corrupted_batch_log_detected(self):
         svc, edges = _service()
         for e in edges[:5]:

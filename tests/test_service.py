@@ -495,6 +495,38 @@ class TestSpannerService:
         assert svc.query("distance", (u, u)) == 0
         assert svc.query("connected", (u, v))
 
+    def test_read_edge_cases_singleton_and_batch(self):
+        """``query`` and ``query_batch`` share one read contract: a
+        negative id is unreachable (it must not wrap to vertex n - 1),
+        and ``(v, v)`` is 0 / True even for ``v >= n``."""
+        svc, _, _, _ = _local_service()   # n = 32
+        assert svc.query("connected", (31, 3))   # so a wrap would show
+        items = [("distance", (-1, 3)), ("connected", (3, -1)),
+                 ("distance", (3, -1)), ("connected", (-1, 3)),
+                 ("distance", (40, 40)), ("connected", (40, 40)),
+                 ("distance", (32, 32)), ("connected", (3, 32))]
+        want = [float("inf"), False, float("inf"), False,
+                0.0, True, 0.0, False]
+        assert [svc.query(k, p) for k, p in items] == want
+        assert [r.value for r in svc.query_batch(items)] == want
+        svc.close()
+
+    def test_singleton_read_builds_no_csr(self):
+        # reads walk the live arena: a read between commits must not
+        # build (or refresh) the snapshot graph's per-epoch CSR view
+        svc, _, edges, _ = _local_service()
+        for e in edges[:4]:
+            svc.submit_update("delete", *e)
+        svc.flush()
+        g = svc._graph
+        cache = g._csr_cache
+        assert cache is None or cache[0] != g.version
+        for u, v in edges[4:20]:
+            svc.query("distance", (u, v))
+            svc.query("connected", (v, u))
+        assert g._csr_cache is cache
+        svc.close()
+
     def test_service_equivalent_to_synchronous_replay(self):
         svc, clk, edges, spec = _local_service()
         _, requests = request_stream(32, 0, 300, seed=8)
