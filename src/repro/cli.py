@@ -14,8 +14,8 @@ Examples
     python -m repro.cli serve     --requests 10000 --shards 2
     python -m repro.cli serve     --listen 127.0.0.1:7421
     python -m repro.cli replica   --primary 127.0.0.1:7421 --listen :7422
-    python -m repro.cli bench-net --replicas 3 --smoke
-    python -m repro.cli bench-parallel --procs 1,2,4 --smoke
+    python -m repro.cli bench     bench_srv2_replica_scaling --smoke
+    python -m repro.cli bench     --smoke --json
     python -m repro.cli chaos     --smoke
 
 Each structure command builds the structure, drives the requested update
@@ -465,132 +465,28 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_net(args: argparse.Namespace) -> int:
-    """SRV2 replica-scaling benchmark (see docs/replication.md)."""
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run catalogue entries (``repro.harness.benches``) by name."""
     import json
 
-    from repro.net.bench import BenchNetConfig, run_bench_net
-
-    requests = args.requests
-    service_time_us = args.service_time_us
-    if args.smoke:
-        # CI-friendly: small request count, 1ms pinned query cost — the
-        # whole run (incl. convergence + oracle check) stays under ~30s
-        requests = min(requests, 400)
-        service_time_us = min(service_time_us, 1000)
-    cfg = BenchNetConfig(
-        replicas=args.replicas,
-        requests=requests,
-        read_fraction=args.read_fraction,
-        seed=args.seed,
-        service_time=service_time_us / 1e6,
-        mode=args.mode,
-        kill_replica=args.kill_replica,
-    )
-    report = run_bench_net(cfg)
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(format_table(
-            [{k: v for k, v in payload.items() if k != "violations"}],
-            title="repro bench-net: replica scaling (SRV2)"))
-        for v in report.violations:
-            print(f"VIOLATION {v}")
-        if report.verified:
-            print("replica equivalence: OK — every replica converged to "
-                  "the primary's exact state (oracle-verified)")
-    return 0 if report.verified else 1
-
-
-def _cmd_bench_queries(args: argparse.Namespace) -> int:
-    """SRV3 batched-read throughput benchmark (see docs/queries.md)."""
-    import json
-
-    from repro.queries.bench import BenchQueriesConfig, run_bench_queries
-
-    requests = args.requests
-    if args.smoke:
-        # CI-friendly: small stream, single repeat; equivalence is still
-        # asserted on every window, only the wall-clock bar is waived
-        requests = min(requests, 800)
-    cfg = BenchQueriesConfig(
-        n=args.n,
-        m=args.m,
-        requests=requests,
-        read_fraction=args.read_fraction,
-        window=args.window,
-        seed=args.seed,
-        repeats=1 if args.smoke else args.repeats,
-        parallel=args.parallel,
-    )
-    report = run_bench_queries(cfg)
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(format_table(
-            report.rows(),
-            title="repro bench-queries: batched vs singleton reads (SRV3)"))
-        print(f"\nwork={report.work} depth={report.depth} "
-              f"wall={report.wall_seconds:.2f}s")
-        for v in report.violations:
-            print(f"VIOLATION {v}")
-        if report.verified:
-            print("batch equivalence: OK — every batched answer equals "
-                  "the query-at-a-time answer on the same snapshot")
-    if not report.verified:
-        return 1
-    if not args.smoke and report.speedup_x < args.min_speedup:
-        print(f"SPEEDUP BAR MISSED: {report.speedup_x:.2f}x < "
-              f"{args.min_speedup:.1f}x")
-        return 1
-    return 0
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    """PAR1 processor sweep: measured speedup vs Brent (see
-    docs/parallel.md)."""
-    import json
-
-    from repro.parallel.bench import (
-        BenchParallelConfig,
-        render_report,
-        run_bench_parallel,
-    )
+    from repro.harness.benches import resolve
 
     try:
-        procs = tuple(
-            sorted({int(p) for p in args.procs.split(",") if p.strip()})
-        )
-    except ValueError:
-        print(f"--procs must be a comma-separated list of ints, "
-              f"got {args.procs!r}", file=sys.stderr)
+        benches = resolve(args.names)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if not procs or min(procs) < 1:
-        print("--procs needs at least one processor count >= 1",
-              file=sys.stderr)
-        return 2
-    cfg = BenchParallelConfig(
-        n=args.n,
-        m=args.m,
-        sources=args.sources,
-        queried=args.queried,
-        procs=procs,
-        unit_cost_us=args.unit_cost_us,
-        repeats=args.repeats,
-        min_items=args.min_items,
-        seed=args.seed,
-        pure=args.pure,
-        min_speedup=args.min_speedup,
-        smoke=args.smoke,
-    )
-    report = run_bench_parallel(cfg)
+    results = {}
+    for bench in benches:
+        rows, ok = bench.run(args.smoke)
+        results[bench.name] = {"ok": ok, "rows": rows}
+        if not args.json:
+            print(format_table(rows, title=f"{bench.name}: {bench.doc}"))
+            print(f"{bench.name}: {'ok' if ok else 'FAILED'}\n")
+    ok = all(r["ok"] for r in results.values())
     if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(render_report(report))
-    return 0 if report["pass"] else 1
+        print(json.dumps({"ok": ok, "benches": results}, sort_keys=True))
+    return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -883,83 +779,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_replica)
 
     p = sub.add_parser(
-        "bench-net",
-        help="SRV2: read throughput vs replica count at a pinned "
-             "per-query cost, with oracle-verified equivalence",
+        "bench",
+        help="run benchmark catalogue entries by name (default: all); "
+             "each verifies its own results",
     )
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--read-fraction", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--service-time-us", type=float, default=2000,
-                   help="pinned simulated per-query engine microseconds")
-    p.add_argument("--mode", choices=["inproc", "subprocess"],
-                   default="inproc")
-    p.add_argument("--kill-replica", action="store_true",
-                   help="SIGKILL one replica mid-run; a fresh replacement "
-                        "must still converge to exact equivalence")
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help="catalogue entries (repro.harness.benches)")
     p.add_argument("--smoke", action="store_true",
-                   help="CI mode: <=400 requests, 1ms pinned query cost")
+                   help="CI mode: no repeats, no speed bars, smaller "
+                        "SRV2/failover/PAR1 runs; exact pins still held")
     p.add_argument("--json", action="store_true",
-                   help="print the report as JSON")
-    p.set_defaults(func=_cmd_bench_net)
-
-    p = sub.add_parser(
-        "bench-queries",
-        help="SRV3: batched vs query-at-a-time read throughput on a "
-             "95/5 read-write mix, with exact-equivalence verification",
-    )
-    p.add_argument("--n", type=int, default=512, help="vertex count")
-    p.add_argument("--m", type=int, default=640, help="initial edges")
-    p.add_argument("--requests", type=int, default=4000)
-    p.add_argument("--read-fraction", type=float, default=0.95)
-    p.add_argument("--window", type=int, default=500,
-                   help="requests per write-then-read window")
-    p.add_argument("--seed", type=int, default=4242)
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats (best-of)")
-    p.add_argument("--min-speedup", type=float, default=3.0,
-                   help="acceptance bar on batched/singleton throughput")
-    p.add_argument("--parallel", type=int, default=0, metavar="N",
-                   help="also time a third pass through an N-worker "
-                        "process pool (N >= 2; informational, no bar)")
-    p.add_argument("--smoke", action="store_true",
-                   help="CI mode: <=800 requests, no speedup bar")
-    p.add_argument("--json", action="store_true",
-                   help="print the report as JSON")
-    p.set_defaults(func=_cmd_bench_queries)
-
-    p = sub.add_parser(
-        "bench-parallel",
-        help="PAR1: processor sweep over the pool-backed kernels — "
-             "measured wall-clock speedup vs the Brent bound W/p + D, "
-             "with charge-pin verification",
-    )
-    p.add_argument("--n", type=int, default=4000, help="vertex count")
-    p.add_argument("--m", type=int, default=16000, help="edge count")
-    p.add_argument("--sources", type=int, default=24,
-                   help="multi-source BFS wave count")
-    p.add_argument("--queried", type=int, default=48,
-                   help="component-labeling query vertices")
-    p.add_argument("--procs", type=str, default="1,2,4,8",
-                   help="comma-separated processor counts to sweep")
-    p.add_argument("--unit-cost-us", type=float, default=15.0,
-                   help="pinned microseconds per charged work unit "
-                        "(the SRV2 convention; 0 = raw CPU only)")
-    p.add_argument("--repeats", type=int, default=2,
-                   help="timing repeats (best-of)")
-    p.add_argument("--min-items", type=int, default=32,
-                   help="rounds smaller than this expand inline")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-speedup", type=float, default=2.0,
-                   help="acceptance bar at p=4 on at least one kernel")
-    p.add_argument("--pure", action="store_true",
-                   help="also sweep with unit cost 0 (raw CPU time)")
-    p.add_argument("--smoke", action="store_true",
-                   help="CI mode: small graph, p<=2, no speedup bar")
-    p.add_argument("--json", action="store_true",
-                   help="print the report as JSON")
-    p.set_defaults(func=_cmd_bench_parallel)
+                   help="print the results as one JSON object")
+    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "chaos",

@@ -18,12 +18,15 @@ engine.
 Two modes:
 
 - ``inproc``: primary and replicas as threads in this process (fast, used
-  by the ``tools/bench_gate.py`` SRV2 smoke scenario).
+  by the ``bench_srv2_replica_scaling`` entry of
+  :mod:`repro.harness.benches`).
 - ``subprocess``: primary and replicas as real ``repro.cli`` processes on
-  localhost (used by the CI ``net-smoke`` job), supporting
+  localhost (the ``bench_srv2_failover`` entry), supporting
   ``kill_replica=True`` — one replica is SIGKILLed mid-run, serving
   continues on the survivors, and a freshly bootstrapped replacement must
-  still converge to exact equivalence.
+  still converge to exact equivalence.  A kill that never fires (no
+  replica, or too few reads completed to reach the kill point) is a
+  violation, not a pass.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ from repro.workloads.streams import request_stream
 
 __all__ = ["BenchNetConfig", "BenchNetReport", "run_bench_net"]
 
+#: share of requests that are reads (the 95/5 mix)
+READ_FRACTION = 0.95
+
 
 @dataclass
 class BenchNetConfig:
     replicas: int = 1
     requests: int = 2000
-    read_fraction: float = 0.95
     n: int = 96
     m: int = 220
     k: int = 2
@@ -77,28 +82,6 @@ class BenchNetReport:
     converged: bool = False
     verified: bool = False
     violations: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON-safe report payload (the ``--json`` output)."""
-        return {
-            "mode": self.config.mode,
-            "replicas": self.config.replicas,
-            "requests": self.config.requests,
-            "read_fraction": self.config.read_fraction,
-            "service_time": self.config.service_time,
-            "elapsed_s": round(self.elapsed_s, 4),
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_throughput_rps": round(self.read_throughput_rps, 1),
-            "read_p50_ms": round(self.read_p50_ms, 3),
-            "read_p99_ms": round(self.read_p99_ms, 3),
-            "stale_reads": self.stale_reads,
-            "sheds": self.sheds,
-            "killed_replica": self.killed_replica,
-            "converged": self.converged,
-            "verified": self.verified,
-            "violations": self.violations,
-        }
 
 
 # -- cluster harnesses --------------------------------------------------------
@@ -313,10 +296,12 @@ def _spawn(cli_args: list[str],
 def run_bench_net(config: BenchNetConfig | None = None) -> BenchNetReport:
     """Run the replica-scaling benchmark; see module docstring."""
     cfg = config or BenchNetConfig()
+    if cfg.kill_replica and cfg.replicas < 1:
+        raise ValueError("kill_replica needs at least one replica to kill")
     report = BenchNetReport(config=cfg)
     initial, reqs = request_stream(
         cfg.n, cfg.m, cfg.requests, seed=cfg.seed,
-        query_prob=cfg.read_fraction,
+        query_prob=READ_FRACTION,
     )
     writes = [(op, e) for op, e in reqs if op != "query"]
     reads = [e for op, e in reqs if op == "query"]
@@ -433,6 +418,10 @@ def _drive(cluster, cfg: BenchNetConfig, report: BenchNetReport,
     if report.killed_replica:
         # a freshly bootstrapped replacement must converge to equivalence
         cluster.add_replica()
+    if cfg.kill_replica and not report.killed_replica:
+        report.violations.append(
+            f"kill_replica requested but no replica was killed ("
+            f"{report.reads} read(s) done, the kill fires at {kill_at})")
     report.converged = cluster.wait_converged(cfg.converge_timeout)
     if not report.converged:
         report.violations.append("replicas did not converge before timeout")

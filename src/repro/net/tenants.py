@@ -323,7 +323,6 @@ class TenantManager:
 
     def close(self) -> None:
         """Close every tenant; idempotent."""
-        """Flush, checkpoint, and shut every tenant down (idempotent)."""
         with self._lock:
             tenants, self._tenants = list(self._tenants.values()), {}
         for tenant in tenants:

@@ -15,10 +15,8 @@ same way :mod:`repro.oracle.fuzz` checks the structures:
   multiplicity), and work/depth envelope breaches.
 * :func:`run_query_fuzz` is the campaign driver behind
   ``repro fuzz --queries``: seeded random graphs x query mixes, plus
-  periodic cross-checks of the Euler-tour-forest batches
-  (:func:`~repro.queries.batch.batch_find_repr` /
-  :func:`~repro.queries.batch.batch_connected_forest`), the batched
-  stretch check, and the full serving engine's
+  periodic cross-checks of the batched stretch check (against a spanning
+  forest linked on an Euler-tour forest) and the full serving engine's
   :meth:`~repro.service.engine.SpannerService.query_batch`.
 
 Envelopes follow the convention of :mod:`repro.oracle.invariants`: a
@@ -43,8 +41,6 @@ from repro.oracle.violations import Violation
 from repro.pram.cost import CostModel, log2ceil
 from repro.queries.batch import (
     answer_queries,
-    batch_connected_forest,
-    batch_find_repr,
     batch_stretch_check,
     coalesce_queries,
     multi_source_bfs,
@@ -55,7 +51,6 @@ __all__ = [
     "QueryFuzzConfig",
     "QueryFuzzReport",
     "check_empty_batch",
-    "check_forest_batch",
     "check_query_batch",
     "check_stretch_batch",
     "run_query_fuzz",
@@ -249,54 +244,6 @@ def check_empty_batch(
     return viols
 
 
-def check_forest_batch(
-    forest: EulerTourForest,
-    vertices: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
-) -> list[Violation]:
-    """Cross-check the Euler-tour-forest batches against singletons.
-
-    ``batch_find_repr`` must induce exactly the forest's connectivity
-    relation, and ``batch_connected_forest`` must equal per-pair
-    :meth:`~repro.connectivity.euler_tour.EulerTourForest.connected` —
-    including the ``connected(v, v)`` = True contract on never-linked
-    singleton vertices.
-    """
-    viols: list[Violation] = []
-    cost = CostModel()
-    with cost.frame() as fr:
-        reprs = batch_find_repr(forest, vertices, cost=cost)
-    for v, r in zip(vertices, reprs):
-        if forest.find_repr(v) != r:
-            viols.append(Violation(
-                "forest-repr-mismatch",
-                f"batch_find_repr({v}) = {r}, singleton says "
-                f"{forest.find_repr(v)}",
-            ))
-            break
-    conns = batch_connected_forest(forest, pairs)
-    for (u, v), c in zip(pairs, conns):
-        if forest.connected(u, v) != c:
-            viols.append(Violation(
-                "forest-connected-mismatch",
-                f"batch_connected_forest({u},{v}) = {c}, singleton says "
-                f"{forest.connected(u, v)}",
-            ))
-            break
-    # memoized root paths: total parent steps are bounded by the forest
-    # size (each treap node's path suffix is walked once per batch), plus
-    # O(1) per query — never (#queries) x tree height
-    arcs = 3 * forest.n  # loop arcs + two arcs per forest edge, bounded
-    bound = ENVELOPE_C * (arcs + len(vertices) + 1)
-    if fr.work > bound:
-        viols.append(Violation(
-            "forest-work-envelope",
-            f"batch_find_repr charged work {fr.work} > bound {bound} "
-            f"(n={forest.n}, k={len(vertices)})",
-        ))
-    return viols
-
-
 def check_stretch_batch(
     n: int,
     graph_edges: set[Edge],
@@ -340,7 +287,7 @@ class QueryFuzzConfig:
     max_queries: int = 64
     time_budget: float | None = None   # seconds, soft cap
     service_every: int = 25            # full-engine cross-check cadence
-    forest_every: int = 5              # ETF / stretch cross-check cadence
+    forest_every: int = 5              # stretch cross-check cadence
 
 
 @dataclass
@@ -457,11 +404,6 @@ def run_query_fuzz(
                 if not forest.connected(u, v):
                     forest.link(u, v)
                     linked.append((u, v))
-            verts = [int(x) for x in rng.integers(0, n, size=min(n, 16))]
-            pairs = [(int(a), int(b)) for a, b in
-                     rng.integers(0, n, size=(min(n, 12), 2))]
-            pairs.append((verts[0], verts[0]))  # diagonal contract
-            viols += check_forest_batch(forest, verts, pairs)
             viols += check_stretch_batch(
                 n, edges, set(linked), stretch=3.0,
             )

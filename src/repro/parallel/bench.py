@@ -11,17 +11,16 @@ component flooding, :mod:`repro.parallel.kernels`) under a real
 
 Execution-cost convention
 -------------------------
-By default each charged work unit carries a pinned execution cost of
-``unit_cost_us`` microseconds (workers sleep ``scans x unit_cost``after
+Each charged work unit carries a pinned execution cost of
+:data:`UNIT_COST_US` microseconds (workers sleep ``scans x unit_cost`` after
 expanding a chunk; the ``p = 1`` baseline runs the *same* chunked driver
 on a :class:`~repro.parallel.backend.SequentialBackend` and pays the
 identical total serially).  This is the SRV2 convention — a pinned
 per-unit service time makes the schedule-level speedup measurable and
 honest on any machine, including a 1-core CI box where pure-CPU speedup
 is physically impossible; sleeps overlap across worker processes exactly
-as compute would across cores.  ``--pure`` adds a ``unit_cost = 0`` sweep
-that measures raw CPU instead (only meaningful on real multicore
-hardware).
+as compute would across cores.  A second ``unit_cost = 0`` sweep
+measures raw CPU instead (only meaningful on real multicore hardware).
 
 Charge-pin verification
 -----------------------
@@ -39,44 +38,33 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..harness.figures import ascii_plot
 from ..pram.cost import NULL_COST_MODEL, Cost, CostModel, brent_time
 from ..queries.batch import batch_components, multi_source_bfs
 from .backend import SequentialBackend
 from .pool import ProcessPoolBackend
 
-__all__ = ["BenchParallelConfig", "run_bench_parallel", "render_report"]
+__all__ = ["BenchParallelConfig", "run_bench_parallel"]
 
 
 @dataclass
 class BenchParallelConfig:
-    """Knobs for the PAR1 p-sweep."""
+    """Graph and sweep sizes for the PAR1 p-sweep."""
 
     n: int = 4000
     m: int = 16000
     sources: int = 24          # BFS wave count (k)
     queried: int = 48          # component-labeling query vertices
     procs: tuple[int, ...] = (1, 2, 4, 8)
-    unit_cost_us: float = 15.0
     repeats: int = 2
-    kernels: tuple[str, ...] = ("mbfs", "components")
-    min_items: int = 32        # rounds smaller than this expand inline
     seed: int = 0
-    verify_charges: bool = True
-    pure: bool = False         # add a unit_cost=0 (raw CPU) sweep
     min_speedup: float | None = 2.0  # bar at p=4 (full runs)
-    smoke: bool = False
 
-    def __post_init__(self) -> None:
-        if self.smoke:
-            self.n = min(self.n, 600)
-            self.m = min(self.m, 1800)
-            self.sources = min(self.sources, 8)
-            self.queried = min(self.queried, 16)
-            self.procs = tuple(p for p in self.procs if p <= 2) or (1, 2)
-            self.repeats = 1
-            self.unit_cost_us = min(self.unit_cost_us, 20.0)
-            self.min_speedup = None
+
+#: pinned microseconds per charged work unit (the SRV2 convention)
+UNIT_COST_US = 15.0
+#: rounds smaller than this expand inline
+MIN_ITEMS = 32
+KERNELS = ("mbfs", "components")
 
 
 def _random_adjacency(cfg: BenchParallelConfig) -> dict[int, list[int]]:
@@ -93,12 +81,10 @@ def _random_adjacency(cfg: BenchParallelConfig) -> dict[int, list[int]]:
     return {v: sorted(ws) for v, ws in adj.items()}
 
 
-def _make_backend(cfg: BenchParallelConfig, p: int, unit_cost_s: float):
+def _make_backend(p: int, unit_cost_s: float):
     if p <= 1:
-        return SequentialBackend(unit_cost_s=unit_cost_s, min_items=cfg.min_items)
-    return ProcessPoolBackend(
-        p, unit_cost_s=unit_cost_s, min_items=cfg.min_items
-    )
+        return SequentialBackend(unit_cost_s=unit_cost_s, min_items=MIN_ITEMS)
+    return ProcessPoolBackend(p, unit_cost_s=unit_cost_s, min_items=MIN_ITEMS)
 
 
 def _kernel_runner(cfg: BenchParallelConfig, kernel: str, adj):
@@ -126,12 +112,12 @@ def _kernel_runner(cfg: BenchParallelConfig, kernel: str, adj):
     return run
 
 
-def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_s: float,
-           ref: Any):
+def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_us: float,
+           ref: Any) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
     t_base: float | None = None
     for p in cfg.procs:
-        backend = _make_backend(cfg, p, unit_cost_s)
+        backend = _make_backend(p, unit_cost_us * 1e-6)
         try:
             best = float("inf")
             for _ in range(cfg.repeats):
@@ -151,6 +137,7 @@ def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_s: float,
         predicted = brent_time(charged, 1) / brent_time(charged, p)
         rows.append(
             {
+                "unit_cost_us": unit_cost_us,
                 "p": p,
                 "wall_s": round(best, 4),
                 "measured_x": round(t_base / best, 3),
@@ -162,132 +149,53 @@ def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_s: float,
     return rows
 
 
-def run_bench_parallel(cfg: BenchParallelConfig) -> dict[str, Any]:
-    """Run the PAR1 sweep; returns a JSON-ready report."""
+def run_bench_parallel(
+    cfg: BenchParallelConfig,
+) -> tuple[list[dict[str, Any]], bool]:
+    """Run the PAR1 sweep; returns ``(rows, ok)``.
+
+    One row per kernel, processor count and unit cost (the pinned
+    :data:`UNIT_COST_US` sweep, then the raw-CPU ``0`` sweep).  ``ok``
+    requires the 2-worker pool to reproduce the sequential answers and
+    charges on every kernel, plus ``min_speedup`` at ``p = 4`` on at
+    least one kernel when a bar is set.
+    """
     adj = _random_adjacency(cfg)
-    unit_cost_s = cfg.unit_cost_us * 1e-6
-    report: dict[str, Any] = {
-        "bench": "PAR1",
-        "config": {
-            "n": cfg.n,
-            "m": cfg.m,
-            "sources": cfg.sources,
-            "queried": cfg.queried,
-            "procs": list(cfg.procs),
-            "unit_cost_us": cfg.unit_cost_us,
-            "repeats": cfg.repeats,
-            "min_items": cfg.min_items,
-            "seed": cfg.seed,
-            "smoke": cfg.smoke,
-        },
-        "kernels": {},
-        "pass": True,
-    }
-    for kernel in cfg.kernels:
+    rows: list[dict[str, Any]] = []
+    ok = True
+    meets_bar = False
+    for kernel in KERNELS:
         run = _kernel_runner(cfg, kernel, adj)
         # Canonical charges: the plain sequential traversal, no backend.
         cm_seq = CostModel()
         ref_answer = run(cost=cm_seq)
         charged = cm_seq.snapshot()
-        entry: dict[str, Any] = {
+        # Exact (work, depth) + answer equality under a live 2-worker
+        # pool while charges are being recorded.
+        pool = ProcessPoolBackend(2, min_items=MIN_ITEMS)
+        try:
+            cm_pool = CostModel()
+            pool_answer = run(backend=pool, cost=cm_pool)
+        finally:
+            pool.close()
+        head = {
+            "kernel": kernel,
             "work": charged.work,
             "depth": charged.depth,
-            "brent_time_units": {
-                str(p): round(brent_time(charged, p), 1) for p in cfg.procs
-            },
+            "charges_equal": (cm_pool.work, cm_pool.depth)
+            == (charged.work, charged.depth),
+            "answers_equal": pool_answer == ref_answer,
         }
-        if cfg.verify_charges:
-            # Exact (work, depth) + answer equality under a live 2-worker
-            # pool while charges are being recorded.
-            pool = ProcessPoolBackend(2, min_items=cfg.min_items)
-            try:
-                cm_pool = CostModel()
-                pool_answer = run(backend=pool, cost=cm_pool)
-            finally:
-                pool.close()
-            charges_ok = (cm_pool.work, cm_pool.depth) == (
-                charged.work,
-                charged.depth,
-            )
-            answers_ok = pool_answer == ref_answer
-            entry["verify"] = {
-                "charges_equal": charges_ok,
-                "answers_equal": answers_ok,
-                "sequential": [charged.work, charged.depth],
-                "pool": [cm_pool.work, cm_pool.depth],
-            }
-            if not (charges_ok and answers_ok):
-                report["pass"] = False
-        entry["rows"] = _sweep(cfg, run, charged, unit_cost_s, ref_answer)
-        if cfg.pure:
-            entry["pure_rows"] = _sweep(cfg, run, charged, 0.0, ref_answer)
-        report["kernels"][kernel] = entry
-        if cfg.min_speedup is not None:
-            row4 = next(
-                (r for r in entry["rows"] if r["p"] == 4), None
-            )
-            entry["meets_bar"] = (
-                row4 is not None and row4["measured_x"] >= cfg.min_speedup
-            )
-    if cfg.min_speedup is not None:
-        # The acceptance bar: >= min_speedup at p=4 on at least one kernel.
-        if not any(
-            e.get("meets_bar") for e in report["kernels"].values()
-        ):
-            report["pass"] = False
-    return report
-
-
-def render_report(report: dict[str, Any]) -> str:
-    """Human-readable tables + ASCII speedup plot."""
-    lines: list[str] = []
-    cfg = report["config"]
-    lines.append(
-        f"PAR1 p-sweep: n={cfg['n']} m={cfg['m']} k={cfg['sources']} "
-        f"unit_cost={cfg['unit_cost_us']}us/work "
-        f"procs={cfg['procs']}"
-    )
-    for kernel, entry in report["kernels"].items():
-        lines.append("")
-        lines.append(
-            f"[{kernel}] charged work={entry['work']} depth={entry['depth']}"
-        )
-        if "verify" in entry:
-            v = entry["verify"]
-            lines.append(
-                "  charge pin (2-worker pool vs sequential): "
-                f"charges_equal={v['charges_equal']} "
-                f"answers_equal={v['answers_equal']}"
-            )
-        lines.append(
-            "  p    wall_s   measured_x  predicted_x  utilization"
-        )
-        for r in entry["rows"]:
-            lines.append(
-                f"  {r['p']:<4} {r['wall_s']:<8} {r['measured_x']:<11} "
-                f"{r['predicted_x']:<12} {r['utilization']:<.3f}"
-            )
-        for r in entry.get("pure_rows", []):
-            lines.append(
-                f"  {r['p']:<4} {r['wall_s']:<8} {r['measured_x']:<11} "
-                f"{r['predicted_x']:<12} (pure CPU, unit_cost=0)"
-            )
-        xs = [r["p"] for r in entry["rows"]]
-        if len(xs) > 1:
-            lines.append(
-                ascii_plot(
-                    xs,
-                    {
-                        "measured": [r["measured_x"] for r in entry["rows"]],
-                        "predicted (W/p+D)": [
-                            r["predicted_x"] for r in entry["rows"]
-                        ],
-                    },
-                    width=48,
-                    height=10,
-                    title=f"{kernel}: speedup vs p",
+        ok = ok and head["charges_equal"] and head["answers_equal"]
+        for unit_cost_us in (UNIT_COST_US, 0.0):
+            sweep = _sweep(cfg, run, charged, unit_cost_us, ref_answer)
+            rows += [{**head, **row} for row in sweep]
+            if unit_cost_us and cfg.min_speedup is not None:
+                meets_bar = meets_bar or any(
+                    r["p"] == 4 and r["measured_x"] >= cfg.min_speedup
+                    for r in sweep
                 )
-            )
-    lines.append("")
-    lines.append(f"PASS={report['pass']}")
-    return "\n".join(lines)
+    # The acceptance bar: >= min_speedup at p=4 on at least one kernel.
+    if cfg.min_speedup is not None:
+        ok = ok and meets_bar
+    return rows, ok

@@ -8,9 +8,7 @@ from repro.queries.batch import (
     answer_queries,
     batch_components,
     batch_connected,
-    batch_connected_forest,
     batch_distances,
-    batch_find_repr,
     batch_stretch_check,
     coalesce_queries,
     multi_source_bfs,
@@ -25,9 +23,7 @@ __all__ = [
     "answer_queries",
     "batch_components",
     "batch_connected",
-    "batch_connected_forest",
     "batch_distances",
-    "batch_find_repr",
     "batch_stretch_check",
     "coalesce_queries",
     "multi_source_bfs",

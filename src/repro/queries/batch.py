@@ -12,11 +12,6 @@ work/depth charges to the ambient :class:`~repro.pram.cost.CostModel`:
 * :func:`batch_components` / :func:`batch_connected` — connectivity for
   many pairs by flooding each *touched* component once; total work is
   bounded by the graph size independent of the number of queries.
-* :func:`batch_find_repr` / :func:`batch_connected_forest` — batched
-  root-finding on an :class:`~repro.connectivity.euler_tour.EulerTourForest`
-  that deduplicates root paths: every treap node visited caches its root
-  for the batch, so later queries in the same tree stop at the first
-  cached node instead of re-walking the shared path suffix.
 
 :func:`answer_queries` is the uniform entry point the serving engine
 (:meth:`repro.service.engine.SpannerService.query_batch`), the wire
@@ -46,9 +41,7 @@ __all__ = [
     "answer_queries",
     "batch_components",
     "batch_connected",
-    "batch_connected_forest",
     "batch_distances",
-    "batch_find_repr",
     "batch_stretch_check",
     "coalesce_queries",
     "multi_source_bfs",
@@ -468,73 +461,6 @@ def batch_connected(
         adj, verts, n=n, cost=cost, backend=backend, adj_version=adj_version
     )
     return [u == v or comp[u] == comp[v] for u, v in pairs]
-
-
-# -- Euler-tour forest batches ------------------------------------------------
-
-
-def batch_find_repr(
-    forest,
-    vertices: Sequence[int],
-    *,
-    cost: CostModel = NULL_COST_MODEL,
-) -> list[int]:
-    """``find_repr`` for many vertices, deduplicating root-finding paths.
-
-    Every treap node visited caches its root for the duration of the
-    batch, so two queries in the same tree pay the shared suffix of
-    their root paths once — the second walk stops at the first cached
-    node.  Answers equal ``[forest.find_repr(v) for v in vertices]``
-    exactly (including ``ValueError`` on out-of-range vertices, and the
-    vertex itself for never-linked singletons).
-
-    Charged as one parallel round of pointer-jumping walks: work = actual
-    (memo-shortened) parent steps, depth = ``O(log n)`` (treap height).
-    """
-    memo: dict[int, Any] = {}
-    out: list[int] = []
-    steps = 0
-    for v in vertices:
-        forest._check_vertex(v)
-        cur = forest._loop[v]
-        path = []
-        while True:
-            root = memo.get(id(cur))
-            if root is not None:
-                break
-            if cur.parent is None:
-                root = cur
-                break
-            path.append(cur)
-            cur = cur.parent
-            steps += 1
-        memo[id(cur)] = root
-        for node in path:
-            memo[id(node)] = root
-        out.append(root.arc[0])
-    cost.charge_many(steps + len(out), log2ceil(max(forest.n, 2)))
-    return out
-
-
-def batch_connected_forest(
-    forest,
-    pairs: Sequence[tuple[int, int]],
-    *,
-    cost: CostModel = NULL_COST_MODEL,
-) -> list[bool]:
-    """Batched :meth:`EulerTourForest.connected` over shared root paths.
-
-    Exactly equal to ``[forest.connected(u, v) for u, v in pairs]`` —
-    in particular ``connected(v, v)`` is True even for never-linked
-    singleton vertices — but every distinct vertex finds its root once
-    per batch via :func:`batch_find_repr`'s path memo.
-    """
-    flat: list[int] = []
-    for u, v in pairs:
-        flat.append(u)
-        flat.append(v)
-    reprs = batch_find_repr(forest, flat, cost=cost)
-    return [reprs[2 * i] == reprs[2 * i + 1] for i in range(len(pairs))]
 
 
 # -- batched stretch checks ---------------------------------------------------

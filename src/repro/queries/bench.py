@@ -1,8 +1,8 @@
 """SRV3: batched vs query-at-a-time read throughput on a 95/5 mix.
 
-The experiment behind ``repro bench-queries`` and the
-``bench_srv3_read_mix`` gate scenario: drive a read-heavy request stream
-(default 95% reads / 5% writes) against one
+The experiment behind the ``bench_srv3_read_mix`` entry of
+:mod:`repro.harness.benches`: drive a read-heavy request stream
+(95% reads / 5% writes) against one
 :class:`~repro.service.engine.SpannerService` twice per window — once
 through the singleton :meth:`~repro.service.engine.SpannerService.query`
 path, once through
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -37,23 +36,20 @@ from repro.pram.cost import CostModel
 __all__ = ["BenchQueriesConfig", "BenchQueriesReport", "run_bench_queries"]
 
 
+#: share of requests that are reads (the 95/5 mix)
+READ_FRACTION = 0.95
+
+
 @dataclass
 class BenchQueriesConfig:
     n: int = 512
     m: int = 640
     requests: int = 4000
-    read_fraction: float = 0.95
     window: int = 500               # requests per write-then-read window
     hot_fraction: float = 0.9       # reads drawn from the hot vertex set
     k: int = 2                      # spanner stretch parameter
     seed: int = 4242
     repeats: int = 1                # timing repeats (best-of)
-    # with parallel >= 2 the service owns a ProcessPoolBackend and a third
-    # timed pass answers each window through the pool-backed query_batch
-    # path (uncharged, so distance sweeps take the chunk-parallel route);
-    # the singleton and charged-batch passes are unchanged, so the gate's
-    # pinned work/depth totals never depend on this knob
-    parallel: int = 0
 
 
 @dataclass
@@ -64,59 +60,11 @@ class BenchQueriesReport:
     singleton_rps: float = 0.0
     batched_rps: float = 0.0
     speedup_x: float = 0.0
-    parallel_rps: float = 0.0       # pool-backed batched pass (parallel >= 2)
-    parallel_speedup_x: float = 0.0  # vs the singleton pass
-    parallel_utilization: float = 0.0
     work: int = 0                   # batched-pass cost-model charges
     depth: int = 0
     dedup_ratio: float = 1.0        # unique keys / reads
     verified: bool = False
     violations: list[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    def rows(self) -> list[dict[str, Any]]:
-        """Table rows for :func:`repro.harness.format_table`."""
-        row: dict[str, Any] = {
-            "reads": self.reads,
-            "writes": self.writes,
-            "singleton_rps": round(self.singleton_rps, 1),
-            "batched_rps": round(self.batched_rps, 1),
-            "speedup": f"{self.speedup_x:.2f}x",
-            "dedup": f"{self.dedup_ratio:.2f}",
-            "verified": self.verified,
-        }
-        if self.config.parallel >= 2:
-            row["parallel_rps"] = round(self.parallel_rps, 1)
-            row["par_speedup"] = f"{self.parallel_speedup_x:.2f}x"
-        return [row]
-
-    def to_dict(self) -> dict:
-        """JSON-safe report payload (the ``--json`` output)."""
-        out: dict[str, Any] = {
-            "n": self.config.n,
-            "m": self.config.m,
-            "requests": self.config.requests,
-            "read_fraction": self.config.read_fraction,
-            "reads": self.reads,
-            "writes": self.writes,
-            "singleton_rps": round(self.singleton_rps, 1),
-            "batched_rps": round(self.batched_rps, 1),
-            "speedup_x": round(self.speedup_x, 2),
-            "work": self.work,
-            "depth": self.depth,
-            "dedup_ratio": round(self.dedup_ratio, 3),
-            "verified": self.verified,
-            "violations": self.violations,
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-        # only present when the pool pass ran, so the default payload (the
-        # shape the gate baseline records) is unchanged by this feature
-        if self.config.parallel >= 2:
-            out["parallel"] = self.config.parallel
-            out["parallel_rps"] = round(self.parallel_rps, 1)
-            out["parallel_speedup_x"] = round(self.parallel_speedup_x, 2)
-            out["parallel_utilization"] = round(self.parallel_utilization, 3)
-        return out
 
 
 def _initial_edges(rng: np.random.Generator, n: int, m: int) -> list:
@@ -140,7 +88,7 @@ def _make_windows(
     while produced < cfg.requests:
         size = min(cfg.window, cfg.requests - produced)
         produced += size
-        n_reads = int(round(size * cfg.read_fraction))
+        n_reads = int(round(size * READ_FRACTION))
         writes = []
         for _ in range(size - n_reads):
             u, v = rng.choice(cfg.n, size=2, replace=False)
@@ -165,7 +113,6 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
     from repro.queries.batch import coalesce_queries
     from repro.service.engine import LocalExecutor, SpannerService
 
-    t_start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     edges = _initial_edges(rng, cfg.n, cfg.m)
     windows = _make_windows(cfg, rng)
@@ -173,25 +120,13 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
 
     best_single = float("inf")
     best_batch = float("inf")
-    best_par = float("inf")
     for _ in range(max(cfg.repeats, 1)):
         spec = {"kind": "spanner", "n": cfg.n, "edges": edges,
                 "k": cfg.k, "seed": cfg.seed}
-        backend = None
-        if cfg.parallel >= 2:
-            # fork before the service spawns any threads of its own; the
-            # engine owns the backend and close() shuts it down
-            from repro.parallel import ProcessPoolBackend
-
-            backend = ProcessPoolBackend(cfg.parallel, min_items=32)
-        svc = SpannerService(
-            LocalExecutor(spec),
-            parallel=backend,
-        )
+        svc = SpannerService(LocalExecutor(spec))
         cm = CostModel()
         t_single = 0.0
         t_batch = 0.0
-        t_par = 0.0
         reads = writes = 0
         unique = 0
         violations: list[str] = []
@@ -221,27 +156,10 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
                                 f"window read {i} {reads_w[i]!r}: batch "
                                 f"answered {got!r}, singleton {ref!r}")
                             break
-                if backend is not None:
-                    # uncharged, so distance sweeps take the pool's
-                    # chunk-parallel route (pruning stays round-granular)
-                    t0 = time.perf_counter()
-                    pbatch = svc.query_batch(reads_w)
-                    t_par += time.perf_counter() - t0
-                    if not violations:
-                        for i, (got, ref) in enumerate(
-                                zip((r.value for r in pbatch), singles)):
-                            if got != ref:
-                                violations.append(
-                                    f"window read {i} {reads_w[i]!r}: pool "
-                                    f"answered {got!r}, singleton {ref!r}")
-                                break
         finally:
             svc.close()
-        if backend is not None:
-            report.parallel_utilization = backend.utilization
         best_single = min(best_single, t_single)
         best_batch = min(best_batch, t_batch)
-        best_par = min(best_par, t_par)
         # cost charges and stream shape are identical across repeats;
         # keep the last repeat's accounting
         report.reads = reads
@@ -256,9 +174,5 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
     report.batched_rps = report.reads / best_batch \
         if best_batch > 0 else 0.0
     report.speedup_x = best_single / best_batch if best_batch > 0 else 0.0
-    if cfg.parallel >= 2 and best_par > 0 and best_par != float("inf"):
-        report.parallel_rps = report.reads / best_par
-        report.parallel_speedup_x = best_single / best_par
     report.verified = not report.violations
-    report.wall_seconds = time.perf_counter() - t_start
     return report

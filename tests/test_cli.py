@@ -173,16 +173,18 @@ class TestServeFamilyJson:
         import json
 
         rc = main([
-            "bench-net", "--replicas", "1", "--requests", "120",
-            "--smoke", "--json", "--seed", "7",
+            "bench", "bench_srv2_replica_scaling", "--smoke", "--json",
         ])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["verified"] is True
-        assert payload["replicas"] == 1
-        assert payload["reads"] + payload["writes"] > 0
-        assert payload["read_throughput_rps"] > 0
-        assert payload["converged"] is True
+        result = json.loads(capsys.readouterr().out)
+        assert result["ok"] is True
+        rows = result["benches"]["bench_srv2_replica_scaling"]["rows"]
+        assert [row["replicas"] for row in rows] == [1, 2, 3]
+        for row in rows:
+            assert row["verified"] is True
+            assert row["ops"] + row["writes"] > 0
+            assert row["ops_per_sec"] > 0
+            assert row["converged"] is True
 
     def test_chaos_replica_smoke_json(self, capsys):
         import json
@@ -220,13 +222,6 @@ class TestNetParser:
     def test_replica_requires_primary(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replica"])
-
-    def test_bench_net_defaults(self):
-        args = build_parser().parse_args(["bench-net"])
-        assert args.replicas == 1
-        assert args.read_fraction == 0.95
-        assert args.mode == "inproc"
-        assert not args.kill_replica
 
     def test_parse_hostport_forms(self):
         from repro.cli import _parse_hostport

@@ -774,3 +774,23 @@ class TestReadDeadlines:
                 assert srv.server.evictions["idle"] == 1
             finally:
                 srv.stop()
+
+
+class TestBenchNetFailover:
+    def test_kill_replica_needs_a_replica(self):
+        from repro.net.bench import BenchNetConfig, run_bench_net
+
+        with pytest.raises(ValueError, match="kill_replica"):
+            run_bench_net(BenchNetConfig(
+                replicas=0, kill_replica=True, requests=120,
+                service_time=0.0))
+
+    def test_kill_that_never_fires_is_a_violation(self):
+        from repro.net.bench import BenchNetConfig, run_bench_net
+
+        # no reads, so the reader count never reaches the kill point
+        report = run_bench_net(BenchNetConfig(
+            replicas=1, kill_replica=True, requests=0, service_time=0.0))
+        assert not report.killed_replica
+        assert not report.verified
+        assert any("no replica was killed" in v for v in report.violations)

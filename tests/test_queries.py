@@ -164,7 +164,6 @@ class TestCutOracle:
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.connectivity import EulerTourForest  # noqa: E402
 from repro.graph.traversal import bfs_distances_bounded  # noqa: E402
 from repro.oracle.queries import (  # noqa: E402
     check_query_batch,
@@ -175,9 +174,7 @@ from repro.queries import (  # noqa: E402
     answer_queries,
     batch_components,
     batch_connected,
-    batch_connected_forest,
     batch_distances,
-    batch_find_repr,
     batch_stretch_check,
     coalesce_queries,
     multi_source_bfs,
@@ -276,43 +273,6 @@ class TestBatchPrimitives:
         # labeling floods each touched component once; extra queries only
         # touch more components, never re-flood one
         assert many.work <= few.work + 80 * 6 + 200
-
-    def test_batch_find_repr_matches_singleton(self):
-        forest = EulerTourForest(20, seed=3)
-        for u, v in [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (2, 5)]:
-            forest.link(u, v)
-        verts = [0, 7, 7, 3, 19, 4, 1]
-        assert batch_find_repr(forest, verts) == [
-            forest.find_repr(v) for v in verts
-        ]
-
-    def test_batch_find_repr_memoizes_shared_paths(self):
-        forest = EulerTourForest(64, seed=9)
-        for v in range(1, 64):
-            forest.link(v - 1, v)
-        one = CostModel()
-        batch_find_repr(forest, [0], cost=one)
-        many = CostModel()
-        batch_find_repr(forest, list(range(64)) * 2, cost=many)
-        # every treap node's root path is walked once per batch, so 128
-        # queries on one big tree pay O(arcs) total, not 128 x height
-        assert many.work <= 8 * (3 * 64 + 128)
-
-    def test_batch_connected_forest_matches_singleton(self):
-        forest = EulerTourForest(12, seed=4)
-        for u, v in [(0, 1), (2, 3), (3, 4)]:
-            forest.link(u, v)
-        pairs = [(0, 1), (1, 0), (0, 2), (2, 4), (7, 7), (11, 11), (7, 8)]
-        assert batch_connected_forest(forest, pairs) == [
-            forest.connected(u, v) for u, v in pairs
-        ]
-
-    def test_batch_find_repr_validates_vertices(self):
-        forest = EulerTourForest(5, seed=1)
-        with pytest.raises(ValueError):
-            batch_find_repr(forest, [0, -1])
-        with pytest.raises(ValueError):
-            batch_find_repr(forest, [5])
 
     def test_batch_stretch_check_matches_per_edge(self):
         n = 30
