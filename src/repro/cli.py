@@ -632,7 +632,8 @@ def _cmd_fuzz_queries(args: argparse.Namespace) -> int:
     if report.ok:
         print("no violations — every batch answer equals the "
               "query-at-a-time path, answers are order- and "
-              "duplication-invariant, and work/depth stayed inside the "
+              "duplication-invariant, the array sweeps charge what the "
+              "reference loops charge, and work/depth stayed inside the "
               "shared-traversal envelopes")
         return 0
     for i, v in report.violations:

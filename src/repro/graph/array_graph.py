@@ -29,9 +29,10 @@ parallel backend's version-keyed adjacency broadcast — see
 ``(id(graph), graph.version)``.  :meth:`csr` returns the compacted
 ``(indptr, indices)`` view, cached per epoch, that the vectorized frontier
 kernels in :mod:`repro.queries.batch` and :mod:`repro.graph.traversal`
-consume; :meth:`segments` exposes the live arena itself, which the
-point-to-point search reads so that a read between mutations builds no
-CSR.
+consume — the one derived view a served epoch builds; :meth:`segments`
+exposes the live arena itself, which the point-to-point search reads so
+that a read between mutations builds no CSR.  :meth:`sorted_flat` has no
+caller left: batched reads charge order-independently now.
 
 Charge preservation: this class performs no cost-model charging of its own
 (neither does ``DynamicGraph``); the traversal kernels that consume it
@@ -86,6 +87,7 @@ class ArrayDynamicGraph:
         self._used = 0      # arena high-water mark
         self._dead = 0      # slots abandoned by relocation
         self._csr_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        # no reader left; kept for the replay benchmark (see sorted_flat)
         self._sorted_cache: tuple[int, list[int], list[int]] | None = None
         edges = list(edges)
         if edges:
@@ -236,11 +238,12 @@ class ArrayDynamicGraph:
         """Canonical flat adjacency ``(bounds, flat)``, cached per epoch.
 
         ``flat[bounds[v]:bounds[v + 1]]`` lists ``v``'s neighbors in
-        ascending order as plain ints — the canonical scan order for
-        order-dependent charge schedules (targets-mode
-        :func:`repro.queries.batch.multi_source_bfs`).  One global key
-        sort per epoch replaces one ``np.sort`` + ``tolist`` per scanned
-        vertex, which dominates small-graph batch reads.
+        ascending order as plain ints.  No caller is left (targets-mode
+        :func:`repro.queries.batch.multi_source_bfs` prunes at round
+        boundaries, so its charges no longer depend on scan order); it
+        and ``_sorted_cache`` stay only because the replay benchmark's
+        tracer wraps them by name, until that tracer stops wrapping
+        private names.
         """
         cache = self._sorted_cache
         if cache is not None and cache[0] == self.version:
@@ -342,7 +345,7 @@ class ArrayDynamicGraph:
         if len(removed) <= self._SMALL_BATCH:
             # scalar swap-remove per endpoint (in-segment neighbor order
             # is not part of the contract; every consumer treats the
-            # segment as a set or re-sorts via sorted_flat)
+            # segment as a set)
             for a, b in removed:
                 for v, w in ((a, b), (b, a)):
                     s = int(self._start[v])

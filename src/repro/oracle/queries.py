@@ -12,7 +12,9 @@ same way :mod:`repro.oracle.fuzz` checks the structures:
 * :func:`check_query_batch` runs one query workload through both paths
   and returns every violation: answer mismatches, order/duplication
   variance (a batch's answers must not depend on request order or
-  multiplicity), and work/depth envelope breaches.
+  multiplicity), charge drift between the array graph's vectorized
+  sweeps and the dict adjacency's scalar reference loops, and work/depth
+  envelope breaches.
 * :func:`run_query_fuzz` is the campaign driver behind
   ``repro fuzz --queries``: seeded random graphs x query mixes, plus
   periodic cross-checks of the batched stretch check (against a spanning
@@ -41,6 +43,8 @@ from repro.oracle.violations import Violation
 from repro.pram.cost import CostModel, log2ceil
 from repro.queries.batch import (
     answer_queries,
+    batch_connected,
+    batch_distances,
     batch_stretch_check,
     coalesce_queries,
     multi_source_bfs,
@@ -127,9 +131,12 @@ def check_query_batch(
     Checks, in order: exact per-item equality with
     :func:`singleton_answers`; order invariance (the reversed — and, with
     ``rng``, a shuffled — batch answers each item identically);
-    duplication invariance (doubling the batch changes nothing); and the
-    work/depth envelopes of the shared traversals.  Returns every
-    violation found (empty list = all checks pass).
+    duplication invariance (doubling the batch changes nothing); charge
+    parity (``batch_distances``/``batch_connected`` charge the same
+    ``(work, depth)`` on the array graph as on the dict adjacency —
+    charges depend only on the graph and the batch); and the work/depth
+    envelopes of the shared traversals.  Returns every violation found
+    (empty list = all checks pass).
     """
     items = list(items)
     adjacency = _adjacency(edge_set)
@@ -165,15 +172,29 @@ def check_query_batch(
             "duplication-variance",
             "duplicating every query changed at least one answer",
         ))
+    charges = []
+    for adj in (adjacency, graph):
+        cm = CostModel()
+        batch_distances(adj, [p for kind, p in items if kind == "distance"],
+                        n=n, cost=cm)
+        batch_connected(adj, [p for kind, p in items if kind == "connected"],
+                        n=n, cost=cm)
+        charges.append((cm.work, cm.depth))
+    if charges[0] != charges[1]:
+        viols.append(Violation(
+            "query-charge-drift",
+            f"array graph charged (work, depth) {charges[1]}, the dict "
+            f"adjacency's reference loops {charges[0]}",
+        ))
     # envelopes: shared traversals mean total work is bounded by
     # (#BFS waves) x graph size plus per-query O(log n) bookkeeping —
     # never by (#queries) x graph size — and depth by levels x log n
     k = len(items)
     m = len(edge_set)
     logn = log2ceil(max(n, 2))
-    graph = n + 2 * m + 1
+    size = n + 2 * m + 1
     work_bound = ENVELOPE_C * (
-        (stats.sources + 1) * graph + k * (logn + 1) + 1
+        (stats.sources + 1) * size + k * (logn + 1) + 1
     )
     if stats.work > work_bound:
         viols.append(Violation(
@@ -296,6 +317,7 @@ class QueryFuzzReport:
     workloads: int = 0
     queries: int = 0
     deduped: int = 0
+    wide: int = 0      # batches with more than 64 distinct BFS sources
     violations: list[tuple[int, Violation]] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -309,14 +331,23 @@ class QueryFuzzReport:
             "workloads": self.workloads,
             "queries": self.queries,
             "deduped": self.deduped,
+            "wide": self.wide,
             "violations": len(self.violations),
         }]
 
 
+#: a multi-source sweep packs 64 sources per mask word
+_WORD = 64
+#: every _WIDE_EVERY-th workload draws a wide graph, in this vertex range,
+#: big enough to host more than one mask word of sources
+_WIDE_EVERY = 6
+_WIDE_N = (_WORD + 2, 160)
+
+
 def _random_graph(
-    rng: np.random.Generator, max_n: int
+    rng: np.random.Generator, max_n: int, min_n: int = 2
 ) -> tuple[int, set[Edge]]:
-    n = int(rng.integers(2, max_n + 1))
+    n = int(rng.integers(min_n, max_n + 1))
     max_m = n * (n - 1) // 2
     m = int(rng.integers(0, min(3 * n, max_m) + 1))
     edges: set[Edge] = set()
@@ -330,7 +361,12 @@ def _random_graph(
 def _random_queries(
     rng: np.random.Generator, n: int, max_queries: int
 ) -> list[tuple[str, Any]]:
-    """A query mix with deliberate duplicates, reversals, and diagonals."""
+    """A query mix with deliberate duplicates, reversals, and diagonals.
+
+    On a graph past ``_WORD + 1`` vertices the mix also gets a wide block:
+    distance queries from more than ``_WORD`` distinct sources, so the
+    shared sweep needs more than one mask word.
+    """
     k = int(rng.integers(1, max_queries + 1))
     kinds = ("distance", "connected", "contains", "size", "edges")
     # zipf-ish hot set: most pair queries land on few vertices, so
@@ -346,6 +382,11 @@ def _random_queries(
         u = int(rng.integers(0, lo))
         v = u if rng.random() < 0.1 else int(rng.integers(0, lo))
         items.append((kind, (u, v)))
+    if n > _WORD + 1:
+        # a pair (u, v) with u < v is a wave from source u
+        width = int(rng.integers(_WORD + 1, n))
+        for u in rng.choice(n - 1, size=width, replace=False).tolist():
+            items.append(("distance", (u, int(rng.integers(u + 1, n)))))
     # echo some items verbatim and some reversed
     for i in list(rng.integers(0, len(items), size=len(items) // 3)):
         kind, payload = items[int(i)]
@@ -394,7 +435,10 @@ def run_query_fuzz(
                     f"after {i} workload(s) — campaign truncated")
             break
         rng = np.random.default_rng((0x9E3779B9, i))
-        n, edges = _random_graph(rng, config.max_n)
+        if i % _WIDE_EVERY == _WIDE_EVERY - 1:
+            n, edges = _random_graph(rng, _WIDE_N[1], _WIDE_N[0])
+        else:
+            n, edges = _random_graph(rng, config.max_n)
         items = _random_queries(rng, n, config.max_queries)
         viols = check_query_batch(n, edges, items, rng=rng)
         if i % max(config.forest_every, 1) == 0:
@@ -414,6 +458,9 @@ def run_query_fuzz(
         report.queries += len(items)
         keys, _ = coalesce_queries(items)
         report.deduped += len(items) - len(keys)
+        sources = {min(p) for kind, p in keys
+                   if kind == "distance" and p[0] != p[1]}
+        report.wide += len(sources) > _WORD
         for v in viols:
             if log:
                 log(f"violation (workload {i}): {v}")

@@ -14,17 +14,16 @@ Correctness model
   distances/labels — first chunk in canonical order wins, exactly like the
   first discoverer in the sequential scan order (chunks are contiguous
   slices of the same frontier order).
-* **Charges are identical** to the sequential loops whenever they are
-  recorded.  The sequential loop charges ``pfor_cost(scans, 1, depth=logn)``
-  per round where ``scans`` counts every live frontier vertex plus every
-  scanned neighbor *unconditionally* — a quantity invariant under frontier
+* **Charges are identical** to the sequential loops in every mode.  The
+  sequential loop charges ``pfor_cost(scans, 1, depth=logn)`` per round
+  where ``scans`` counts every live frontier vertex plus every scanned
+  neighbor *unconditionally* — a quantity invariant under frontier
   partitioning — and the parallel driver opens a ``parallel()`` region and
   absorbs each chunk's ``(scans, logn)``, which merges to the same
-  ``(sum, max)`` pair.  For multi-source BFS **with target pruning** the
-  sequential charge depends on mid-round pruning order, so
-  :func:`repro.queries.batch.multi_source_bfs` only routes here when no
-  targets are given or the cost model is not recording; components floods
-  are partition-invariant unconditionally.
+  ``(sum, max)`` pair.  Multi-source BFS **with target pruning** retires a
+  source at the round boundary after its last target settled, so the set
+  of live sources is fixed for the whole round on every path: charges are
+  partition-invariant there too, and the pool runs targets mode charged.
 * Mirror state lives in worker-process module globals keyed by a
   backend-unique sweep token; rounds must be dispatched **pinned**
   (chunk *i* → worker *i*) so every worker sees every delta exactly once.
@@ -157,12 +156,10 @@ def parallel_multi_source_bfs(
 ) -> dict[int, dict[int, int]]:
     """Backend-executed :func:`repro.queries.batch.multi_source_bfs`.
 
-    Answers are exactly the sequential function's.  Charges are identical
-    when ``targets is None``; with targets, source pruning happens at round
-    granularity (instead of mid-round), which changes only the *charges* —
-    callers therefore route here with targets only when ``cost`` is not
-    recording (:func:`~repro.queries.batch.multi_source_bfs` enforces
-    this).
+    Answers and charges are identical to the sequential function in every
+    mode, with or without targets, for any ``min_items`` and worker
+    count: target pruning happens at round boundaries on both paths (see
+    the module docstring).
     """
     if n is None:
         n = len(adj)
@@ -203,9 +200,10 @@ def parallel_multi_source_bfs(
             break
         items = list(frontier.items())
         nxt: dict[int, int] = {}
-        new_bits: list[tuple[int, int, int]] = []  # (w, add, ...) for pruning
+        settled = 0
 
         def _merge(pairs: Iterable[tuple[int, int]]) -> None:
+            nonlocal settled
             for w, m in pairs:
                 add = m & ~reached.get(w, 0)
                 if not add:
@@ -217,9 +215,15 @@ def parallel_multi_source_bfs(
                     b = mm & -mm
                     mm ^= b
                     s = srcs[b.bit_length() - 1]
-                    dist[s][w] = level
-                    if want is not None:
-                        new_bits.append((s, w, b))
+                    if want is None:
+                        dist[s][w] = level
+                        continue
+                    ws = want[s]
+                    if w in ws:
+                        dist[s][w] = level
+                        ws.discard(w)
+                        if not ws:
+                            settled |= b
 
         if len(items) < backend.min_items:
             # Tiny round: expand inline with the identical charge shape;
@@ -265,15 +269,8 @@ def parallel_multi_source_bfs(
                             par.absorb(r.work, r.depth)
             for r in results:
                 _merge(r.value)
-        if want is not None:
-            # Round-granular pruning (see docstring).
-            for s, w, _b in new_bits:
-                ws = want.get(s)
-                if ws is not None:
-                    ws.discard(w)
-                    if not ws:
-                        active &= ~bit[s]
-                        del want[s]
+        # sources whose last target settled retire at the round boundary
+        active &= ~settled
         pending_delta.extend(nxt.items())
         frontier = nxt
     return dist

@@ -55,30 +55,25 @@ PAIR_KINDS = ("contains", "distance", "connected")
 NULLARY_KINDS = ("size", "edges")
 
 
+#: a CSR round whose frontier scans more than ``1 / PULL_FACTOR`` of all
+#: adjacency slots pulls over the whole CSR instead of pushing
+PULL_FACTOR = 4
+
+
+def _nonempty_rows(indptr):
+    """``(rows, starts)`` of the CSR rows with at least one neighbor: the
+    segment starts a pull round's ``reduceat`` needs (an empty row would
+    make ``reduceat`` return a neighbor's element instead of nothing)."""
+    import numpy as np
+
+    rows = np.flatnonzero(np.diff(indptr))
+    return rows, indptr[rows]
+
+
 def _log_n(adj: Adjacency, n: int | None) -> int:
     if n is None:
         n = len(adj)
     return log2ceil(max(n, 2))
-
-
-def _sorted_neighbors(adj):
-    """Neighbor accessor yielding ascending plain-int vertex ids.
-
-    The canonical scan order for charge schedules that depend on scan
-    order (targets-mode :func:`multi_source_bfs`): identical for a
-    dict-of-sets snapshot and the array substrate holding the same graph.
-    """
-    if hasattr(adj, "sorted_flat"):
-        # array substrate: one cached per-epoch flat adjacency in
-        # canonical order — a list slice per scan instead of a numpy
-        # sort per scan
-        bounds, flat = adj.sorted_flat()
-        nn = len(adj)
-        return lambda u: (
-            flat[bounds[u]:bounds[u + 1]] if 0 <= u < nn else []
-        )
-    base = _neighbor_lookup(adj)
-    return lambda u: sorted(base(u))
 
 
 # -- shared traversals --------------------------------------------------------
@@ -106,51 +101,43 @@ def multi_source_bfs(
     ``(vertex, source-set)`` pairs), so total depth is
     ``levels * log2ceil(n)`` instead of the sum over k sequential sweeps.
 
-    ``targets[s]`` prunes source ``s`` once all its targets settled —
-    mirroring the engine's target-pruned singleton BFS, so with targets
-    set the returned distances are only guaranteed at those targets.
-    ``bound`` caps the level (vertices farther than ``bound`` absent).
+    ``targets[s]`` prunes source ``s`` once all its targets settled, at
+    round granularity: a round charges ``|{u in frontier : mask_u &
+    active != 0}|`` plus the degrees of those live ``u``, and a source
+    whose last target settled in that round leaves ``active`` at the
+    round's end.  A target that never settles (out of range, negative or
+    unreachable) keeps its source live until the frontier empties.  With
+    targets the result holds each source's distance only at its reached
+    targets (plus ``{s: 0}``).  ``bound`` caps the level (vertices
+    farther than ``bound`` absent).
 
     Returns ``{source: {vertex: distance}}``; unreached vertices absent.
-    Duplicate sources are deduplicated; a source absent from a dict
-    adjacency simply has no neighbors.
+    Duplicate sources are deduplicated; a source absent from the graph
+    simply has no neighbors (it still takes one frontier slot in the
+    first round).
 
-    ``backend`` (an :class:`repro.parallel.ExecutionBackend`) executes the
-    frontier rounds across worker processes.  Answers are identical either
-    way; charges are too when no targets are given.  With targets *and* a
-    recording cost model the sweep stays sequential — mid-round target
-    pruning makes the charged scan count depend on scan order, and the
-    canonical (pinned) charges are the sequential ones.  To keep that
-    canonical schedule *substrate-invariant* (dict-of-sets and the array
-    substrate store neighbors in different orders), the targets-mode sweep
-    scans each adjacency list in ascending vertex order — so the charged
-    totals depend only on the graph and the query batch, never on the
-    container.
+    Charges depend only on the graph and the batch — never on scan
+    order, substrate or frontier partition.  An array substrate runs the
+    vectorized :func:`_multi_source_bfs_csr`; a dict/list adjacency runs
+    the scalar loop below, the reference the oracle checks it against;
+    ``backend`` (an :class:`repro.parallel.ExecutionBackend`) expands
+    the frontier rounds across worker processes.  All three return the
+    same answers and charge the same totals.
     """
-    if backend is not None and (targets is None or not cost.enabled):
+    if backend is not None:
         from repro.parallel.kernels import parallel_multi_source_bfs
 
         return parallel_multi_source_bfs(
             backend, adj, sources, targets=targets, bound=bound, n=n,
             cost=cost, adj_version=adj_version,
         )
-    if targets is None and backend is None:
-        csr = _csr_view(adj)
-        if csr is not None and 0 < len(set(sources)) <= 64:
-            # array substrate, no mid-round target pruning: the charged
-            # scan count per level is |frontier| + sum(deg(frontier)) —
-            # order-independent, so the vectorized sweep charges the
-            # byte-identical totals
-            return _multi_source_bfs_csr(
-                csr, sources, bound=bound, cost=cost, logn=_log_n(adj, n)
-            )
-    # targets mode: canonical ascending scan order (see docstring); the
-    # no-targets scalar fallback keeps raw container order — its charged
-    # counts are order-independent anyway
-    neighbors = (
-        _sorted_neighbors(adj) if targets is not None
-        else _neighbor_lookup(adj)
-    )
+    csr = _csr_view(adj)
+    if csr is not None:
+        return _multi_source_bfs_csr(
+            csr, sources, targets=targets, bound=bound, cost=cost,
+            logn=_log_n(adj, n),
+        )
+    neighbors = _neighbor_lookup(adj)
     srcs = list(dict.fromkeys(sources))
     k = len(srcs)
     logn = _log_n(adj, n)
@@ -181,6 +168,7 @@ def multi_source_bfs(
         if bound is not None and level > bound:
             break
         scans = 0
+        settled = 0
         nxt: dict[int, int] = {}
         for u, mask in frontier.items():
             mask &= active
@@ -199,15 +187,19 @@ def multi_source_bfs(
                     b = mm & -mm
                     mm ^= b
                     s = srcs[b.bit_length() - 1]
-                    dist[s][w] = level
-                    if want is not None:
-                        ws = want.get(s)
-                        if ws is not None:
-                            ws.discard(w)
-                            if not ws:
-                                active &= ~bit[s]
-        # one parallel frontier-expansion round
+                    if want is None:
+                        dist[s][w] = level
+                        continue
+                    ws = want[s]
+                    if w in ws:
+                        dist[s][w] = level
+                        ws.discard(w)
+                        if not ws:
+                            settled |= b
+        # one parallel frontier-expansion round; sources whose last
+        # target settled in it retire at its boundary
         cost.pfor_cost(scans, 1, depth=logn)
+        active &= ~settled
         frontier = nxt
     return dist
 
@@ -216,18 +208,30 @@ def _multi_source_bfs_csr(
     csr,
     sources: Sequence[int],
     *,
+    targets: Mapping[int, Iterable[int]] | None,
     bound: int | None,
     cost: CostModel,
     logn: int,
 ) -> dict[int, dict[int, int]]:
-    """Vectorized no-targets :func:`multi_source_bfs` over a CSR view.
+    """Vectorized :func:`multi_source_bfs` over a CSR view.
 
-    Level-synchronous bitmask propagation in numpy ``uint64`` (hence the
-    k <= 64 guard at the call site): each round gathers every frontier
-    vertex's neighbor slice at once, ORs the source masks per discovered
-    vertex with one ``reduceat``, and charges the identical
-    ``pfor_cost(|frontier| + scanned, 1, depth=logn)`` the scalar sweep
-    charges.  Answers and charges are byte-identical to the scalar path.
+    Level-synchronous bitmask propagation in ``(W, n)`` ``uint64`` masks,
+    ``W = ceil(k / 64)`` words, so any number of sources shares one
+    frontier.  Each round charges the scalar sweep's ``pfor_cost(|live
+    frontier| + scanned, 1, depth=logn)`` and then finds every vertex's
+    new source bits in one of two ways (the charge is a closed form of
+    the frontier, so the choice never moves it):
+
+    * **push** (the frontier scans at most ``1 / PULL_FACTOR`` of the
+      adjacency): gather the live frontier's neighbor slices, OR their
+      masks into a dense scratch row (``bitwise_or.at``) and dedup the
+      discovered vertices through a position scratch — no sort;
+    * **pull** (a larger frontier): OR every vertex's neighbor masks in
+      one segmented ``bitwise_or.reduceat`` over the whole CSR.
+
+    With targets it then settles the pending ``(source, target)`` pairs
+    and retires finished sources at the round boundary.  Answers and
+    charges equal the scalar path's.
     """
     import numpy as np
 
@@ -236,62 +240,102 @@ def _multi_source_bfs_csr(
     srcs = list(dict.fromkeys(sources))
     k = len(srcs)
     dist: dict[int, dict[int, int]] = {s: {s: 0} for s in srcs}
+    if k == 0:
+        return dist
     cost.pfor_cost(k, 1, depth=logn)
+    nw = (k + 63) >> 6
+    idx = np.arange(k, dtype=np.int64)
+    word = idx >> 6
+    shift = (idx & 63).astype(np.uint64)
+    bit = np.left_shift(np.uint64(1), shift)
+    live_src = np.ones(k, dtype=bool)
+    if targets is not None:
+        # pending (source index, target) pairs plus each source's count
+        # of unsettled targets; an out-of-range target never settles
+        want = [set(targets.get(s, ())) - {s} for s in srcs]
+        left = np.fromiter(map(len, want), dtype=np.int64, count=k)
+        live_src = left > 0
+        pairs = [(i, t) for i, ts in enumerate(want) for t in ts
+                 if 0 <= t < n]
+        t_src = np.array([i for i, _ in pairs], dtype=np.int64)
+        t_dst = np.array([t for _, t in pairs], dtype=np.int64)
+    active = np.zeros(nw, dtype=np.uint64)
+    np.bitwise_or.at(active, word[live_src], bit[live_src])
     src_arr = np.asarray(srcs, dtype=np.int64)
     in_range = (src_arr >= 0) & (src_arr < n)
-    reached = np.zeros(n, dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
-    np.bitwise_or.at(reached, src_arr[in_range], bits[in_range])
-    frontier_v = src_arr[in_range]
-    frontier_m = bits[in_range]
     # out-of-range sources behave like isolated vertices (dict-adjacency
-    # parity): present in the result with only themselves, never expanded —
-    # but they still occupy a frontier slot for the charged scan count
-    phantom = int((~in_range).sum())
-    if k and len(frontier_v):
-        order = np.argsort(frontier_v, kind="stable")
-        frontier_v = frontier_v[order]
-        frontier_m = frontier_m[order]
-        starts = np.nonzero(
-            np.r_[True, frontier_v[1:] != frontier_v[:-1]]
-        )[0]
-        frontier_m = np.bitwise_or.reduceat(frontier_m, starts)
-        frontier_v = frontier_v[starts]
+    # parity): never expanded, but a live one still takes a frontier
+    # slot in the first round's charged scan count
+    phantom = int((~in_range & live_src).sum())
+    frontier_v = src_arr[in_range]
+    frontier_m = np.zeros((nw, len(frontier_v)), dtype=np.uint64)
+    frontier_m[word[in_range], np.arange(len(frontier_v))] = bit[in_range]
+    reached = np.zeros((nw, n), dtype=np.uint64)
+    reached[:, frontier_v] = frontier_m
+    # one O(n) scratch per sweep: OR-accumulator rows, dedup positions
+    acc = np.zeros((nw, n), dtype=np.uint64)
+    pos = np.empty(n, dtype=np.int64)
+    nz_rows, nz_starts = _nonempty_rows(indptr)
     level = 0
-    while (len(frontier_v) or phantom):
+    while (len(frontier_v) or phantom) and active.any():
         level += 1
         if bound is not None and level > bound:
             break
-        first = indptr[frontier_v]
-        counts = indptr[frontier_v + 1] - first
-        scans = int(len(frontier_v)) + phantom + int(counts.sum())
-        nbrs = _gather_neighbors(indices, first, counts)
-        masks = np.repeat(frontier_m, counts)
-        add = masks & ~reached[nbrs]
-        keep = add != 0
-        nb = nbrs[keep].astype(np.int64)
-        am = add[keep]
+        live = frontier_m & active[:, None]
+        keep = live.any(axis=0)
+        fv = frontier_v[keep]
+        live = live[:, keep]
+        first = indptr[fv]
+        counts = indptr[fv + 1] - first
+        scanned = int(counts.sum())
+        cost.pfor_cost(len(fv) + phantom + scanned, 1, depth=logn)
         phantom = 0
-        if len(nb):
-            order = np.argsort(nb, kind="stable")
-            nb = nb[order]
-            am = am[order]
-            starts = np.nonzero(np.r_[True, nb[1:] != nb[:-1]])[0]
-            uniq = nb[starts]
-            union = np.bitwise_or.reduceat(am, starts)
-            reached[uniq] |= union
-            for i in range(k):
-                hit = (union >> np.uint64(i)) & np.uint64(1)
-                verts = uniq[hit.astype(bool)]
-                if len(verts):
-                    dist[srcs[i]].update(
-                        dict.fromkeys(verts.tolist(), level)
-                    )
-            frontier_v, frontier_m = uniq, union
+        if PULL_FACTOR * scanned > len(indices):
+            # pull: the live masks sit in the scratch rows while every
+            # vertex ORs its neighbors' in one segmented reduction
+            acc[:, fv] = live
+            dense = np.zeros_like(acc)
+            dense[:, nz_rows] = np.bitwise_or.reduceat(
+                acc[:, indices], nz_starts, axis=1
+            )
+            acc[:, fv] = 0
+            dense &= ~reached
+            uniq = np.flatnonzero(dense.any(axis=0))
         else:
-            frontier_v = frontier_v[:0]
-            frontier_m = frontier_m[:0]
-        cost.pfor_cost(scans, 1, depth=logn)
+            # push: scatter the frontier's masks onto its neighbors
+            nbrs = _gather_neighbors(indices, first, counts)
+            add = np.repeat(live, counts, axis=1) & ~reached[:, nbrs]
+            hit = add.any(axis=0)
+            nb = nbrs[hit]
+            add = add[:, hit]
+            for j in range(nw):
+                np.bitwise_or.at(acc[j], nb, add[j])
+            slot = np.arange(len(nb))
+            pos[nb] = slot
+            uniq = nb[pos[nb] == slot]
+            dense = acc
+        new = dense[:, uniq]
+        if targets is None:
+            for i, s in enumerate(srcs):
+                hit = ((new[word[i]] >> shift[i]) & np.uint64(1)).astype(bool)
+                if hit.any():
+                    dist[s].update(dict.fromkeys(uniq[hit].tolist(), level))
+        elif len(t_src):
+            got = (dense[word[t_src], t_dst] >> shift[t_src]) & np.uint64(1)
+            got = got.astype(bool)
+            if got.any():
+                hs = t_src[got]
+                for i, t in zip(hs.tolist(), t_dst[got].tolist()):
+                    dist[srcs[i]][t] = level
+                np.subtract.at(left, hs, 1)
+                done = hs[left[hs] == 0]
+                np.bitwise_and.at(active, word[done], ~bit[done])
+                t_src = t_src[~got]
+                t_dst = t_dst[~got]
+        if dense is acc:
+            acc[:, uniq] = 0
+        reached[:, uniq] |= new
+        frontier_v, frontier_m = uniq, new
     return dist
 
 
@@ -403,12 +447,19 @@ def _batch_components_csr(
     Same flood order (per queried vertex, whole-frontier rounds), same
     labels (first queried vertex of each component), same per-round
     ``pfor_cost`` charges — just numpy gathers instead of per-edge Python.
+    Each round's discovered vertices are deduplicated through one O(n)
+    position scratch instead of a sort; labels and charges are
+    order-invariant, so frontier order does not matter.
     """
     import numpy as np
 
     indptr, indices = csr
     n = len(indptr) - 1
     label = np.full(n, -1, dtype=np.int64)
+    # per-call O(n) scratch: push dedup positions, pull frontier marks
+    pos = np.empty(n, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
+    nz_rows, nz_starts = _nonempty_rows(indptr)
     extra: dict[int, int] = {}   # out-of-range queried vertices
     for v0 in vertices:
         if not 0 <= v0 < n:
@@ -425,15 +476,25 @@ def _batch_components_csr(
         while len(frontier):
             first = indptr[frontier]
             counts = indptr[frontier + 1] - first
-            scans = int(len(frontier)) + int(counts.sum())
-            nbrs = _gather_neighbors(indices, first, counts).astype(
-                np.int64
-            )
-            new = nbrs[label[nbrs] < 0]
-            if len(new):
-                new = np.unique(new)
-                label[new] = v0
-            cost.pfor_cost(scans, 1, depth=logn)
+            scanned = int(counts.sum())
+            cost.pfor_cost(len(frontier) + scanned, 1, depth=logn)
+            if PULL_FACTOR * scanned > len(indices):
+                # pull (see _multi_source_bfs_csr): one segmented OR of
+                # frontier membership over every vertex's neighbors
+                mark[frontier] = True
+                hit = np.zeros(n, dtype=bool)
+                hit[nz_rows] = np.logical_or.reduceat(
+                    mark[indices], nz_starts
+                )
+                mark[frontier] = False
+                new = np.flatnonzero(hit & (label < 0))
+            else:
+                nbrs = _gather_neighbors(indices, first, counts)
+                new = nbrs[label[nbrs] < 0]
+                slot = np.arange(len(new))
+                pos[new] = slot
+                new = new[pos[new] == slot]
+            label[new] = v0
             frontier = new
     touched = np.nonzero(label >= 0)[0]
     comp = dict(zip(touched.tolist(), label[touched].tolist()))

@@ -29,6 +29,7 @@ from repro.parallel import (
     resolve_backend,
     wants_cost,
 )
+from repro.graph.array_graph import ArrayDynamicGraph
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 from repro.queries.batch import batch_components, multi_source_bfs
 from repro.resilience.manager import SupervisionConfig
@@ -271,19 +272,65 @@ class TestKernelIdentity:
         assert (got_cm.work, got_cm.depth) == (ref_cm.work, ref_cm.depth)
 
     def test_mbfs_targets_route(self, pool):
-        """With targets the routed entry point only uses the pool when no
-        charges are recorded; answers at the targets stay exact."""
+        """With targets the routed entry point runs on the pool even while
+        charges are recorded: answers and charges equal the sequential
+        sweep's."""
         adj, n = self._graph(2)
         sources = [0, 5]
         targets = {0: [9, 20, 33], 5: [1, 64]}
-        ref = multi_source_bfs(adj, sources, targets=targets, n=n)
+        ref_cm, got_cm = CostModel(), CostModel()
+        ref = multi_source_bfs(adj, sources, targets=targets, n=n,
+                               cost=ref_cm)
         got = multi_source_bfs(
-            adj, sources, targets=targets, n=n,
+            adj, sources, targets=targets, n=n, cost=got_cm,
             backend=pool, adj_version="targets",
         )
-        for s, wants in targets.items():
-            for t in wants:
-                assert got[s].get(t) == ref[s].get(t)
+        assert got == ref
+        assert (got_cm.work, got_cm.depth) == (ref_cm.work, ref_cm.depth)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 90),
+        array=st.booleans(),
+        k=st.sampled_from([0, 1, 3, 8, 65]),
+        bound=st.sampled_from([None, None, 1, 2]),
+        min_items=st.sampled_from([1, 2, 3, 5, 8, 10**9]),
+        on_pool=st.booleans(),
+    )
+    def test_targets_mode_any_partition(self, pool, seed, n, array, k,
+                                        bound, min_items, on_pool):
+        """Targets-mode answers and charges are partition-invariant: the
+        sequential sweep, ``SequentialBackend`` and a 2-worker pool agree
+        for any ``min_items`` (1 splits every round, 10**9 none)."""
+        rng = random.Random(seed)
+        edges = {(min(u, v), max(u, v))
+                 for u, v in ((rng.randrange(n), rng.randrange(n))
+                              for _ in range(rng.randrange(3 * n)))
+                 if u != v}
+        adj = (ArrayDynamicGraph(n, edges) if array else
+               {v: sorted(w for e in edges if v in e for w in e if w != v)
+                for v in range(n)})
+        sources = [rng.randrange(-2, n + 2) for _ in range(k)]
+        targets = {s: [rng.randrange(-2, n + 2)
+                       for _ in range(rng.randrange(4))]
+                   for s in sources if rng.random() < 0.9}
+        ref_cm = CostModel()
+        ref = multi_source_bfs(adj, sources, targets=targets, bound=bound,
+                               n=n, cost=ref_cm)
+        backend = pool if on_pool else SequentialBackend(min_items=min_items)
+        saved, backend.min_items = backend.min_items, min_items
+        try:
+            got_cm = CostModel()
+            got = multi_source_bfs(
+                adj, sources, targets=targets, bound=bound, n=n,
+                cost=got_cm, backend=backend,
+                adj_version=("hyp", seed, n, array),
+            )
+        finally:
+            backend.min_items = saved
+        assert got == ref
+        assert (got_cm.work, got_cm.depth) == (ref_cm.work, ref_cm.depth)
 
     def test_routed_entry_points_match(self, pool):
         adj, n = self._graph(3)

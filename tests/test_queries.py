@@ -347,6 +347,122 @@ class TestCoalesceAndAnswer:
                  ("contains", (2, 1)), ("size", None)]
         assert check_query_batch(25, edges, items, rng=rng) == []
 
+    def test_oracle_flags_charge_drift(self, monkeypatch):
+        """One extra unit of work on the array side only is reported as
+        exactly one ``query-charge-drift``, nothing else."""
+        import repro.queries.batch as qbatch
+
+        real = qbatch._multi_source_bfs_csr
+
+        def skewed(csr, sources, *, cost, **kw):
+            cost.charge_many(1, 0)
+            return real(csr, sources, cost=cost, **kw)
+
+        monkeypatch.setattr(qbatch, "_multi_source_bfs_csr", skewed)
+        edges = _edge_set(25, 40, seed=13)
+        items = [("distance", (1, 2)), ("connected", (0, 24)),
+                 ("distance", (3, 3)), ("size", None)]
+        viols = check_query_batch(25, edges, items,
+                                  rng=np.random.default_rng(13))
+        assert [v.kind for v in viols] == ["query-charge-drift"]
+
+
+class TestChargeParity:
+    """The vectorized CSR sweep (array graph) and the scalar reference loop
+    (dict adjacency) give identical answers *and* identical ``(work,
+    depth)`` — target pruning happens at round boundaries, so charges
+    depend only on the graph and the batch."""
+
+    N = 150
+
+    @classmethod
+    def _both(cls, sources, n=None, edges=None, **kw):
+        n = cls.N if n is None else n
+        edges = _edge_set(n, 2 * n, seed=21) if edges is None else edges
+        out = []
+        for adj in (_adj(edges), ArrayDynamicGraph(n, edges)):
+            cm = CostModel()
+            dist = multi_source_bfs(adj, sources, n=n, cost=cm, **kw)
+            out.append((dist, (cm.work, cm.depth)))
+        assert out[0] == out[1]
+        return out[1]
+
+    def test_out_of_range_and_negative_targets(self):
+        dist, _ = self._both([0, 5], targets={0: [-1, self.N, 7],
+                                              5: [self.N + 3]})
+        assert -1 not in dist[0] and self.N not in dist[0]
+
+    def test_unsettleable_target_keeps_source_live(self):
+        """A source whose only target is out of range sweeps its whole
+        component: it never retires early."""
+        edges = {(i, i + 1) for i in range(9)}
+        dist, (work, _) = self._both([0], n=10, edges=edges,
+                                     targets={0: [-4]})
+        _, (full, _) = self._both([0], n=10, edges=edges)
+        assert dist == {0: {0: 0}}
+        assert work == full
+
+    def test_out_of_range_sources_take_one_frontier_slot(self):
+        dist, _ = self._both([self.N + 2, -1, 3],
+                             targets={self.N + 2: [0], -1: [4], 3: [4]})
+        assert dist[self.N + 2] == {self.N + 2: 0}
+        assert dist[-1] == {-1: 0}
+        self._both([self.N + 2, -1])
+
+    def test_duplicate_sources_diagonal_and_bound(self):
+        targets = {2: [2, 9, 40], 9: [9]}
+        self._both([2, 2, 9, 2], targets=targets)
+        self._both([2, 2, 9, 2], targets=targets, bound=1)
+        self._both([2, 9, 9], bound=2)
+        self._both([4], targets={4: [17]}, bound=0)
+
+    def test_zero_sources_charge_nothing(self):
+        assert self._both([]) == ({}, (0, 0))
+        assert self._both([], targets={}) == ({}, (0, 0))
+
+    @pytest.mark.parametrize("k", [65, 130])
+    def test_multi_word_masks(self, k):
+        rng = np.random.default_rng(k)
+        sources = rng.choice(self.N, size=k, replace=False).tolist()
+        targets = {s: rng.integers(-2, self.N + 2, size=3).tolist()
+                   for s in sources}
+        dist, _ = self._both(sources, targets=targets)
+        assert len(dist) == k
+        dist, _ = self._both(sources)
+        adj = _adj(_edge_set(self.N, 2 * self.N, seed=21))
+        for s in sources[::16]:
+            assert dist[s] == (bfs_distances(adj, s) if s in adj
+                               else {s: 0})
+
+    def test_targets_mode_records_only_targets(self):
+        dist, _ = self._both([0], targets={0: [5, 6]})
+        assert set(dist[0]) <= {0, 5, 6}
+
+    @pytest.mark.parametrize("pull_factor", [0, 10**9])
+    def test_push_only_and_pull_only_rounds(self, monkeypatch, pull_factor):
+        """Every round pushes (factor 0) or every round pulls (factor
+        10**9): both must reproduce the reference answers and charges."""
+        import repro.queries.batch as qbatch
+
+        monkeypatch.setattr(qbatch, "PULL_FACTOR", pull_factor)
+        sources = list(range(-1, self.N + 1, 2))
+        self._both(sources, targets={s: [s + 7, -3] for s in sources})
+        self._both(sources[:40], bound=3)
+        self._components_both(_edge_set(self.N, 2 * self.N, seed=23))
+
+    @classmethod
+    def _components_both(cls, edges):
+        out = []
+        for adj in (_adj(edges), ArrayDynamicGraph(cls.N, edges)):
+            cm = CostModel()
+            comp = batch_components(adj, list(range(-2, cls.N + 2, 3)),
+                                    n=cls.N, cost=cm)
+            out.append((comp, (cm.work, cm.depth)))
+        assert out[0] == out[1]
+
+    def test_components_dedup_matches_reference(self):
+        self._components_both(_edge_set(self.N, self.N // 2, seed=22))
+
 
 class TestBatchInvariance:
     """Batch answers are a pure function of the (snapshot, query) set."""
