@@ -229,6 +229,8 @@ def _multi_source_bfs_csr(
     * **pull** (a larger frontier): OR every vertex's neighbor masks in
       one segmented ``bitwise_or.reduceat`` over the whole CSR.
 
+    Both run one mask word at a time, so a round's temporaries are
+    ``O(n + m)`` for any ``k``; the long-lived state is ``O(n * W)``.
     With targets it then settles the pending ``(source, target)`` pairs
     and retires finished sources at the round boundary.  Answers and
     charges equal the scalar path's.
@@ -272,10 +274,11 @@ def _multi_source_bfs_csr(
     frontier_m[word[in_range], np.arange(len(frontier_v))] = bit[in_range]
     reached = np.zeros((nw, n), dtype=np.uint64)
     reached[:, frontier_v] = frontier_m
-    # one O(n) scratch per sweep: OR-accumulator rows, dedup positions
+    # one O(n) scratch per sweep: OR-accumulator rows, dedup positions;
+    # the pull rounds' segment starts are built at the first pull round
     acc = np.zeros((nw, n), dtype=np.uint64)
     pos = np.empty(n, dtype=np.int64)
-    nz_rows, nz_starts = _nonempty_rows(indptr)
+    nz = None
     level = 0
     while (len(frontier_v) or phantom) and active.any():
         level += 1
@@ -293,23 +296,28 @@ def _multi_source_bfs_csr(
         if PULL_FACTOR * scanned > len(indices):
             # pull: the live masks sit in the scratch rows while every
             # vertex ORs its neighbors' in one segmented reduction
+            if nz is None:
+                nz = _nonempty_rows(indptr)
+            nz_rows, nz_starts = nz
             acc[:, fv] = live
             dense = np.zeros_like(acc)
-            dense[:, nz_rows] = np.bitwise_or.reduceat(
-                acc[:, indices], nz_starts, axis=1
-            )
+            for j in range(nw):
+                dense[j, nz_rows] = np.bitwise_or.reduceat(
+                    acc[j][indices], nz_starts
+                )
             acc[:, fv] = 0
             dense &= ~reached
             uniq = np.flatnonzero(dense.any(axis=0))
         else:
             # push: scatter the frontier's masks onto its neighbors
             nbrs = _gather_neighbors(indices, first, counts)
-            add = np.repeat(live, counts, axis=1) & ~reached[:, nbrs]
-            hit = add.any(axis=0)
-            nb = nbrs[hit]
-            add = add[:, hit]
+            hit = np.zeros(len(nbrs), dtype=bool)
             for j in range(nw):
-                np.bitwise_or.at(acc[j], nb, add[j])
+                add = np.repeat(live[j], counts) & ~reached[j, nbrs]
+                h = add != 0
+                np.bitwise_or.at(acc[j], nbrs[h], add[h])
+                hit |= h
+            nb = nbrs[hit]
             slot = np.arange(len(nb))
             pos[nb] = slot
             uniq = nb[pos[nb] == slot]
@@ -457,9 +465,10 @@ def _batch_components_csr(
     n = len(indptr) - 1
     label = np.full(n, -1, dtype=np.int64)
     # per-call O(n) scratch: push dedup positions, pull frontier marks
+    # (segment starts built at the first pull round)
     pos = np.empty(n, dtype=np.int64)
     mark = np.zeros(n, dtype=bool)
-    nz_rows, nz_starts = _nonempty_rows(indptr)
+    nz = None
     extra: dict[int, int] = {}   # out-of-range queried vertices
     for v0 in vertices:
         if not 0 <= v0 < n:
@@ -481,6 +490,9 @@ def _batch_components_csr(
             if PULL_FACTOR * scanned > len(indices):
                 # pull (see _multi_source_bfs_csr): one segmented OR of
                 # frontier membership over every vertex's neighbors
+                if nz is None:
+                    nz = _nonempty_rows(indptr)
+                nz_rows, nz_starts = nz
                 mark[frontier] = True
                 hit = np.zeros(n, dtype=bool)
                 hit[nz_rows] = np.logical_or.reduceat(

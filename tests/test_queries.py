@@ -448,6 +448,11 @@ class TestChargeParity:
         sources = list(range(-1, self.N + 1, 2))
         self._both(sources, targets={s: [s + 7, -3] for s in sources})
         self._both(sources[:40], bound=3)
+        # a denser graph with two mask words: the per-word round loop
+        dense = _edge_set(self.N, 8 * self.N, seed=24)
+        self._both(sources[:70], edges=dense,
+                   targets={s: [s + 1, s + 90] for s in sources[:70]})
+        self._both(sources[:70], edges=dense)
         self._components_both(_edge_set(self.N, 2 * self.N, seed=23))
 
     @classmethod
