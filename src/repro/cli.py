@@ -633,8 +633,9 @@ def _cmd_fuzz_queries(args: argparse.Namespace) -> int:
         print("no violations — every batch answer equals the "
               "query-at-a-time path, answers are order- and "
               "duplication-invariant, the array sweeps charge what the "
-              "reference loops charge, and work/depth stayed inside the "
-              "shared-traversal envelopes")
+              "reference loops charge, answers and charges do not move "
+              "with the epoch's memoized labels, and work/depth stayed "
+              "inside the shared-traversal envelopes")
         return 0
     for i, v in report.violations:
         print(f"\nVIOLATION (workload {i}) {v}")

@@ -31,7 +31,10 @@ parallel backend's version-keyed adjacency broadcast — see
 kernels in :mod:`repro.queries.batch` and :mod:`repro.graph.traversal`
 consume — the one derived view a served epoch builds; :meth:`segments`
 exposes the live arena itself, which the point-to-point search reads so
-that a read between mutations builds no CSR.  :meth:`sorted_flat` has no
+that a read between mutations builds no CSR.  :meth:`read_state` is the
+epoch's other derived state (:class:`EpochReadState`): component labels
+filled one touched component at a time, the component floods' charges,
+and a small pool of leased sweep scratches.  :meth:`sorted_flat` has no
 caller left: batched reads charge order-independently now.
 
 Charge preservation: this class performs no cost-model charging of its own
@@ -42,16 +45,20 @@ loops, which ``tools/bench_gate.py`` pins exactly.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.graph.dynamic_graph import Edge, norm_edge
 
-__all__ = ["ArrayDynamicGraph"]
+__all__ = ["ArrayDynamicGraph", "EpochReadState", "SweepScratch"]
 
 _I32 = np.int32
 _I64 = np.int64
+
+#: serializes creating an epoch's read state (rare: once per epoch)
+_READ_STATE_LOCK = threading.Lock()
 
 
 class ArrayDynamicGraph:
@@ -60,8 +67,9 @@ class ArrayDynamicGraph:
     Behaviourally identical to :class:`DynamicGraph` (the Hypothesis
     equivalence suite in ``tests/test_array_graph.py`` asserts it on
     random interleaved update sequences); additionally exposes the
-    array-native accessors :meth:`neighbors_array`, :meth:`segments`
-    and :meth:`csr` plus the :attr:`version` epoch counter.
+    array-native accessors :meth:`neighbors_array`, :meth:`segments`,
+    :meth:`csr` and :meth:`read_state` plus the :attr:`version` epoch
+    counter.
     """
 
     #: minimum slack granted to a relocated vertex segment
@@ -89,13 +97,16 @@ class ArrayDynamicGraph:
         self._csr_cache: tuple[int, np.ndarray, np.ndarray] | None = None
         # no reader left; kept for the replay benchmark (see sorted_flat)
         self._sorted_cache: tuple[int, list[int], list[int]] | None = None
-        edges = list(edges)
-        if edges:
+        self._read_state: EpochReadState | None = None
+        # an (m, 2) integer array builds without a per-edge Python tuple
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        if len(edges):
             self._bulk_build(edges)
 
     # -- construction --------------------------------------------------------
 
-    def _bulk_build(self, edges: list[Edge]) -> None:
+    def _bulk_build(self, edges: list[Edge] | np.ndarray) -> None:
         """Vectorized initial build (CSR layout with per-vertex slack)."""
         arr = np.asarray(edges, dtype=_I64)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -233,6 +244,28 @@ class ArrayDynamicGraph:
             indices[:] = self._nbr[live]
         self._csr_cache = (self.version, indptr, indices)
         return indptr, indices
+
+    def read_state(self) -> EpochReadState:
+        """This epoch's :class:`EpochReadState`, built lazily and keyed by
+        :attr:`version` like :meth:`csr`.  A new epoch inherits the
+        scratch pool (scratches are clear between leases and depend only
+        on ``n``); its labels start empty."""
+        st = self._read_state
+        if st is None or st.version != self.version:
+            with _READ_STATE_LOCK:
+                st = self._read_state
+                if st is None or st.version != self.version:
+                    pool = st.pool if st is not None else []
+                    st = self._read_state = EpochReadState(
+                        self.version, self.n, pool)
+        return st
+
+    def __getstate__(self) -> dict:
+        # the read state is a per-process cache; a copy shipped to a
+        # worker rebuilds it on its first read
+        state = self.__dict__.copy()
+        state["_read_state"] = None
+        return state
 
     def sorted_flat(self) -> tuple[list[int], list[int]]:
         """Canonical flat adjacency ``(bounds, flat)``, cached per epoch.
@@ -465,6 +498,117 @@ class ArrayDynamicGraph:
         """Total allocated neighbor slots (live + slack + dead) —
         memory-accounting hook for the benchmarks."""
         return len(self._nbr)
+
+
+class SweepScratch:
+    """``O(n)`` scratch for one frontier sweep, all-clear between leases.
+
+    A sweep writes only the columns it reaches and clears exactly those
+    before it hands the scratch back, so reusing one costs ``O(ball)``,
+    not ``O(n)``.  ``pos`` needs no clearing: a dedup reads a slot only
+    right after writing it.
+    """
+
+    __slots__ = ("pos", "seen", "mark", "_reached", "_acc")
+
+    def __init__(self, n: int) -> None:
+        self.pos = np.empty(n, dtype=_I64)   # dedup positions
+        self.seen = np.zeros(n, dtype=bool)  # flood visited marks
+        self.mark = np.zeros(n, dtype=bool)  # pull-round frontier marks
+        self._reached = np.zeros((0, n), dtype=np.uint64)
+        self._acc = self._reached
+
+    @property
+    def words(self) -> int:
+        """Mask words per vertex this scratch holds."""
+        return len(self._reached)
+
+    def masks(self, nw: int) -> tuple[np.ndarray, np.ndarray]:
+        """Zeroed ``(reached, acc)`` source-mask rows, ``nw`` words each."""
+        if self.words < nw:
+            n = self._reached.shape[1]
+            self._reached = np.zeros((nw, n), dtype=np.uint64)
+            self._acc = np.zeros((nw, n), dtype=np.uint64)
+        return self._reached[:nw], self._acc[:nw]
+
+
+class EpochReadState:
+    """Read state derived from one epoch of an :class:`ArrayDynamicGraph`.
+
+    * ``labels`` — per-vertex component label, canonical as the
+      component's minimum vertex, ``-1`` until a read touches the
+      component (allocated on the first connectivity read);
+    * ``floods`` — per root, ``(work, rounds)`` of the flood from that
+      root, the charge a connectivity read pays for its component;
+    * :meth:`rows` — per-vertex degrees and the non-empty CSR rows,
+      built on first use;
+    * a pool of :class:`SweepScratch`, leased through :meth:`acquire`
+      and :meth:`release`.
+
+    Entries only ever go from unknown to their one correct value, so
+    concurrent readers of one epoch may fill them without a lock: at
+    worst two of them flood the same component and write the same
+    labels.  Only allocating the shared arrays takes the state's lock.
+    The pool is a plain list: ``pop`` and ``append`` are atomic, and its
+    cap is advisory.
+    """
+
+    #: scratches kept for reuse; more concurrent sweeps allocate afresh
+    POOL_MAX = 4
+    #: a scratch whose mask rows grew past this many words (a sweep of
+    #: more than 4096 sources) is dropped, not pooled, so one very wide
+    #: batch does not keep ``O(n * words)`` memory resident
+    MAX_POOLED_WORDS = 64
+
+    __slots__ = ("version", "n", "labels", "floods", "pool", "_rows",
+                 "_lock")
+
+    def __init__(self, version: int, n: int,
+                 pool: list[SweepScratch]) -> None:
+        self.version = version
+        self.n = n
+        self.labels: np.ndarray | None = None
+        self.floods: dict[int, tuple[int, int]] = {}
+        self.pool = pool
+        self._rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._lock = threading.Lock()
+
+    def component_labels(self) -> np.ndarray:
+        """The ``labels`` array, allocated (all ``-1``) on first use."""
+        if self.labels is None:
+            with self._lock:
+                if self.labels is None:
+                    self.labels = np.full(self.n, -1, dtype=_I64)
+        return self.labels
+
+    def rows(self, indptr: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(deg, nz_rows, nz_starts)`` of this epoch's CSR ``indptr``:
+        every vertex's degree, and the rows with at least one neighbor
+        with their segment starts — what a pull round's ``reduceat``
+        needs (an empty row would make it return a neighbor's element
+        instead of nothing)."""
+        if self._rows is None:
+            with self._lock:
+                if self._rows is None:
+                    deg = np.diff(indptr)
+                    nz = np.flatnonzero(deg)
+                    self._rows = (deg, nz, indptr[nz])
+        return self._rows
+
+    def acquire(self) -> SweepScratch:
+        """Borrow a clear scratch from the pool (or a new one)."""
+        try:
+            return self.pool.pop()
+        except IndexError:
+            return SweepScratch(self.n)
+
+    def release(self, sc: SweepScratch) -> None:
+        """Return a scratch the sweep left clear.  A sweep that raised
+        never calls this: its scratch may be dirty and is dropped."""
+        if (len(self.pool) < self.POOL_MAX
+                and sc.words <= self.MAX_POOLED_WORDS):
+            self.pool.append(sc)
 
 
 def _segment_positions(start: np.ndarray, deg: np.ndarray) -> np.ndarray:

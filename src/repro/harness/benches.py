@@ -13,10 +13,11 @@ gate).
 * ``ok`` is the entry's verdict: its oracle or equivalence checks held
   and, outside smoke mode, its acceptance bar was met.
 * ``smoke`` drops timing repeats and speed bars.  Entries whose baseline
-  row pins cost-model ``work``/``depth`` run at baseline size in both
-  modes, so a smoke run still reproduces the exact pins.  Only the
-  entries whose wall-clock sets the run length (SRV2, failover, PAR1)
-  shrink in smoke mode.
+  row pins cost-model ``work``/``depth`` compute the pins at baseline
+  size in both modes, so a smoke run still reproduces them exactly.
+  Only the entries whose wall-clock sets the run length (SRV2, failover,
+  PAR1) and the timed snapshot of the sparse-read entry shrink in smoke
+  mode.
 """
 
 from __future__ import annotations
@@ -208,6 +209,77 @@ def _srv3(smoke: bool) -> tuple[Rows, bool]:
     }], rep.verified and (smoke or rep.speedup_x >= 3.0)
 
 
+def _path_chords(n: int):
+    """The PERF5 sparse snapshot: the path 0-1-...-(n-1) plus n/4 chords
+    ``(u, u + d)``, ``d`` uniform in ``[2, 1024)``; seeded."""
+    import numpy as np
+
+    from repro.graph import ArrayDynamicGraph
+
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, n - 2, size=n // 4)
+    v = np.minimum(u + rng.integers(2, 1024, size=n // 4), n - 1)
+    chords = np.unique(u * n + v)
+    path = np.arange(n - 1)
+    edges = np.column_stack([
+        np.concatenate([path, chords // n]),
+        np.concatenate([path + 1, chords % n]),
+    ])
+    return ArrayDynamicGraph(n, edges)
+
+
+def _reads_sparse(smoke: bool) -> tuple[Rows, bool]:
+    from repro.graph.traversal import bfs_distances
+    from repro.queries import answer_queries
+
+    def local_batch(n: int) -> list:
+        # 8 distance pairs three hops apart, 8 connected pairs: one
+        # small neighborhood of one large component
+        base = n // 2
+        return ([("distance", (base + 7 * i, base + 7 * i + 3))
+                 for i in range(8)]
+                + [("connected", (base + 5 * i, base + 5 * i + 40))
+                   for i in range(8)])
+
+    # the pins: the batch charged on a fresh 10^5-vertex epoch, then
+    # again from its memo (both modes, so smoke reproduces them)
+    pin_graph = _path_chords(100_000)
+    items = local_batch(pin_graph.n)
+    charges = []
+    for _ in range(2):
+        cm = CostModel()
+        _, stats = answer_queries(items, pin_graph, cost=cm)
+        charges.append((stats.work, stats.depth))
+    graph = _path_chords(100_000 if smoke else 1_000_000)
+    items = local_batch(graph.n)
+    t0 = time.perf_counter()
+    answers, _ = answer_queries(items, graph)   # first call of an epoch
+    first = time.perf_counter() - t0
+    # many short timed blocks: the fastest one is the steady state
+    calls = 25
+    steady = _best_seconds(
+        lambda: [answer_queries(items, graph) for _ in range(calls)],
+        1 if smoke else 20,
+    ) / calls
+    expect = []
+    for kind, (u, v) in items:
+        d = bfs_distances(graph, u, target=v).get(v)
+        expect.append(d is not None if kind == "connected"
+                      else float("inf") if d is None else float(d))
+    verified = answers == expect and charges[0] == charges[1]
+    steady_ms = 1000 * steady
+    return [{
+        "n": graph.n,
+        "m": graph.m,
+        "first_call_ms": round(1000 * first, 1),
+        "steady_ms": round(steady_ms, 3),
+        "ops_per_sec": round(len(items) / steady, 1),
+        "work": charges[0][0],
+        "depth": charges[0][1],
+        "verified": verified,
+    }], verified and (smoke or steady_ms <= 0.2)
+
+
 def _par1(smoke: bool) -> tuple[Rows, bool]:
     from repro.parallel.bench import BenchParallelConfig, run_bench_parallel
 
@@ -219,7 +291,7 @@ def _par1(smoke: bool) -> tuple[Rows, bool]:
     return run_bench_parallel(cfg)
 
 
-#: the catalogue; the first five names are the ``BENCH_hotpath.json`` keys
+#: the catalogue; ``BENCH_hotpath.json`` pins the first five and the last
 BENCHES: tuple[Bench, ...] = (
     Bench("bench_e1", "E1: mixed update stream through the fully-dynamic "
           "spanner, construction included; work/depth pinned", _e1),
@@ -236,6 +308,10 @@ BENCHES: tuple[Bench, ...] = (
           _failover),
     Bench("bench_par1", "PAR1: pool kernels' speedup vs W/p + D at pinned "
           "and zero unit cost, charges exact; >=2x at p=4", _par1),
+    Bench("bench_reads_sparse", "PERF6: a small local read batch on a "
+          "path-plus-chords snapshot, 10^6 vertices (10^5 smoke): first "
+          "call of an epoch, steady call <=0.2 ms; work/depth pinned",
+          _reads_sparse),
 )
 
 

@@ -13,7 +13,8 @@ same way :mod:`repro.oracle.fuzz` checks the structures:
   and returns every violation: answer mismatches, order/duplication
   variance (a batch's answers must not depend on request order or
   multiplicity), charge drift between the array graph's vectorized
-  sweeps and the dict adjacency's scalar reference loops, and work/depth
+  sweeps and the dict adjacency's scalar reference loops, charges or
+  answers that move with the epoch's memoized read state, and work/depth
   envelope breaches.
 * :func:`run_query_fuzz` is the campaign driver behind
   ``repro fuzz --queries``: seeded random graphs x query mixes, plus
@@ -55,6 +56,7 @@ __all__ = [
     "QueryFuzzConfig",
     "QueryFuzzReport",
     "check_empty_batch",
+    "check_memo_charges",
     "check_query_batch",
     "check_stretch_batch",
     "run_query_fuzz",
@@ -134,8 +136,9 @@ def check_query_batch(
     duplication invariance (doubling the batch changes nothing); charge
     parity (``batch_distances``/``batch_connected`` charge the same
     ``(work, depth)`` on the array graph as on the dict adjacency —
-    charges depend only on the graph and the batch); and the work/depth
-    envelopes of the shared traversals.  Returns every violation found
+    charges depend only on the graph and the batch); memo invariance
+    (:func:`check_memo_charges`); and the work/depth envelopes of the
+    shared traversals.  Returns every violation found
     (empty list = all checks pass).
     """
     items = list(items)
@@ -186,6 +189,7 @@ def check_query_batch(
             f"array graph charged (work, depth) {charges[1]}, the dict "
             f"adjacency's reference loops {charges[0]}",
         ))
+    viols.extend(check_memo_charges(n, edge_set, items, rng))
     # envelopes: shared traversals mean total work is bounded by
     # (#BFS waves) x graph size plus per-query O(log n) bookkeeping —
     # never by (#queries) x graph size — and depth by levels x log n
@@ -216,6 +220,58 @@ def check_query_batch(
         ))
     viols.extend(check_empty_batch(n, edge_set, adjacency))
     return viols
+
+
+def check_memo_charges(
+    n: int,
+    edge_set: set[Edge],
+    items: Sequence[tuple[str, Any]],
+    rng: np.random.Generator | None = None,
+) -> list[Violation]:
+    """One batch, three memo states: identical answers and charges.
+
+    The array graph keeps component labels and flood charges per epoch
+    (:meth:`~repro.graph.array_graph.ArrayDynamicGraph.read_state`), so
+    a batch may be answered from a fresh epoch, from one that an earlier
+    batch partly labelled, or with its requests reordered.  Charges must
+    depend only on the graph and the set of touched components, so the
+    batch is run charged (a) on a fresh epoch, (b) on a fresh epoch after
+    an uncharged batch of other connectivity reads, whose floods start
+    from the high end of the id range and so rarely at a component's
+    root, and (c) permuted, on that same, now warm, epoch.  Any
+    difference in an answer or in ``(work, depth)`` is one
+    ``memo-charge-variance``.
+    """
+    items = list(items)
+    perm = (list(rng.permutation(len(items))) if rng is not None
+            else list(reversed(range(len(items)))))
+    runs = []
+    fresh = ArrayDynamicGraph(n, edge_set)
+    warm = ArrayDynamicGraph(n, edge_set)
+    other = [("connected", (v, v - 1)) for v in range(n - 1, n // 2, -1)]
+    other.append(("connected", (-1, n)))
+    answer_queries(other, warm)
+    for graph, order in ((fresh, None), (warm, None), (warm, perm)):
+        batch = items if order is None else [items[i] for i in order]
+        cost = CostModel()
+        answers, stats = answer_queries(batch, graph, cost=cost)
+        if order is not None:
+            unperm = [None] * len(items)
+            for j, i in enumerate(order):
+                unperm[i] = answers[j]
+            answers = unperm
+        runs.append((answers, (stats.work, stats.depth)))
+    cases = ("fresh epoch", "epoch labelled by another batch",
+             "permuted, warm epoch")
+    for case, (answers, charge) in zip(cases[1:], runs[1:]):
+        if answers != runs[0][0] or charge != runs[0][1]:
+            return [Violation(
+                "memo-charge-variance",
+                f"{case}: (work, depth) {charge} vs {runs[0][1]} on a "
+                f"fresh epoch; answers "
+                f"{'equal' if answers == runs[0][0] else 'differ'}",
+            )]
+    return []
 
 
 def check_empty_batch(

@@ -10,10 +10,10 @@ Correctness model
 * **Answers are exact.**  Workers hold a *mirror* of the reached/visited
   state, kept in sync by per-round deltas (the merged discoveries of the
   previous round).  A vertex discovered by two chunks in the same round is
-  deduplicated by the parent during the merge, which also assigns
-  distances/labels — first chunk in canonical order wins, exactly like the
-  first discoverer in the sequential scan order (chunks are contiguous
-  slices of the same frontier order).
+  deduplicated by the parent during the merge, which also assigns its
+  distance — the round number, whichever chunk found it.  A component
+  flood labels its members with their minimum vertex once the flood
+  ends, as the sequential path does.
 * **Charges are identical** to the sequential loops in every mode.  The
   sequential loop charges ``pfor_cost(scans, 1, depth=logn)`` per round
   where ``scans`` counts every live frontier vertex plus every scanned
@@ -288,20 +288,23 @@ def parallel_batch_components(
 ) -> dict[int, int]:
     """Backend-executed :func:`repro.queries.batch.batch_components`.
 
-    Answers and charges are identical to the sequential function in every
-    mode: the per-round ``scans`` count is invariant under frontier
-    partitioning, so this path is safe even while charges are recorded.
+    Same labels (each component's minimum vertex, queried vertices only)
+    and same charges (the flood from each touched component's root) as
+    the sequential function in every mode: the per-round ``scans`` count
+    is invariant under frontier partitioning, so this path is safe even
+    while charges are recorded.  A charged call whose first flood of a
+    component did not start at its root floods once more from the root.
     """
     if n is None:
         n = len(adj)
     logn = log2ceil(max(n, 2))
     backend.put_shared(adj_key, adj, version=adj_version)
     neighbors = _neighbor_lookup(adj)
-    comp: dict[int, int] = {}
-    for v0 in vertices:
-        if v0 in comp:
-            continue
-        comp[v0] = v0
+
+    def flood(v0: int, cm: CostModel) -> list[int]:
+        """One whole-frontier flood from ``v0``, charged to ``cm``."""
+        seen = {v0}
+        members = [v0]
         token = backend.new_token()
         pending_delta: list[int] = [v0]
         frontier: list[int] = [v0]
@@ -315,10 +318,10 @@ def parallel_batch_components(
                     scans += 1
                     for w in neighbors(u):
                         scans += 1
-                        if w not in comp:
-                            comp[w] = v0
+                        if w not in seen:
+                            seen.add(w)
                             nxt.append(w)
-                cost.pfor_cost(scans, 1, depth=logn)
+                cm.pfor_cost(scans, 1, depth=logn)
                 backend._emulate(scans)
                 pending_delta.extend(nxt)
             else:
@@ -341,16 +344,39 @@ def parallel_batch_components(
                     pinned=True,
                 )
                 pending_delta = []
-                if cost.enabled:
-                    with cost.parallel() as par:
+                if cm.enabled:
+                    with cm.parallel() as par:
                         for r in results:
                             if r.work:
                                 par.absorb(r.work, r.depth)
                 for r in results:
                     for w in r.value:
-                        if w not in comp:
-                            comp[w] = v0
+                        if w not in seen:
+                            seen.add(w)
                             nxt.append(w)
                 pending_delta.extend(nxt)
+            members += nxt
             frontier = nxt
-    return comp
+        return members
+
+    comp: dict[int, int] = {}    # flooded vertex -> root
+    charged: set[int] = set()    # roots whose flood is already charged
+    out: dict[int, int] = {}
+    for v0 in vertices:
+        if v0 in out:
+            continue
+        root = comp.get(v0)
+        if root is None:
+            probe = CostModel() if cost.enabled else cost
+            members = flood(v0, probe)
+            root = min(members)
+            comp.update(dict.fromkeys(members, root))
+            if root == v0 and cost.enabled:
+                cost.charge_many(probe.work, probe.depth)
+                charged.add(root)
+        out[v0] = root
+    if cost.enabled:
+        for root in dict.fromkeys(out.values()):
+            if root not in charged:
+                flood(root, cost)
+    return out

@@ -10,8 +10,10 @@ work/depth charges to the ambient :class:`~repro.pram.cost.CostModel`:
   vertex scanned on behalf of several sources in the same round pays one
   adjacency scan, not k.
 * :func:`batch_components` / :func:`batch_connected` — connectivity for
-  many pairs by flooding each *touched* component once; total work is
-  bounded by the graph size independent of the number of queries.
+  many pairs by flooding each *touched* component once (once per epoch
+  on an array substrate, whose labels persist in its read state); total
+  work is bounded by the graph size independent of the number of
+  queries.
 
 :func:`answer_queries` is the uniform entry point the serving engine
 (:meth:`repro.service.engine.SpannerService.query_batch`), the wire
@@ -28,11 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.graph.dynamic_graph import Edge
-from repro.graph.traversal import _csr_view, _gather_neighbors, _neighbor_lookup
+from repro.graph.traversal import _gather_neighbors, _neighbor_lookup
 from repro.pram.cost import NULL_COST_MODEL, CostModel, log2ceil
+
+if TYPE_CHECKING:
+    from repro.graph.array_graph import EpochReadState, SweepScratch
 
 __all__ = [
     "BatchQueryStats",
@@ -60,14 +65,10 @@ NULLARY_KINDS = ("size", "edges")
 PULL_FACTOR = 4
 
 
-def _nonempty_rows(indptr):
-    """``(rows, starts)`` of the CSR rows with at least one neighbor: the
-    segment starts a pull round's ``reduceat`` needs (an empty row would
-    make ``reduceat`` return a neighbor's element instead of nothing)."""
-    import numpy as np
-
-    rows = np.flatnonzero(np.diff(indptr))
-    return rows, indptr[rows]
+def _epoch_view(adj):
+    """``(csr, read state)`` of an array substrate's epoch, else None."""
+    read_state = getattr(adj, "read_state", None)
+    return (adj.csr(), read_state()) if callable(read_state) else None
 
 
 def _log_n(adj: Adjacency, n: int | None) -> int:
@@ -131,11 +132,12 @@ def multi_source_bfs(
             backend, adj, sources, targets=targets, bound=bound, n=n,
             cost=cost, adj_version=adj_version,
         )
-    csr = _csr_view(adj)
-    if csr is not None:
+    view = _epoch_view(adj)
+    if view is not None:
+        csr, state = view
         return _multi_source_bfs_csr(
             csr, sources, targets=targets, bound=bound, cost=cost,
-            logn=_log_n(adj, n),
+            logn=_log_n(adj, n), state=state,
         )
     neighbors = _neighbor_lookup(adj)
     srcs = list(dict.fromkeys(sources))
@@ -212,6 +214,7 @@ def _multi_source_bfs_csr(
     bound: int | None,
     cost: CostModel,
     logn: int,
+    state: EpochReadState,
 ) -> dict[int, dict[int, int]]:
     """Vectorized :func:`multi_source_bfs` over a CSR view.
 
@@ -224,13 +227,15 @@ def _multi_source_bfs_csr(
 
     * **push** (the frontier scans at most ``1 / PULL_FACTOR`` of the
       adjacency): gather the live frontier's neighbor slices, OR their
-      masks into a dense scratch row (``bitwise_or.at``) and dedup the
+      masks into the accumulator rows (``bitwise_or.at``) and dedup the
       discovered vertices through a position scratch — no sort;
-    * **pull** (a larger frontier): OR every vertex's neighbor masks in
-      one segmented ``bitwise_or.reduceat`` over the whole CSR.
+    * **pull** (a larger frontier): OR every non-empty row's neighbor
+      masks in one segmented ``bitwise_or.reduceat`` over the CSR.
 
     Both run one mask word at a time, so a round's temporaries are
-    ``O(n + m)`` for any ``k``; the long-lived state is ``O(n * W)``.
+    ``O(n + m)`` for any ``k``.  The masks live in a scratch leased from
+    the epoch's ``state`` and are cleared column by column at the end,
+    so a sweep that reaches a small ball costs ``O(ball)``, not ``O(n)``.
     With targets it then settles the pending ``(source, target)`` pairs
     and retires finished sources at the round boundary.  Answers and
     charges equal the scalar path's.
@@ -246,104 +251,129 @@ def _multi_source_bfs_csr(
         return dist
     cost.pfor_cost(k, 1, depth=logn)
     nw = (k + 63) >> 6
-    idx = np.arange(k, dtype=np.int64)
-    word = idx >> 6
-    shift = (idx & 63).astype(np.uint64)
-    bit = np.left_shift(np.uint64(1), shift)
-    live_src = np.ones(k, dtype=bool)
+    bits = [1 << (i & 63) for i in range(k)]   # source i's bit, word i >> 6
+    live = [True] * k
     if targets is not None:
         # pending (source index, target) pairs plus each source's count
         # of unsettled targets; an out-of-range target never settles
         want = [set(targets.get(s, ())) - {s} for s in srcs]
-        left = np.fromiter(map(len, want), dtype=np.int64, count=k)
-        live_src = left > 0
+        left = [len(ts) for ts in want]
+        live = [c > 0 for c in left]
         pairs = [(i, t) for i, ts in enumerate(want) for t in ts
                  if 0 <= t < n]
         t_src = np.array([i for i, _ in pairs], dtype=np.int64)
         t_dst = np.array([t for _, t in pairs], dtype=np.int64)
-    active = np.zeros(nw, dtype=np.uint64)
-    np.bitwise_or.at(active, word[live_src], bit[live_src])
-    src_arr = np.asarray(srcs, dtype=np.int64)
-    in_range = (src_arr >= 0) & (src_arr < n)
+        # each pair's slot in the flattened (word, vertex) accumulator
+        t_flat = (t_src >> 6) * n + t_dst
+        t_bit = np.array([bits[i] for i, _ in pairs], dtype=np.uint64)
+    active = [0] * nw   # per-word masks of the live sources
+    for i in range(k):
+        if live[i]:
+            active[i >> 6] |= bits[i]
+    nlive = sum(live)
+    inside = [i for i, s in enumerate(srcs) if 0 <= s < n]
     # out-of-range sources behave like isolated vertices (dict-adjacency
     # parity): never expanded, but a live one still takes a frontier
     # slot in the first round's charged scan count
-    phantom = int((~in_range & live_src).sum())
-    frontier_v = src_arr[in_range]
-    frontier_m = np.zeros((nw, len(frontier_v)), dtype=np.uint64)
-    frontier_m[word[in_range], np.arange(len(frontier_v))] = bit[in_range]
-    reached = np.zeros((nw, n), dtype=np.uint64)
-    reached[:, frontier_v] = frontier_m
-    # one O(n) scratch per sweep: OR-accumulator rows, dedup positions;
-    # the pull rounds' segment starts are built at the first pull round
-    acc = np.zeros((nw, n), dtype=np.uint64)
-    pos = np.empty(n, dtype=np.int64)
-    nz = None
+    phantom = nlive - sum(live[i] for i in inside)
+    frontier_v = np.array([srcs[i] for i in inside], dtype=np.int64)
+    masks = np.zeros((nw, len(inside)), dtype=np.uint64)
+    masks[np.array(inside, dtype=np.int64) >> 6, np.arange(len(inside))] = \
+        np.array([bits[i] for i in inside], dtype=np.uint64)
+    frontier_m = list(masks)   # one mask row per word
+    deg, nz_rows, nz_starts = state.rows(indptr)
+    # the frontier carries bits of retired sources only after a source
+    # retires (or starts without targets); only then is it filtered
+    stale = nlive < k
+    sc = state.acquire()
+    reached_2d, acc_2d = sc.masks(nw)
+    reached, acc = list(reached_2d), list(acc_2d)   # 1-D row views
+    acc_flat = acc_2d.reshape(-1)
+    pos = sc.pos
+    for j in range(nw):
+        reached[j][frontier_v] = frontier_m[j]
+    touched = [frontier_v]   # the reached columns to clear at the end
     level = 0
-    while (len(frontier_v) or phantom) and active.any():
+    while (len(frontier_v) or phantom) and nlive:
         level += 1
         if bound is not None and level > bound:
             break
-        live = frontier_m & active[:, None]
-        keep = live.any(axis=0)
-        fv = frontier_v[keep]
-        live = live[:, keep]
-        first = indptr[fv]
-        counts = indptr[fv + 1] - first
-        scanned = int(counts.sum())
+        if stale:
+            frontier_m = [m & a for m, a in zip(frontier_m, active)]
+            keep = frontier_m[0] != 0
+            for m in frontier_m[1:]:
+                keep |= m != 0
+            frontier_v = frontier_v[keep]
+            frontier_m = [m[keep] for m in frontier_m]
+        fv = frontier_v
+        counts = deg[fv]
+        scanned = int(np.add.reduce(counts))
         cost.pfor_cost(len(fv) + phantom + scanned, 1, depth=logn)
         phantom = 0
         if PULL_FACTOR * scanned > len(indices):
-            # pull: the live masks sit in the scratch rows while every
-            # vertex ORs its neighbors' in one segmented reduction
-            if nz is None:
-                nz = _nonempty_rows(indptr)
-            nz_rows, nz_starts = nz
-            acc[:, fv] = live
-            dense = np.zeros_like(acc)
-            for j in range(nw):
-                dense[j, nz_rows] = np.bitwise_or.reduceat(
-                    acc[j][indices], nz_starts
-                )
-            acc[:, fv] = 0
-            dense &= ~reached
-            uniq = np.flatnonzero(dense.any(axis=0))
+            # pull: the live masks sit in the accumulator rows while
+            # every non-empty row ORs its neighbors' in one segmented
+            # reduction; the new bits land back in the accumulator
+            red = []
+            hit = None
+            for m, a, r in zip(frontier_m, acc, reached):
+                a[fv] = m
+                rj = np.bitwise_or.reduceat(a[indices], nz_starts)
+                a[fv] = 0
+                rj &= ~r[nz_rows]
+                red.append(rj)
+                h = rj != 0
+                hit = h if hit is None else hit | h
+            uniq = nz_rows[hit]
+            for rj, a in zip(red, acc):
+                a[uniq] = rj[hit]
         else:
-            # push: scatter the frontier's masks onto its neighbors
-            nbrs = _gather_neighbors(indices, first, counts)
-            hit = np.zeros(len(nbrs), dtype=bool)
-            for j in range(nw):
-                add = np.repeat(live[j], counts) & ~reached[j, nbrs]
+            # push: scatter the frontier's masks onto its neighbors,
+            # then dedup the discovered vertices through ``pos``
+            nbrs = _gather_neighbors(indices, indptr[fv], counts)
+            hit = None
+            for m, a, r in zip(frontier_m, acc, reached):
+                add = m.repeat(counts) & ~r[nbrs]
+                np.bitwise_or.at(a, nbrs, add)
                 h = add != 0
-                np.bitwise_or.at(acc[j], nbrs[h], add[h])
-                hit |= h
+                hit = h if hit is None else hit | h
             nb = nbrs[hit]
             slot = np.arange(len(nb))
             pos[nb] = slot
             uniq = nb[pos[nb] == slot]
-            dense = acc
-        new = dense[:, uniq]
+        new = [a[uniq] for a in acc]
+        stale = False
         if targets is None:
             for i, s in enumerate(srcs):
-                hit = ((new[word[i]] >> shift[i]) & np.uint64(1)).astype(bool)
-                if hit.any():
-                    dist[s].update(dict.fromkeys(uniq[hit].tolist(), level))
-        elif len(t_src):
-            got = (dense[word[t_src], t_dst] >> shift[t_src]) & np.uint64(1)
-            got = got.astype(bool)
-            if got.any():
-                hs = t_src[got]
-                for i, t in zip(hs.tolist(), t_dst[got].tolist()):
+                got = (new[i >> 6] & bits[i]) != 0
+                if np.count_nonzero(got):
+                    dist[s].update(
+                        dict.fromkeys(uniq[got].tolist(), level))
+        elif len(t_dst):
+            got = acc_flat[t_flat] & t_bit
+            if np.count_nonzero(got):
+                got = got != 0
+                for i, t in zip(t_src[got].tolist(),
+                                t_dst[got].tolist()):
                     dist[srcs[i]][t] = level
-                np.subtract.at(left, hs, 1)
-                done = hs[left[hs] == 0]
-                np.bitwise_and.at(active, word[done], ~bit[done])
-                t_src = t_src[~got]
-                t_dst = t_dst[~got]
-        if dense is acc:
-            acc[:, uniq] = 0
-        reached[:, uniq] |= new
+                    left[i] -= 1
+                    if not left[i]:
+                        # retire at the round boundary
+                        active[i >> 6] &= ~(1 << (i & 63))
+                        nlive -= 1
+                        stale = True
+                pend = ~got
+                t_src, t_dst = t_src[pend], t_dst[pend]
+                t_flat, t_bit = t_flat[pend], t_bit[pend]
+        for a, r, m in zip(acc, reached, new):
+            a[uniq] = 0
+            r[uniq] |= m
+        touched.append(uniq)
         frontier_v, frontier_m = uniq, new
+    cols = np.concatenate(touched)
+    for r in reached:
+        r[cols] = 0
+    state.release(sc)
     return dist
 
 
@@ -373,7 +403,7 @@ def batch_distances(
             want.setdefault(a, set()).add(b)
     cost.charge_hash_op(len(pairs))  # pair normalization + source grouping
     dist = multi_source_bfs(
-        adj, list(want), targets={s: set(t) for s, t in want.items()},
+        adj, list(want), targets=want,
         n=n, cost=cost, backend=backend, adj_version=adj_version,
     ) if want else {}
     out: list[float] = []
@@ -395,13 +425,26 @@ def batch_components(
     backend=None,
     adj_version: Any = None,
 ) -> dict[int, int]:
-    """Component label for each queried vertex; touched components flood once.
+    """Component label of each queried vertex: its component's minimum
+    vertex.
 
-    Labels are canonical per batch (the first queried vertex of the
-    component); two vertices share a label iff they are connected.  Total
-    work is bounded by the size of the *touched* components — independent
-    of how many queries land in them — which is the whole dividend of
-    batching connectivity reads.
+    Two queried vertices share a label iff they are connected; the
+    result holds the queried vertices only.  A touched component is
+    flooded once per batch — on an array substrate once per *epoch*: the
+    labels persist in the graph's :meth:`read_state
+    <repro.graph.array_graph.ArrayDynamicGraph.read_state>`, so a later
+    batch on the same snapshot answers from them without a traversal.
+
+    Charges depend only on the graph and the set of touched components,
+    never on the order of ``vertices`` or on what an earlier batch
+    labelled: each touched component is charged the whole-frontier flood
+    from its minimum vertex (its root), work ``|V_C| + 2|E_C|``
+    (``|frontier| + scanned`` per round) and depth ``rounds * log n``.
+    A queried vertex outside the graph is its own neighborless component
+    (one round, one scan).  When charging is enabled and a component's
+    first flood did not start at its root, one more flood from the root
+    measures the charge (once per component per epoch on an array
+    substrate); an uncharged call never floods a component twice.
 
     With a ``backend``, floods expand chunk-parallel across workers; the
     per-round scan count is partition-invariant, so answers *and* charges
@@ -413,105 +456,162 @@ def batch_components(
         return parallel_batch_components(
             backend, adj, vertices, n=n, cost=cost, adj_version=adj_version,
         )
-    csr = _csr_view(adj)
-    if csr is not None:
-        # flood charges (|frontier| + scanned per round) are partition-
-        # and order-invariant, so the vectorized flood is charge-exact
-        return _batch_components_csr(
-            csr, vertices, cost=cost, logn=_log_n(adj, n)
-        )
-    neighbors = _neighbor_lookup(adj)
     logn = _log_n(adj, n)
-    comp: dict[int, int] = {}
+    view = _epoch_view(adj)
+    if view is not None:
+        return _batch_components_csr(*view, vertices, cost=cost, logn=logn)
+    # the reference loop: labels and root charges live for this call only
+    neighbors = _neighbor_lookup(adj)
+    comp: dict[int, int] = {}                 # flooded vertex -> root
+    floods: dict[int, tuple[int, int]] = {}   # root -> (work, rounds)
+    out: dict[int, int] = {}
     for v0 in vertices:
-        if v0 in comp:
+        if v0 in out:
             continue
-        comp[v0] = v0
-        frontier = [v0]
-        while frontier:
-            scans = 0
-            nxt: list[int] = []
-            for u in frontier:
-                scans += 1
-                for w in neighbors(u):
-                    scans += 1
-                    if w not in comp:
-                        comp[w] = v0
-                        nxt.append(w)
-            cost.pfor_cost(scans, 1, depth=logn)
-            frontier = nxt
-    return comp
+        root = comp.get(v0)
+        if root is None:
+            members, flood = _flood(neighbors, v0)
+            root = min(members)
+            comp.update(dict.fromkeys(members, root))
+            if root == v0:
+                floods[root] = flood
+        out[v0] = root
+    if cost.enabled:
+        for root in dict.fromkeys(out.values()):
+            work, rounds = floods.get(root) or _flood(neighbors, root)[1]
+            cost.charge_many(work, rounds * logn)
+    return out
+
+
+def _flood(neighbors, v0: int) -> tuple[list[int], tuple[int, int]]:
+    """Whole-frontier flood from ``v0``: its component's vertices plus
+    ``(work, rounds)``, work counting ``|frontier| + scanned`` per
+    round."""
+    seen = {v0}
+    members = [v0]
+    frontier = [v0]
+    work = rounds = 0
+    while frontier:
+        rounds += 1
+        work += len(frontier)
+        nxt: list[int] = []
+        for u in frontier:
+            for w in neighbors(u):
+                work += 1
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        members += nxt
+        frontier = nxt
+    return members, (work, rounds)
 
 
 def _batch_components_csr(
     csr,
+    state: EpochReadState,
     vertices: Iterable[int],
     *,
     cost: CostModel,
     logn: int,
 ) -> dict[int, int]:
-    """Vectorized :func:`batch_components` flood over a CSR view.
+    """:func:`batch_components` from an epoch's memoized labels.
 
-    Same flood order (per queried vertex, whole-frontier rounds), same
-    labels (first queried vertex of each component), same per-round
-    ``pfor_cost`` charges — just numpy gathers instead of per-edge Python.
-    Each round's discovered vertices are deduplicated through one O(n)
-    position scratch instead of a sort; labels and charges are
-    order-invariant, so frontier order does not matter.
+    Each queried vertex whose component is still unlabelled costs one
+    vectorized flood (:func:`_flood_csr`), which labels the whole
+    component with its minimum vertex; every other queried vertex is one
+    gather from ``state.labels``.  Charges replay the root floods stored
+    in ``state.floods``.
+    """
+    import numpy as np
+
+    indptr, _ = csr
+    n = len(indptr) - 1
+    labels = state.component_labels()
+    out: dict[int, int] = {}
+    inside: list[int] = []
+    for v in dict.fromkeys(vertices):
+        if 0 <= v < n:
+            inside.append(v)
+        else:
+            out[v] = v   # an absent vertex is its own component
+    roots: list[int] = []
+    if inside:
+        idx = np.array(inside, dtype=np.int64)
+        lab = labels[idx]
+        todo = np.flatnonzero(lab < 0).tolist()
+        if todo:
+            sc = state.acquire()
+            for i in todo:
+                v0 = inside[i]
+                if labels[v0] >= 0:
+                    continue   # an earlier flood of this call
+                members, flood = _flood_csr(csr, state, sc, v0)
+                root = int(members.min())
+                labels[members] = root
+                if root == v0:
+                    state.floods[root] = flood
+            state.release(sc)
+            lab = labels[idx]
+        roots = lab.tolist()
+        out.update(zip(inside, roots))
+    if cost.enabled:
+        extra = len(out) - len(inside)
+        cost.charge_many(extra, extra * logn)
+        for root in dict.fromkeys(roots):
+            flood = state.floods.get(root)
+            if flood is None:
+                sc = state.acquire()
+                flood = state.floods[root] = _flood_csr(csr, state, sc,
+                                                        root)[1]
+                state.release(sc)
+            work, rounds = flood
+            cost.charge_many(work, rounds * logn)
+    return out
+
+
+def _flood_csr(csr, state: EpochReadState, sc: SweepScratch, v0: int):
+    """Vectorized :func:`_flood` over a CSR view: ``(members, (work,
+    rounds))``.
+
+    Whole-frontier rounds; a round pushes (gather the frontier's
+    neighbor slices, dedup through the position scratch, no sort) or,
+    past ``1 / PULL_FACTOR`` of the adjacency, pulls (one segmented OR of
+    frontier membership over the non-empty rows).  The visited marks
+    live in the leased scratch and are cleared for exactly the members
+    before returning.
     """
     import numpy as np
 
     indptr, indices = csr
-    n = len(indptr) - 1
-    label = np.full(n, -1, dtype=np.int64)
-    # per-call O(n) scratch: push dedup positions, pull frontier marks
-    # (segment starts built at the first pull round)
-    pos = np.empty(n, dtype=np.int64)
-    mark = np.zeros(n, dtype=bool)
-    nz = None
-    extra: dict[int, int] = {}   # out-of-range queried vertices
-    for v0 in vertices:
-        if not 0 <= v0 < n:
-            if v0 not in extra:
-                extra[v0] = v0
-                # the scalar path floods an absent vertex as one
-                # neighborless frontier round
-                cost.pfor_cost(1, 1, depth=logn)
-            continue
-        if label[v0] >= 0:
-            continue
-        label[v0] = v0
-        frontier = np.array([v0], dtype=np.int64)
-        while len(frontier):
-            first = indptr[frontier]
-            counts = indptr[frontier + 1] - first
-            scanned = int(counts.sum())
-            cost.pfor_cost(len(frontier) + scanned, 1, depth=logn)
-            if PULL_FACTOR * scanned > len(indices):
-                # pull (see _multi_source_bfs_csr): one segmented OR of
-                # frontier membership over every vertex's neighbors
-                if nz is None:
-                    nz = _nonempty_rows(indptr)
-                nz_rows, nz_starts = nz
-                mark[frontier] = True
-                hit = np.zeros(n, dtype=bool)
-                hit[nz_rows] = np.logical_or.reduceat(
-                    mark[indices], nz_starts
-                )
-                mark[frontier] = False
-                new = np.flatnonzero(hit & (label < 0))
-            else:
-                nbrs = _gather_neighbors(indices, first, counts)
-                new = nbrs[label[nbrs] < 0]
-                slot = np.arange(len(new))
-                pos[new] = slot
-                new = new[pos[new] == slot]
-            label[new] = v0
-            frontier = new
-    touched = np.nonzero(label >= 0)[0]
-    comp = dict(zip(touched.tolist(), label[touched].tolist()))
-    comp.update(extra)
-    return comp
+    deg, nz_rows, nz_starts = state.rows(indptr)
+    seen, pos, mark = sc.seen, sc.pos, sc.mark
+    seen[v0] = True
+    frontier = np.array([v0], dtype=np.int64)
+    parts = [frontier]
+    work = rounds = 0
+    while len(frontier):
+        counts = deg[frontier]
+        scanned = int(np.add.reduce(counts))
+        work += len(frontier) + scanned
+        rounds += 1
+        if PULL_FACTOR * scanned > len(indices):
+            mark[frontier] = True
+            hit = np.logical_or.reduceat(mark[indices], nz_starts)
+            mark[frontier] = False
+            new = nz_rows[hit]
+            new = new[~seen[new]]
+        else:
+            nbrs = _gather_neighbors(indices, indptr[frontier], counts)
+            new = nbrs[~seen[nbrs]]
+            slot = np.arange(len(new))
+            pos[new] = slot
+            new = new[pos[new] == slot]
+        seen[new] = True
+        parts.append(new)
+        frontier = new
+    members = np.concatenate(parts)
+    seen[members] = False
+    return members, (work, rounds)
 
 
 def batch_connected(
@@ -569,7 +669,7 @@ def batch_stretch_check(
     cost.charge_hash_op(len(keys))
     dist = multi_source_bfs(
         spanner_adj, list(want),
-        targets={s: set(t) for s, t in want.items()},
+        targets=want,
         bound=bound, n=n, cost=cost, backend=backend,
         adj_version=adj_version,
     ) if want else {}

@@ -147,6 +147,20 @@ class TestEquivalence:
             # failed batches left the graph untouched
             assert set(g.edges()) == {(0, 1)}
 
+    def test_build_from_edge_array(self):
+        """An (m, 2) integer array builds the same graph as the pair
+        list, and a bad row raises the same per-edge error."""
+        import numpy as np
+
+        pairs = [(0, 1), (3, 1), (2, 4)]
+        g = ArrayDynamicGraph(5, np.array(pairs))
+        assert g.edge_set() == ArrayDynamicGraph(5, pairs).edge_set()
+        assert ArrayDynamicGraph(5, np.empty((0, 2), dtype=int)).m == 0
+        with pytest.raises(ValueError, match="outside"):
+            ArrayDynamicGraph(5, np.array([(0, 1), (2, 7)]))
+        with pytest.raises(ValueError, match="duplicate"):
+            ArrayDynamicGraph(5, np.array([(0, 1), (1, 0)]))
+
 
 # -- generator termination at the density boundary ---------------------------
 

@@ -367,6 +367,179 @@ class TestCoalesceAndAnswer:
         assert [v.kind for v in viols] == ["query-charge-drift"]
 
 
+    def test_oracle_flags_memo_charge_variance(self, monkeypatch):
+        """A components charge that depends on the epoch's memo (one
+        extra unit on an epoch with no labels yet) is reported as
+        exactly one ``memo-charge-variance``, nothing else."""
+        import repro.queries.batch as qbatch
+
+        real = qbatch._batch_components_csr
+
+        def skewed(csr, state, vertices, *, cost, **kw):
+            if state.labels is None:
+                cost.charge_many(1, 0)
+            return real(csr, state, vertices, cost=cost, **kw)
+
+        monkeypatch.setattr(qbatch, "_batch_components_csr", skewed)
+        edges = _edge_set(25, 20, seed=13)
+        items = [("connected", (0, 24)), ("connected", (3, 9))]
+        viols = check_query_batch(25, edges, items,
+                                  rng=np.random.default_rng(13))
+        assert [v.kind for v in viols] == ["memo-charge-variance"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 10**6),
+           st.lists(st.tuples(
+               st.sampled_from(("distance", "connected", "contains")),
+               st.integers(-3, 27), st.integers(-3, 27)),
+               min_size=1, max_size=20))
+    def test_oracle_clean_on_random_graphs(self, n, seed, raw):
+        """The whole query oracle — memo invariance included — holds on
+        random graphs with ids out of range and negative."""
+        m = min(int(seed % (3 * n + 1)), n * (n - 1) // 2)
+        edges = _edge_set(n, m, seed=seed) if m else set()
+        items = [(kind, (u, v)) for kind, u, v in raw]
+        assert check_query_batch(n, edges, items,
+                                 rng=np.random.default_rng(seed)) == []
+
+
+class TestEpochReadState:
+    """Component labels memoized per epoch on the array graph."""
+
+    @staticmethod
+    def _graph():
+        # components {0..4} (a path), {5, 6}, {7}, and 8..9 a path again
+        edges = {(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (8, 9)}
+        return ArrayDynamicGraph(10, edges)
+
+    def test_labels_are_minimum_vertices_of_queried_only(self):
+        g = self._graph()
+        comp = batch_components(g, [4, 6, 7, 12, -2, 2])
+        assert comp == {4: 0, 6: 5, 7: 7, 12: 12, -2: -2, 2: 0}
+        assert batch_components(_adj({(0, 1), (1, 2), (2, 3), (3, 4),
+                                      (5, 6), (8, 9)}),
+                                [4, 6, 7, 12, -2, 2]) == comp
+
+    def test_one_flood_per_component_per_epoch(self, monkeypatch):
+        import repro.queries.batch as qbatch
+
+        floods = []
+        real = qbatch._flood_csr
+
+        def counted(csr, state, sc, v0):
+            floods.append(v0)
+            return real(csr, state, sc, v0)
+
+        monkeypatch.setattr(qbatch, "_flood_csr", counted)
+        g = self._graph()
+        batch_components(g, [3, 4, 6])        # uncharged: one flood each
+        assert floods == [3, 6]
+        batch_components(g, [1, 5, 2])        # all memo hits
+        assert floods == [3, 6]
+        cm = CostModel()
+        batch_components(g, [4, 6], cost=cm)  # charged: root floods once
+        assert floods == [3, 6, 0, 5]
+        again = CostModel()
+        batch_components(g, [6, 4], cost=again)
+        assert floods == [3, 6, 0, 5]
+        assert (again.work, again.depth) == (cm.work, cm.depth)
+        g.insert_batch([(4, 5)])              # a new epoch starts empty
+        batch_components(g, [6])
+        assert floods == [3, 6, 0, 5, 6]
+
+    def test_charge_is_root_flood(self):
+        """Work |V_C| + 2|E_C|, depth the rounds from the minimum vertex
+        (5 on the path 0..4) times log n, from whichever vertex the
+        batch queries first."""
+        logn = 4  # log2ceil(10)
+        for first in (0, 2, 4):
+            cm = CostModel()
+            batch_components(self._graph(), [first], cost=cm)
+            assert (cm.work, cm.depth) == (5 + 2 * 4, 5 * logn)
+
+    def test_scratch_is_clear_after_sweeps(self, monkeypatch):
+        from repro.graph.array_graph import EpochReadState
+
+        g = ArrayDynamicGraph(60, _edge_set(60, 90, seed=3))
+        sources = list(range(0, 60, 4))
+        ref = multi_source_bfs(_adj(_edge_set(60, 90, seed=3)), sources)
+        for _ in range(3):
+            assert multi_source_bfs(g, sources) == ref
+            batch_components(g, range(60))
+        st = g.read_state()
+        assert len(st.pool) == 1
+        sc = st.pool[0]
+        assert not sc.seen.any() and not sc.mark.any()
+        reached, acc = sc.masks(1)
+        assert not reached.any() and not acc.any()
+        # a sweep wider than the pooled cap leaves its scratch unpooled
+        st.pool.clear()
+        monkeypatch.setattr(EpochReadState, "MAX_POOLED_WORDS", 0)
+        multi_source_bfs(g, sources)
+        assert st.pool == []
+
+    def test_concurrent_readers_match_serial(self):
+        """Eight threads answer batches on one epoch at once; each gets
+        exactly the serial answers and charges (memo fills race, and
+        scratches are leased per sweep)."""
+        import sys
+        import threading
+
+        n = 400
+        edges = _edge_set(n, 300, seed=31)   # sparse: many components
+        rng = np.random.default_rng(31)
+        batches = []
+        for t in range(8):
+            items = []
+            for _ in range(40):
+                kind = ("distance", "connected")[int(rng.integers(0, 2))]
+                items.append((kind, tuple(map(int, rng.integers(-2, n + 2,
+                                                                2)))))
+            batches.append(items)
+        serial = []
+        for items in batches:
+            cm = CostModel()
+            answers, stats = answer_queries(items, ArrayDynamicGraph(n, edges),
+                                            cost=cm)
+            serial.append((answers, (stats.work, stats.depth)))
+        graph = ArrayDynamicGraph(n, edges)
+        start = threading.Barrier(8)
+        got: list = [None] * 8
+        errors: list = []
+
+        def reader(t):
+            try:
+                start.wait()
+                out = []
+                for rep in range(5):
+                    # odd threads also read uncharged, filling labels from
+                    # non-root floods while the charged readers run
+                    if t % 2 and rep % 2:
+                        answer_queries(batches[t], graph)
+                    answers, stats = answer_queries(batches[t], graph,
+                                                    cost=CostModel())
+                    out.append((answers, (stats.work, stats.depth)))
+                got[t] = out
+            except BaseException as exc:  # pragma: no cover - reported
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(t,))
+                       for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        for t in range(8):
+            assert got[t] == [serial[t]] * 5
+
+
 class TestChargeParity:
     """The vectorized CSR sweep (array graph) and the scalar reference loop
     (dict adjacency) give identical answers *and* identical ``(work,
