@@ -74,8 +74,11 @@ class ArrayDynamicGraph:
 
     #: minimum slack granted to a relocated vertex segment
     _MIN_GROW = 4
-    #: batches at or below this size take the scalar apply path
-    _SMALL_BATCH = 32
+    #: insert batches at or below this size take the scalar apply path
+    _SCALAR_INSERT = 32
+    #: delete batches at or below this size take the scalar path, larger
+    #: ones the vectorized join (docs/substrate.md has the measurement)
+    _SCALAR_DELETE = 12
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  slack: int = 2) -> None:
@@ -325,10 +328,9 @@ class ArrayDynamicGraph:
         return added
 
     def _apply_insert(self, added: list[Edge]) -> None:
-        if len(added) <= self._SMALL_BATCH:
-            # scalar path: per-flush serving deltas are a handful of
-            # edges, where whole-array bincount/argsort overhead dwarfs
-            # the work (the vectorized path costs O(n) per call)
+        if len(added) <= self._SCALAR_INSERT:
+            # scalar path: most serving deltas are a few edges, where
+            # the vectorized path's fixed numpy overhead dwarfs the work
             for a, b in added:
                 for v, w in ((a, b), (b, a)):
                     d = int(self._deg[v])
@@ -336,36 +338,62 @@ class ArrayDynamicGraph:
                         self._grow(v, d + 1)
                     self._nbr[int(self._start[v]) + d] = w
                     self._deg[v] = d + 1
-            self._m += len(added)
-            self.version += 1
-            self._csr_cache = None
-            self._sorted_cache = None
+            self._mutated(len(added))
             return
         arr = np.asarray(added, dtype=_I32)
         ends = np.concatenate([arr[:, 0], arr[:, 1]])
         other = np.concatenate([arr[:, 1], arr[:, 0]])
-        inc = np.bincount(ends, minlength=self.n).astype(_I32)
+        # per touched vertex only: O(batch), not O(n), per call
+        verts, inc = np.unique(ends, return_counts=True)
+        deg = self._deg[verts]
         # grow every vertex whose slack cannot absorb its new neighbors
-        tight = np.nonzero(inc > (self._cap - self._deg))[0]
-        for v in tight.tolist():
-            self._grow(v, int(self._deg[v] + inc[v]))
+        tight = inc > self._cap[verts] - deg
+        for v, need in zip(verts[tight].tolist(),
+                           (deg + inc)[tight].tolist()):
+            self._grow(v, need)
         # scatter: per-endpoint offset within its vertex's new block
         order = np.argsort(ends, kind="stable")
         se = ends[order]
         offs = _within_group_offsets(se)
         pos = self._start[se] + self._deg[se] + offs
         self._nbr[pos] = other[order]
-        self._deg += inc
-        self._m += len(added)
-        self.version += 1
-        self._csr_cache = None
-        self._sorted_cache = None
+        self._deg[verts] = deg + inc
+        self._mutated(len(added))
 
     def delete_batch(self, edges: Iterable[Edge]) -> list[Edge]:
-        """Delete a batch; returns the normalized edges removed."""
+        """Delete a batch; returns the normalized edges removed.
+
+        Raises on a self-loop, and on an absent, out-of-range or
+        repeated edge — the exact :class:`DynamicGraph` contract, for
+        the first offender in input order, with nothing deleted."""
+        pairs = edges if isinstance(edges, list) else list(edges)
+        if len(pairs) > self._SCALAR_DELETE:
+            removed = self._delete_join(pairs)
+            if removed is not None:
+                return removed
+        removed = self._check_delete(pairs)
+        if not removed:
+            return removed
+        # scalar swap-remove per endpoint (in-segment neighbor order is
+        # not part of the contract; every consumer treats the segment as
+        # a set)
+        for a, b in removed:
+            for v, w in ((a, b), (b, a)):
+                s = int(self._start[v])
+                d = int(self._deg[v])
+                seg = self._nbr[s:s + d]
+                i = seg.tolist().index(w)
+                seg[i] = seg[d - 1]
+                self._deg[v] = d - 1
+        self._mutated(-len(removed))
+        return removed
+
+    def _check_delete(self, pairs: list) -> list[Edge]:
+        """Normalize and validate a delete batch edge by edge, raising
+        for the first offender; the normalized edges."""
         removed: list[Edge] = []
         batch: set[Edge] = set()
-        for u, v in edges:
+        for u, v in pairs:
             e = norm_edge(u, v)
             if e in batch or not (
                 0 <= e[0] and e[1] < self.n and self._has(*e)
@@ -373,50 +401,57 @@ class ArrayDynamicGraph:
                 raise KeyError(f"edge {e} not present")
             batch.add(e)
             removed.append(e)
-        if not removed:
-            return removed
-        if len(removed) <= self._SMALL_BATCH:
-            # scalar swap-remove per endpoint (in-segment neighbor order
-            # is not part of the contract; every consumer treats the
-            # segment as a set)
-            for a, b in removed:
-                for v, w in ((a, b), (b, a)):
-                    s = int(self._start[v])
-                    d = int(self._deg[v])
-                    seg = self._nbr[s:s + d]
-                    i = seg.tolist().index(w)
-                    seg[i] = seg[d - 1]
-                    self._deg[v] = d - 1
-            self._m -= len(removed)
-            self.version += 1
-            self._csr_cache = None
-            self._sorted_cache = None
-            return removed
-        arr = np.asarray(removed, dtype=_I32)
-        ends = np.concatenate([arr[:, 0], arr[:, 1]])
-        other = np.concatenate([arr[:, 1], arr[:, 0]])
-        order = np.argsort(ends, kind="stable")
-        se, so = ends[order], other[order]
-        bounds = np.nonzero(np.diff(se))[0] + 1
-        groups = np.split(np.arange(len(se)), bounds)
-        for g in groups:
-            if len(g) == 0:
-                continue
-            v = int(se[g[0]])
-            gone = set(so[g].tolist())
-            s = int(self._start[v])
-            d = int(self._deg[v])
-            # set-based rewrite: segments are degree-sized, where a
-            # python set probe beats an np.isin call per touched vertex
-            kept = [w for w in self._nbr[s:s + d].tolist()
-                    if w not in gone]
-            self._nbr[s:s + len(kept)] = kept
-            self._deg[v] = len(kept)
-        self._m -= len(removed)
+        return removed
+
+    def _delete_join(self, pairs: list) -> list[Edge] | None:
+        """Vectorized delete: the touched segments' ``v * n + w`` keys
+        joined against the batch's sorted directed keys.  Returns None,
+        having changed nothing, when the batch is invalid (the scalar
+        check then raises the exact error)."""
+        arr = np.array(pairs)
+        if arr.dtype.kind not in "iu" or arr.shape != (len(pairs), 2):
+            return None
+        arr = arr.astype(_I64)
+        n = self.n
+        a = np.minimum(arr[:, 0], arr[:, 1])
+        b = np.maximum(arr[:, 0], arr[:, 1])
+        if ((a == b) | (a < 0) | (b >= n)).any():
+            return None
+        k = len(a)
+        ends = np.concatenate([a, b])
+        want = ends * n + np.concatenate([b, a])
+        want.sort()
+        verts, r = np.unique(ends, return_counts=True)
+        deg = self._deg[verts]
+        # slot i of the touched segments, laid end to end, is slot
+        # i - first[j] of segment j = seg[i]
+        seg = np.repeat(np.arange(len(verts)), deg)
+        last = np.cumsum(deg, dtype=_I64)
+        i = np.arange(int(last[-1]))
+        pos = self._start[verts][seg] + (i - (last - deg)[seg])
+        have = verts[seg] * n + self._nbr[pos]
+        at = np.searchsorted(want, have)
+        at[at == len(want)] = 0
+        hit = want[at] == have
+        # every segment key is distinct, so fewer than 2k hits means an
+        # edge is absent or repeated
+        if int(np.count_nonzero(hit)) != 2 * k:
+            return None
+        # each touched segment keeps its first deg - r slots: a deleted
+        # neighbor there takes the place of a survivor from the last r
+        tail = i >= (last - r)[seg]
+        self._nbr[pos[hit & ~tail]] = self._nbr[pos[~hit & tail]]
+        self._deg[verts] = deg - r
+        self._mutated(-k)
+        return list(zip(a.tolist(), b.tolist()))
+
+    def _mutated(self, dm: int) -> None:
+        """Close a batch that changed the edge count by ``dm``: count,
+        epoch and the epoch's caches."""
+        self._m += dm
         self.version += 1
         self._csr_cache = None
         self._sorted_cache = None
-        return removed
 
     # -- growth / compaction -------------------------------------------------
 

@@ -291,7 +291,173 @@ def _par1(smoke: bool) -> tuple[Rows, bool]:
     return run_bench_parallel(cfg)
 
 
-#: the catalogue; ``BENCH_hotpath.json`` pins the first five and the last
+
+#: delta size buckets of the commit-path entry: the scalar delete path,
+#: the scalar insert path, and beyond (``ArrayDynamicGraph`` crossovers)
+_DELTA_BUCKETS = ((1, 12), (13, 32), (33, 64), (65, None))
+
+
+def _update_stream(n: int, m: int, count: int, seed: int):
+    """A seeded G(n, m) graph and ``count`` updates, each legal against
+    the graph so far: half inserts of an absent pair, half deletes of a
+    live edge (O(1) per update)."""
+    import random
+
+    from repro.graph import gnm_random_graph
+
+    rng = random.Random(seed)
+    initial = gnm_random_graph(n, m, seed=seed)
+    live, at = list(initial), {e: i for i, e in enumerate(initial)}
+    ops = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) in at:
+                continue
+            at[u, v] = len(live)
+            live.append((u, v))
+            ops.append(("insert", (u, v)))
+        else:
+            e = live[rng.randrange(len(live))]
+            last = live.pop()
+            if last != e:
+                live[at[e]] = last
+                at[last] = at[e]
+            del at[e]
+            ops.append(("delete", e))
+    return initial, ops
+
+
+def _commit_path(smoke: bool) -> tuple[Rows, bool]:
+    import statistics
+    import tempfile
+    from pathlib import Path
+
+    from repro.graph import ArrayDynamicGraph
+    from repro.resilience import (
+        CheckpointStore,
+        RecoveryManager,
+        ResilienceConfig,
+        edge_keys,
+    )
+    from repro.service import (
+        AdmissionConfig,
+        BatcherConfig,
+        ServiceConfig,
+        ShardedExecutor,
+        SpannerService,
+    )
+    from repro.service.driver import SimClock
+    from repro.service.shard import edge_shard
+
+    n, shards, every = 512, 2, 32
+    initial, requests = _update_stream(n, 12_288, 9600, seed=21)
+    spec = {"kind": "spanner", "n": n, "edges": initial, "seed": 22,
+            "k": 2, "base_capacity": 512}
+    model = [set() for _ in range(shards)]   # per-shard set reference
+    for e in initial:
+        model[edge_shard(e, shards)].add(e)
+    deltas = []
+    ckpt_s = []
+    ckpt_ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        # checkpoints are taken explicitly below, never on the schedule
+        mgr = RecoveryManager(ResilienceConfig(
+            directory=Path(tmp) / "wal", checkpoint_interval=1 << 62))
+        ex = ShardedExecutor(spec, shards, recovery=mgr)
+        apply = ex.apply
+
+        def recording(batch, seq=None):
+            res = apply(batch, seq=seq)
+            deltas.append((list(res.delta_ins), list(res.delta_del)))
+            return res
+
+        ex.apply = recording
+        clock = SimClock()
+        svc = SpannerService(ex, config=ServiceConfig(
+            batcher=BatcherConfig(max_batch=256, max_delay=1e-3),
+            admission=AdmissionConfig(max_pending=4096)),
+            clock=clock.now, recovery=mgr)
+
+        def committed(_seq, batch):
+            for e in batch.deletions:
+                model[edge_shard(e, shards)].discard(e)
+            for e in batch.insertions:
+                model[edge_shard(e, shards)].add(e)
+
+        svc.commit_hooks.append(committed)
+        start = svc.snapshot_edges()
+        for i, (op, (u, v)) in enumerate(requests):
+            # per 1200 arrivals: sparse (a few updates a commit), steady
+            # (about 50), then a zero-gap burst (max_batch a commit)
+            phase = i % 1200
+            clock.advance(2e-4 if phase < 200 else 2e-5 if phase < 900
+                          else 0.0)
+            seq = svc.committed_seq
+            svc.pump()
+            svc.submit_update(op, u, v)
+            if svc.committed_seq != seq and svc.committed_seq % every == 0:
+                epoch = svc.committed_seq
+                t0 = time.perf_counter()
+                written = svc.checkpoint()
+                ckpt_s.append(time.perf_counter() - t0)
+                ref = CheckpointStore(Path(tmp) / "ref").save(
+                    epoch, [edge_keys(s) for s in model])
+                (ours,) = (Path(tmp) / "wal").glob("checkpoint-*.bin")
+                ckpt_ok = (ckpt_ok and written
+                           and ours.read_bytes() == ref.read_bytes())
+        svc.flush()
+        m = svc.metrics
+        work = int(m.histogram("batch_work").sum)
+        depth = int(m.histogram("batch_depth").sum)
+        commits = svc.committed_seq
+        served = svc.snapshot_edges()
+        ckpt_ok = ckpt_ok and svc.graph_edges() == set().union(*model)
+        svc.close()
+    # replay the served deltas on a fresh snapshot, timed by size bucket
+    passes = 1 if smoke else 3
+    times: dict[tuple[str, int], list[float]] = {}
+    snap_ok = True
+    for _ in range(passes):
+        g = ArrayDynamicGraph(n, start)
+        ref = g.edge_set()
+        for ins, dels in deltas:
+            for kind, batch in (("delete", dels), ("insert", ins)):
+                if not batch:
+                    continue
+                fn = g.delete_batch if kind == "delete" else g.insert_batch
+                t0 = time.perf_counter()
+                fn(batch)
+                dt = time.perf_counter() - t0
+                b = next(j for j, (lo, hi) in enumerate(_DELTA_BUCKETS)
+                         if hi is None or len(batch) <= hi)
+                times.setdefault((kind, b), []).append(dt)
+            ref.difference_update(dels)
+            ref.update(ins)
+        snap_ok = snap_ok and g.edge_set() == ref == served
+    rows: Rows = []
+    for (kind, b), ts in sorted(times.items()):
+        lo, hi = _DELTA_BUCKETS[b]
+        rows.append({
+            "delta": kind,
+            "edges": f"{lo}-{hi}" if hi else f">={lo}",
+            "count": len(ts) // passes,
+            "p50_ms": round(1000 * statistics.median(ts), 3),
+        })
+    rows.append({
+        "commits": commits,
+        "checkpoints": len(ckpt_s),
+        "deltas": sum(bool(i) + bool(d) for i, d in deltas),
+        "checkpoint_ms": round(1000 * statistics.median(ckpt_s), 3),
+        "work": work,
+        "depth": depth,
+        "snapshot_verified": snap_ok,
+        "checkpoint_verified": ckpt_ok,
+    })
+    return rows, snap_ok and ckpt_ok
+
+
+#: the catalogue; ``BENCH_hotpath.json`` pins all but SRV2 failover and PAR1
 BENCHES: tuple[Bench, ...] = (
     Bench("bench_e1", "E1: mixed update stream through the fully-dynamic "
           "spanner, construction included; work/depth pinned", _e1),
@@ -312,6 +478,11 @@ BENCHES: tuple[Bench, ...] = (
           "path-plus-chords snapshot, 10^6 vertices (10^5 smoke): first "
           "call of an epoch, steady call <=0.2 ms; work/depth pinned",
           _reads_sparse),
+    Bench("bench_commit_path", "PERF7: a seeded serve stream on 2 "
+          "in-process shards with a WAL: served-delta ms by size bucket, "
+          "ms per checkpoint, snapshot and checkpoint bytes verified "
+          "against set references; counts and work/depth pinned",
+          _commit_path),
 )
 
 

@@ -27,6 +27,8 @@ from repro.resilience.checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointStore,
+    KeyTracker,
+    edge_keys,
 )
 from repro.resilience.faults import (
     NULL_INJECTOR,
@@ -62,6 +64,7 @@ __all__ = [
     "CheckpointStore",
     "FAMILIES",
     "FaultInjector",
+    "KeyTracker",
     "NULL_INJECTOR",
     "RecoveryManager",
     "ResilienceConfig",
@@ -75,6 +78,7 @@ __all__ = [
     "WalWriter",
     "bootstrap_executor",
     "corrupt_record",
+    "edge_keys",
     "read_wal",
     "run_campaign",
 ]

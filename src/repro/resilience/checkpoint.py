@@ -15,8 +15,20 @@ Format of ``checkpoint-<epoch:012d>.bin`` (all integers little-endian)::
 
 Each shard's keys are sorted ascending, so the file is a deterministic
 function of the state.  The CRC covers every byte after itself.  Vertex
-ids use the WAL's u32 range; an id outside it raises on save instead of
-wrapping.
+ids use the WAL's u32 range; :func:`edge_keys` raises on an id outside
+it instead of wrapping.
+
+The payload is the key arrays themselves, in memory as on disk.
+:meth:`CheckpointStore.save` takes one sorted ``uint64`` array per shard
+and writes it without re-encoding; :meth:`CheckpointStore.load` returns
+read-only views of the file's bytes.  A :class:`Checkpoint` owns its
+arrays and never writes to them, and neither may anyone else holding
+them: :class:`KeyTracker` hands out read-only arrays and builds each new
+one rather than editing the last.  Edge sets are decoded only on demand
+(:meth:`Checkpoint.edges`), which in the serving engine means only on
+recovery.  The steady-state cost of a checkpoint is therefore the
+executor's :class:`KeyTracker` advancing each shard's previous array by
+the batches applied since, not an encode of the whole graph.
 
 Checkpoints are written atomically (tmp file + ``fsync`` +
 ``os.replace``), so a crash mid-checkpoint leaves a ``.tmp`` orphan the
@@ -35,12 +47,15 @@ import zlib
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
 from repro.graph.dynamic_graph import Edge
+from repro.workloads.streams import UpdateBatch
 
-__all__ = ["Checkpoint", "CheckpointStore", "CheckpointError"]
+__all__ = ["Checkpoint", "CheckpointError", "CheckpointStore", "KeyTracker",
+           "edge_keys"]
 
 _PREFIX = "checkpoint-"
 _SUFFIX = ".bin"
@@ -58,20 +73,36 @@ class CheckpointError(RuntimeError):
     """A checkpoint file exists but cannot be trusted."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
-    """Epoch + per-shard graph edge sets."""
+    """Epoch + per-shard sorted edge keys (see the module docstring)."""
 
     epoch: int
-    shard_edges: list[set[Edge]]
+    shard_keys: list[np.ndarray]
 
     @property
     def shards(self) -> int:
-        return len(self.shard_edges)
+        return len(self.shard_keys)
+
+    def edges(self, shard: int) -> set[Edge]:
+        """Shard ``shard``'s edge set, decoded from its keys (a fresh set
+        per call)."""
+        keys = self.shard_keys[shard]
+        return set(zip((keys >> np.uint64(32)).tolist(),
+                       (keys & np.uint64(_U32_MAX)).tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Checkpoint):
+            return NotImplemented
+        return (self.epoch == other.epoch
+                and self.shards == other.shards
+                and all(np.array_equal(a, b) for a, b
+                        in zip(self.shard_keys, other.shard_keys)))
 
 
-def _keys(edges: set[Edge]) -> np.ndarray:
-    """Sorted ``u << 32 | v`` keys of one shard's edges."""
+def edge_keys(edges: Collection[Edge]) -> np.ndarray:
+    """Sorted ``u << 32 | v`` keys of a set of edges (ValueError for an
+    id outside the u32 range)."""
     out_of_range = ValueError(
         f"checkpoint vertex ids must lie in [0, {_U32_MAX}]")
     try:
@@ -86,9 +117,66 @@ def _keys(edges: set[Edge]) -> np.ndarray:
     return keys
 
 
-def _encode(epoch: int, shard_edges: list[set[Edge]]) -> list:
+class KeyTracker:
+    """One shard's checkpoint keys, advanced incrementally.
+
+    :meth:`keys` is handed the shard's applied-batch history and its
+    current edge set.  When the history is the same list object as last
+    time, only the batches appended since are looked at: every key they
+    touch is dropped, and the touched edges still in the edge set are
+    added back, so the cost is the window's size plus one pass over the
+    array, not an encode of the whole set.  A different list (a
+    supervised restart or a quarantine re-anchored the shard's history)
+    re-encodes the edge set.
+    """
+
+    __slots__ = ("_keys", "_history", "_mark")
+
+    def __init__(self) -> None:
+        self._keys: np.ndarray | None = None
+        self._history: list | None = None
+        self._mark = 0
+
+    def keys(self, history: list[UpdateBatch],
+             edges: set[Edge]) -> np.ndarray:
+        """Sorted, read-only keys of ``edges``, the shard's edge set after
+        every batch of ``history``."""
+        if self._keys is not None and history is self._history:
+            keys = _advance(self._keys, history[self._mark:], edges)
+        else:
+            keys = edge_keys(edges)
+            keys.flags.writeable = False
+        self._keys, self._history, self._mark = keys, history, len(history)
+        return keys
+
+
+def _advance(keys: np.ndarray, window: list[UpdateBatch],
+             edges: set[Edge]) -> np.ndarray:
+    """``keys`` with the window's net effect applied: drop every key a
+    batch of ``window`` touched, then insert the touched edges that are
+    in ``edges`` at the window's end.  Returns a new read-only array."""
+    touched = set(chain.from_iterable(
+        chain(b.insertions, b.deletions) for b in window))
+    if not touched:
+        return keys
+    gone = edge_keys(touched)
+    at = np.searchsorted(keys, gone)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == gone[hit]
+    kept = np.delete(keys, at[hit])
+    live = edge_keys(touched & edges)
+    out = np.insert(kept, np.searchsorted(kept, live), live)
+    out.flags.writeable = False
+    return out
+
+
+def _encode(epoch: int, shard_keys: list[np.ndarray]) -> list:
     """The file as buffers: magic, CRC, header, one key array per shard."""
-    keys = [_keys(edges) for edges in shard_edges]
+    keys = [np.ascontiguousarray(k, dtype=_KEY) for k in shard_keys]
+    for k in keys:
+        if k.ndim != 1 or (k.size > 1 and not (k[1:] > k[:-1]).all()):
+            raise ValueError("checkpoint keys must be a strictly "
+                             "ascending 1-d array per shard")
     head = _FIXED.pack(epoch, len(keys)) + struct.pack(
         f"<{len(keys)}I", *(k.size for k in keys))
     crc = zlib.crc32(head)
@@ -113,13 +201,12 @@ def _decode(data: bytes) -> Checkpoint:
               if len(data) >= off else ())
     if len(data) != off + _KEY.itemsize * sum(counts):
         raise ValueError(f"length {len(data)} does not match the header")
-    shard_edges = []
+    shard_keys = []
     for count in counts:
         keys = np.frombuffer(data, dtype=_KEY, count=count, offset=off)
         off += keys.nbytes
-        shard_edges.append(set(zip((keys >> np.uint64(32)).tolist(),
-                                   (keys & np.uint64(_U32_MAX)).tolist())))
-    return Checkpoint(epoch=epoch, shard_edges=shard_edges)
+        shard_keys.append(keys)
+    return Checkpoint(epoch=epoch, shard_keys=shard_keys)
 
 
 class CheckpointStore:
@@ -132,16 +219,18 @@ class CheckpointStore:
     def _path(self, epoch: int) -> Path:
         return self.directory / f"{_PREFIX}{epoch:012d}{_SUFFIX}"
 
-    def save(self, epoch: int, shard_edges: list[set[Edge]],
+    def save(self, epoch: int, shard_keys: list[np.ndarray],
              interrupt=None) -> Path:
         """Write checkpoint ``epoch`` atomically; prunes older ones.
 
-        Raises ValueError if a vertex id is outside the u32 range.
+        ``shard_keys`` holds each shard's sorted keys (:func:`edge_keys`);
+        ValueError, before anything is written, if one is not strictly
+        ascending.
         ``interrupt`` is a fault-injection hook called between writing the
         tmp file and publishing it — raising there simulates a crash
         mid-checkpoint (the orphaned ``.tmp`` must be ignored on load).
         """
-        buffers = _encode(epoch, shard_edges)
+        buffers = _encode(epoch, shard_keys)
         path = self._path(epoch)
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "wb") as fh:

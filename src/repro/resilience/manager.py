@@ -5,8 +5,8 @@ into the single object the serving engine talks to:
 
 * after every applied batch the engine calls :meth:`log_applied`;
 * every ``checkpoint_interval`` commits it calls :meth:`write_checkpoint`
-  with the executor's per-shard graph edge sets, which also truncates the
-  absorbed WAL prefix;
+  with the executor's per-shard checkpoint keys (``shard_keys()``), which
+  also truncates the absorbed WAL prefix;
 * a restarting shard asks :meth:`shard_recovery_plan` for its base edge
   set and the WAL-tail sub-batches to replay (routing is re-derived with
   the deterministic :func:`~repro.service.shard.edge_shard` router, so a
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.graph.dynamic_graph import Edge
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
@@ -156,7 +158,7 @@ class RecoveryManager:
                     f"checkpoint has {ckpt.shards} shard(s), executor has "
                     f"{shards}; resharding a checkpointed log is unsupported"
                 )
-            return set(ckpt.shard_edges[shard_idx])
+            return ckpt.edges(shard_idx)
         from repro.service.shard import split_by_shard
 
         return set(split_by_shard(initial, shards)[shard_idx])
@@ -219,17 +221,21 @@ class RecoveryManager:
         return self._since_checkpoint >= self.config.checkpoint_interval
 
     def write_checkpoint(self, epoch: int,
-                         shard_edges: list[set[Edge]]) -> None:
+                         shard_keys: list[np.ndarray]) -> None:
         """Persist per-shard state at ``epoch`` and truncate the WAL.
 
-        Takes ownership of ``shard_edges``: the sets become the recovered
-        checkpoint's state, so the caller must pass fresh sets it no
-        longer mutates (``executor.shard_graphs()`` returns copies).
+        ``shard_keys`` holds each shard's sorted checkpoint keys
+        (:func:`~repro.resilience.checkpoint.edge_keys`, or an executor's
+        ``shard_keys()``).  The manager takes ownership: the arrays become
+        the recovered checkpoint's state as they are, and are decoded to
+        edge sets only when :meth:`base_edges` asks, on recovery.  Nobody
+        may write to them afterwards (the executors' arrays are
+        read-only).
         """
-        self.checkpoints.save(epoch, shard_edges,
+        self.checkpoints.save(epoch, shard_keys,
                               interrupt=self.injector.on_checkpoint)
         self._writer.truncate_through(epoch)
-        self._recovered = (Checkpoint(epoch, list(shard_edges)),
+        self._recovered = (Checkpoint(epoch, list(shard_keys)),
                            WalReadResult())
         self._since_checkpoint = 0
 

@@ -35,6 +35,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from repro.workloads.streams import UpdateBatch
 
@@ -107,8 +108,13 @@ def encode_record(seq: int, batch: UpdateBatch) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def decode_record(payload: bytes) -> WalRecord:
-    """Parse a record payload (already checksum-verified)."""
+def _payload_seq(payload) -> int:
+    """The seq of a record payload, after checking its length against
+    the edge counts it declares (:class:`WalCorruptionError` if not)."""
+    if len(payload) < _PAYLOAD_FIXED.size:
+        raise WalCorruptionError(
+            f"record payload is {len(payload)} bytes, shorter than its "
+            f"{_PAYLOAD_FIXED.size}-byte header")
     seq, n_ins, n_del = _PAYLOAD_FIXED.unpack_from(payload, 0)
     need = _PAYLOAD_FIXED.size + (n_ins + n_del) * _EDGE.size
     if len(payload) != need:
@@ -116,6 +122,13 @@ def decode_record(payload: bytes) -> WalRecord:
             f"record seq={seq}: payload is {len(payload)} bytes, "
             f"edge counts imply {need}", seq=seq,
         )
+    return seq
+
+
+def decode_record(payload: bytes) -> WalRecord:
+    """Parse a record payload (already checksum-verified)."""
+    seq = _payload_seq(payload)
+    _, n_ins, _ = _PAYLOAD_FIXED.unpack_from(payload, 0)
     edges = list(_EDGE.iter_unpack(
         memoryview(payload)[_PAYLOAD_FIXED.size:]))
     return WalRecord(seq, UpdateBatch(insertions=edges[:n_ins],
@@ -163,21 +176,82 @@ class WalWriter:
     def truncate_through(self, epoch: int) -> None:
         """Drop every record with ``seq <= epoch`` (checkpoint absorbed it).
 
-        Rewrites atomically (tmp + rename) so a crash mid-truncation
-        leaves either the old or the new log, never a half-written one.
+        Walks the log with :func:`read_wal`'s checks but decodes nothing:
+        the records it keeps are copied as they are, and a checkpoint at
+        the last logged seq keeps none.  Damage :func:`read_wal` would
+        refuse raises here too, before the file is touched; a torn or
+        corrupt final record is dropped.  Rewrites atomically (tmp +
+        rename) so a crash mid-truncation leaves either the old or the
+        new log, never a half-written one.
         """
-        kept = [r for r in read_wal(self.path).records if r.seq > epoch]
+        data = self.path.read_bytes()
+        view = memoryview(data)
+        kept = [view[off:end] for seq, off, end
+                in _walk(self.path, data, WalReadResult()) if seq > epoch]
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(WAL_MAGIC)
-            for r in kept:
-                fh.write(encode_record(r.seq, r.batch))
+            for frame in kept:
+                fh.write(frame)
             fh.flush()
             os.fsync(fh.fileno())
         self._fh.close()
         os.replace(tmp, self.path)
         self._fh = open(self.path, "ab")
         self.bytes_written = self.path.stat().st_size
+
+
+def _walk(path: Path, data: bytes,
+          result: WalReadResult) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(seq, off, end)`` for every sound record of a log's bytes,
+    ``data[off:end]`` being its whole frame, without decoding any.
+
+    Checks the magic, each header, CRC and payload length against the
+    edge counts, and that seqs strictly increase; mid-log damage raises
+    :class:`WalCorruptionError`.  A torn or corrupt final record ends the
+    walk and is reported in ``result`` (see the module docstring).
+    """
+    if data and not data.startswith(WAL_MAGIC):
+        raise WalCorruptionError(f"{path}: bad WAL magic")
+    view = memoryview(data)
+    off = len(WAL_MAGIC)
+    last_seq = 0
+    while off < len(data):
+        if off + _HEADER.size > len(data):
+            result.dropped_tail_bytes = len(data) - off
+            return
+        length, crc = _HEADER.unpack_from(data, off)
+        start = off + _HEADER.size
+        end = start + length
+        if end > len(data):  # torn tail: writer died mid-append
+            result.dropped_tail_bytes = len(data) - off
+            return
+        payload = view[start:end]
+        if zlib.crc32(payload) != crc:
+            if end == len(data):
+                # final record: treat like a torn tail, but remember which
+                # seq was lost if the (unverified) payload still parses
+                result.dropped_tail_bytes = len(data) - off
+                try:
+                    result.dropped_tail_seq = _payload_seq(payload)
+                except WalCorruptionError:
+                    result.dropped_tail_seq = None
+                return
+            raise WalCorruptionError(
+                f"{path}: checksum mismatch on record seq={last_seq + 1} "
+                f"(after seq={last_seq}, offset {off}); the log is damaged "
+                "mid-stream and cannot be repaired by truncation",
+                seq=last_seq + 1,
+            )
+        seq = _payload_seq(payload)
+        if seq <= last_seq:
+            raise WalCorruptionError(
+                f"{path}: sequence regression {last_seq} -> {seq} "
+                f"at offset {off}", seq=seq,
+            )
+        yield seq, off, end
+        last_seq = seq
+        off = end
 
 
 def read_wal(path: str | Path) -> WalReadResult:
@@ -187,48 +261,8 @@ def read_wal(path: str | Path) -> WalReadResult:
     if not path.exists():
         return result
     data = path.read_bytes()
-    if not data:
-        return result
-    if not data.startswith(WAL_MAGIC):
-        raise WalCorruptionError(f"{path}: bad WAL magic")
-    off = len(WAL_MAGIC)
-    last_seq = 0
-    while off < len(data):
-        if off + _HEADER.size > len(data):
-            result.dropped_tail_bytes = len(data) - off
-            break
-        length, crc = _HEADER.unpack_from(data, off)
-        start = off + _HEADER.size
-        end = start + length
-        if end > len(data):  # torn tail: writer died mid-append
-            result.dropped_tail_bytes = len(data) - off
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            if end == len(data):
-                # final record: treat like a torn tail, but remember which
-                # seq was lost if the (unverified) payload still parses
-                result.dropped_tail_bytes = len(data) - off
-                try:
-                    result.dropped_tail_seq = decode_record(payload).seq
-                except Exception:
-                    result.dropped_tail_seq = None
-                break
-            raise WalCorruptionError(
-                f"{path}: checksum mismatch on record seq={last_seq + 1} "
-                f"(after seq={last_seq}, offset {off}); the log is damaged "
-                "mid-stream and cannot be repaired by truncation",
-                seq=last_seq + 1,
-            )
-        record = decode_record(payload)
-        if record.seq <= last_seq:
-            raise WalCorruptionError(
-                f"{path}: sequence regression {last_seq} -> {record.seq} "
-                f"at offset {off}", seq=record.seq,
-            )
-        result.records.append(record)
-        last_seq = record.seq
-        off = end
+    result.records = [decode_record(data[off + _HEADER.size:end])
+                      for _, off, end in _walk(path, data, result)]
     return result
 
 

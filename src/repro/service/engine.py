@@ -26,11 +26,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.graph.array_graph import ArrayDynamicGraph
 from repro.graph.dynamic_graph import Edge
 from repro.graph.traversal import bfs_distances
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 from repro.queries.batch import QueryBatch, answer_queries
+from repro.resilience.checkpoint import KeyTracker
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.batcher import AdaptiveBatcher, BatcherConfig
 from repro.service.metrics import MetricsRegistry
@@ -156,14 +159,15 @@ class LocalExecutor:
         self._graph: set[Edge] = {
             tuple(e) for e in self.spec.get("edges", ())
         }
+        self._key_tracker = KeyTracker()
 
     def output_edges(self) -> set[Edge]:
         """The structure's current output (spanner/sparsifier) edges."""
         return self._backend.output_edges()
 
-    def shard_graphs(self) -> list[set[Edge]]:
-        """Uniform with :meth:`ShardedExecutor.shard_graphs` (one shard)."""
-        return [set(self._graph)]
+    def shard_keys(self) -> list[np.ndarray]:
+        """Uniform with :meth:`ShardedExecutor.shard_keys` (one shard)."""
+        return [self._key_tracker.keys(self.applied_batches, self._graph)]
 
     def graph_union(self) -> set[Edge]:
         """The graph edge set implied by every applied batch."""
@@ -731,7 +735,7 @@ class SpannerService:
         m = self.metrics
         try:
             self.recovery.write_checkpoint(
-                self._next_seq - 1, self.executor.shard_graphs()
+                self._next_seq - 1, self.executor.shard_keys()
             )
         except Exception:
             m.counter("checkpoint_failures").inc()

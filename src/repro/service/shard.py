@@ -39,10 +39,13 @@ import weakref
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.graph.dynamic_graph import Edge
 from repro.parallel.backend import SequentialBackend
 from repro.parallel.pool import ProcessPoolBackend, WorkerCrashed
 from repro.pram.cost import CostModel
+from repro.resilience.checkpoint import KeyTracker
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
 from repro.resilience.manager import RecoveryManager, SupervisionConfig
 from repro.resilience.wal import WalCorruptionError
@@ -228,8 +231,10 @@ class ShardedExecutor:
         self.applied_batches: list[list[UpdateBatch]] = [
             [] for _ in range(shards)
         ]
-        # per-shard *graph* edge sets (checkpoint payload / ground truth)
+        # per-shard *graph* edge sets (ground truth), and the checkpoint
+        # keys each shard_keys() call advances from them
         self._graph: list[set[Edge]] = [set(p) for p in parts]
+        self._key_trackers = [KeyTracker() for _ in range(shards)]
         self._restart_streak = [0] * shards   # resets on successful apply
         self.restarts_total = 0
         self.quarantined: list[tuple[int | None, int, UpdateBatch]] = []
@@ -266,9 +271,12 @@ class ShardedExecutor:
         """Alias for :meth:`gather_edges` (executor protocol)."""
         return self.gather_edges()
 
-    def shard_graphs(self) -> list[set[Edge]]:
-        """Per-shard graph edge sets (the checkpoint payload)."""
-        return [set(g) for g in self._graph]
+    def shard_keys(self) -> list[np.ndarray]:
+        """Per-shard sorted checkpoint keys (the checkpoint payload), each
+        advanced from the previous call's by the sub-batches applied
+        since (see :class:`~repro.resilience.checkpoint.KeyTracker`)."""
+        return [t.keys(h, g) for t, h, g in zip(
+            self._key_trackers, self.applied_batches, self._graph)]
 
     def graph_union(self) -> set[Edge]:
         """The graph edge set implied by every applied batch."""

@@ -133,6 +133,81 @@ class TestEquivalence:
             results[name] = out
         assert results["dict"] == results["array"]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wide_batches_both_paths_match(self, data):
+        """Batches on both sides of the scalar/vectorized crossovers,
+        touching many vertices, in either endpoint order."""
+        n = data.draw(st.integers(16, 40))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        initial = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                     min_size=60, max_size=200))
+        ref = DynamicGraph(n, initial)
+        arr = ArrayDynamicGraph(n, initial)
+        top = 3 * max(ArrayDynamicGraph._SCALAR_DELETE,
+                      ArrayDynamicGraph._SCALAR_INSERT)
+        for _ in range(data.draw(st.integers(1, 6))):
+            live = sorted(ref.edges())
+            kind = data.draw(st.sampled_from(["insert", "delete"]))
+            pool = (sorted(set(pairs) - set(live)) if kind == "insert"
+                    else live)
+            if not pool:
+                continue
+            size = data.draw(st.integers(1, min(top, len(pool))))
+            batch = data.draw(st.permutations(pool))[:size]
+            flips = data.draw(st.lists(st.booleans(), min_size=size,
+                                       max_size=size))
+            batch = [(v, u) if f else (u, v)
+                     for (u, v), f in zip(batch, flips)]
+            want = getattr(ref, f"{kind}_batch")(batch)
+            assert getattr(arr, f"{kind}_batch")(batch) == want
+            assert _ref_views(ref) == _arr_views(arr)
+        arr.compact()
+        assert _ref_views(ref) == _arr_views(arr)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_invalid_batches_raise_like_dict_substrate(self, data):
+        """Every error case, planted anywhere in a batch on either side
+        of the crossover, raises DynamicGraph's exception for the first
+        offender in input order and changes nothing."""
+        n = 24
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        initial = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                     min_size=40, max_size=120))
+        ref = DynamicGraph(n, initial)
+        arr = ArrayDynamicGraph(n, initial)
+        kind = data.draw(st.sampled_from(["insert", "delete"]))
+        live = sorted(ref.edges())
+        pool = sorted(set(pairs) - set(live)) if kind == "insert" else live
+        size = data.draw(st.integers(1, 3 * ArrayDynamicGraph._SCALAR_DELETE))
+        batch = list(data.draw(st.permutations(pool))[:size])
+        absent = sorted(set(pairs) - set(live))
+        bad = {
+            "duplicate": lambda: batch[0],
+            "reversed_duplicate": lambda: batch[0][::-1],
+            "out_of_range": lambda: (data.draw(st.integers(0, n - 1)),
+                                     data.draw(st.sampled_from(
+                                         [n, n + 5, -1]))),
+            "self_loop": lambda: (3, 3),
+            # present for an insert, absent for a delete
+            "against_graph": lambda: data.draw(
+                st.sampled_from(live if kind == "insert" else absent)),
+        }
+        for _ in range(data.draw(st.integers(1, 3))):
+            what = data.draw(st.sampled_from(sorted(bad)))
+            at = data.draw(st.integers(1 if "duplicate" in what else 0,
+                                       len(batch)))
+            batch.insert(at, bad[what]())
+        errors = []
+        for g in (ref, arr):
+            with pytest.raises((KeyError, ValueError)) as exc:
+                getattr(g, f"{kind}_batch")(batch)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+        assert _ref_views(ref) == _arr_views(arr)
+        assert arr.m == len(live)
+
     def test_error_contracts_match(self):
         for make in (DynamicGraph, ArrayDynamicGraph):
             g = make(4, [(0, 1)])

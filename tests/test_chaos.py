@@ -257,7 +257,7 @@ class TestRealProcessKill:
                 ex.apply(batch, seq=seq)
                 mgr.log_applied(seq, batch)
                 if seq == 2:
-                    mgr.write_checkpoint(seq, ex.shard_graphs())
+                    mgr.write_checkpoint(seq, ex.shard_keys())
             t0 = time.monotonic()
             res = ex.apply(batches[3], seq=4)
             elapsed = time.monotonic() - t0

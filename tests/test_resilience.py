@@ -32,6 +32,7 @@ from repro.resilience import (
     WalWriter,
     bootstrap_executor,
     corrupt_record,
+    edge_keys,
     read_wal,
 )
 from repro.resilience.wal import (
@@ -52,6 +53,11 @@ from repro.service import (
 from repro.service.shard import edge_shard, split_by_shard
 from repro.workloads import UpdateBatch
 from repro.workloads.streams import request_stream
+
+
+def _keys(*shards):
+    """Each shard's edge set as checkpoint keys."""
+    return [edge_keys(edges) for edges in shards]
 
 
 def _batch(ins=(), dels=()):
@@ -154,6 +160,49 @@ class TestWalEncoding:
         assert [r.seq for r in read_wal(path).records] == [3, 4, 5]
 
 
+class TestWalTruncateWalk:
+    """``truncate_through`` decodes nothing but still walks every CRC."""
+
+    @staticmethod
+    def _log(tmp_path):
+        path = tmp_path / "wal.log"
+        w = WalWriter(path)
+        for seq in (1, 2, 3, 4):
+            w.append(seq, _batch(ins=[(seq, seq + 10)], dels=[(0, seq)]))
+        return path, w
+
+    def test_mid_log_corruption_still_raises(self, tmp_path):
+        """A checkpoint at the last seq must not absorb a damaged record
+        in the middle of the log: the walk refuses, and the file is left
+        as it was."""
+        path, w = self._log(tmp_path)
+        assert corrupt_record(path, 2)
+        before = path.read_bytes()
+        with pytest.raises(WalCorruptionError) as exc:
+            w.truncate_through(4)
+        assert exc.value.seq == 2
+        assert path.read_bytes() == before
+        w.close()
+
+    @pytest.mark.parametrize("damage", ["torn", "corrupt"])
+    def test_damaged_final_record_dropped(self, tmp_path, damage):
+        path, w = self._log(tmp_path)
+        follower = WalFollower(path)
+        assert [r.seq for r in follower.poll()] == [1, 2, 3, 4]
+        if damage == "torn":
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size - 3)
+        else:
+            assert corrupt_record(path, 4)
+        w.truncate_through(4)
+        assert path.read_bytes() == WAL_MAGIC
+        with pytest.raises(WalTruncatedError):
+            follower.poll()
+        w.append(5, _batch(ins=[(5, 15)]))
+        w.close()
+        assert [r.seq for r in read_wal(path).records] == [5]
+
+
 # byte range of the u64 epoch field: after the 8-byte magic and u32 crc
 _EPOCH_FIELD = slice(12, 20)
 vertex_st = st.one_of(st.integers(0, 64), st.integers(2**32 - 8, 2**32 - 1),
@@ -184,23 +233,23 @@ _DAMAGE = {
 class TestCheckpointStore:
     def test_round_trip_and_prune(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(3, [{(1, 2)}, set()])
-        store.save(7, [{(1, 2), (3, 4)}, {(5, 6)}])
+        store.save(3, _keys({(1, 2)}, set()))
+        store.save(7, _keys({(1, 2), (3, 4)}, {(5, 6)}))
         ckpt = store.load()
-        assert ckpt == Checkpoint(7, [{(1, 2), (3, 4)}, {(5, 6)}])
+        assert ckpt == Checkpoint(7, _keys({(1, 2), (3, 4)}, {(5, 6)}))
         assert ckpt.shards == 2
         # older checkpoint was pruned by the newer save
         assert len(list(tmp_path.glob("checkpoint-*.bin"))) == 1
 
     def test_orphan_tmp_ignored(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(3, [{(1, 2)}])
+        store.save(3, _keys({(1, 2)}))
         (tmp_path / "checkpoint-000000000009.json.tmp").write_text("junk")
         assert store.load().epoch == 3
 
     def test_damaged_checkpoint_raises_when_no_valid_one(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.save(3, [{(1, 2)}])
+        path = store.save(3, _keys({(1, 2)}))
         data = bytearray(path.read_bytes())
         data[_EPOCH_FIELD] = struct.pack("<Q", 4)  # epoch 3 -> 4
         path.write_bytes(bytes(data))
@@ -218,12 +267,15 @@ class TestCheckpointCodec:
         """Any per-shard edge sets (empty shards, ids near 2^32-1) load
         back exactly."""
         store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
-        store.save(epoch, shard_edges)
-        assert store.load() == Checkpoint(epoch, shard_edges)
+        store.save(epoch, _keys(*shard_edges))
+        ckpt = store.load()
+        assert ckpt == Checkpoint(epoch, _keys(*shard_edges))
+        assert [ckpt.edges(i) for i in range(ckpt.shards)] == shard_edges
 
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_damaged_file_alone_raises(self, tmp_path, damage):
-        path = CheckpointStore(tmp_path).save(7, [{(1, 2), (3, 4)}, {(5, 6)}])
+        path = CheckpointStore(tmp_path).save(
+            7, _keys({(1, 2), (3, 4)}, {(5, 6)}))
         path.write_bytes(_DAMAGE[damage](path.read_bytes()))
         with pytest.raises(CheckpointError, match=path.name):
             CheckpointStore(tmp_path).load()
@@ -231,19 +283,28 @@ class TestCheckpointCodec:
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_older_valid_checkpoint_wins_over_damaged(self, tmp_path, damage):
         store = CheckpointStore(tmp_path)
-        older = store.save(3, [{(1, 2)}, set()])
+        older = store.save(3, _keys({(1, 2)}, set()))
         older_bytes = older.read_bytes()
-        newer = store.save(7, [{(1, 2), (3, 4)}, {(5, 6)}])  # prunes 3
+        newer = store.save(7, _keys({(1, 2), (3, 4)}, {(5, 6)}))  # prunes 3
         newer.write_bytes(_DAMAGE[damage](newer.read_bytes()))
         older.write_bytes(older_bytes)
-        assert store.load() == Checkpoint(3, [{(1, 2)}, set()])
+        assert store.load() == Checkpoint(3, _keys({(1, 2)}, set()))
 
     @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (2**32, 0),
                                       (0, 2**32), (2**64, 0)])
     def test_out_of_range_vertex_rejected(self, tmp_path, edge):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError, match="vertex ids"):
-            store.save(1, [{(0, 1)}, {edge}])
+            store.save(1, _keys({(0, 1)}, {edge}))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("keys", [[5, 3], [3, 3], [[1, 2]]])
+    def test_keys_not_strictly_ascending_rejected(self, tmp_path, keys):
+        import numpy as np
+
+        with pytest.raises(ValueError, match="strictly ascending"):
+            CheckpointStore(tmp_path).save(
+                1, [edge_keys({(0, 1)}), np.array(keys, dtype=np.uint64)])
         assert list(tmp_path.iterdir()) == []
 
     def test_same_state_gives_identical_bytes(self, tmp_path):
@@ -252,10 +313,10 @@ class TestCheckpointCodec:
                  for _ in range(200)] + [(2**32 - 1, 0), (0, 2**32 - 1)]
         same, other_order = set(edges), set(reversed(edges))
         assert same == other_order and list(same) != list(other_order)
-        a = CheckpointStore(tmp_path / "a").save(5, [same, set()])
-        b = CheckpointStore(tmp_path / "b").save(5, [other_order, set()])
+        a = CheckpointStore(tmp_path / "a").save(5, _keys(same, set()))
+        b = CheckpointStore(tmp_path / "b").save(5, _keys(other_order, set()))
         assert a.read_bytes() == b.read_bytes()
-        again = CheckpointStore(tmp_path / "a").save(5, [same, set()])
+        again = CheckpointStore(tmp_path / "a").save(5, _keys(same, set()))
         assert again.read_bytes() == b.read_bytes()
 
     def test_legacy_json_checkpoint_refused(self, tmp_path):
@@ -285,7 +346,7 @@ class TestRecoveryManager:
         assert not mgr.should_checkpoint()
         mgr.log_applied(2, _batch(ins=[(3, 4)]))
         assert mgr.should_checkpoint()
-        mgr.write_checkpoint(2, [{(1, 2), (3, 4)}])
+        mgr.write_checkpoint(2, _keys({(1, 2), (3, 4)}))
         mgr.log_applied(3, _batch(dels=[(1, 2)]))
         mgr.close()
         # a cold restart sees checkpoint epoch 2 + a one-record tail
@@ -329,7 +390,7 @@ class TestRecoveryManager:
             mgr.log_applied(seq, _batch(ins=[edge]))
             edges.add(edge)
             if mgr.should_checkpoint():
-                mgr.write_checkpoint(seq, [set(edges)])
+                mgr.write_checkpoint(seq, _keys(edges))
         mgr.close()
         for path in tmp_path.glob("checkpoint-*"):
             path.unlink()
@@ -502,7 +563,7 @@ class TestBootstrap:
             ex.apply(b, seq=seq)
             mgr.log_applied(seq, b)
             if mgr.should_checkpoint():
-                mgr.write_checkpoint(seq, ex.shard_graphs())
+                mgr.write_checkpoint(seq, ex.shard_keys())
         live = ex.graph_union()
         ex.close()
         mgr.close()
@@ -543,11 +604,144 @@ class TestBootstrap:
     def test_resharding_checkpoint_rejected(self, tmp_path):
         spec = _spec()
         mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
-        mgr.write_checkpoint(1, [{(0, 1)}, set()])
+        mgr.write_checkpoint(1, _keys({(0, 1)}, set()))
         with pytest.raises(ValueError):
             mgr.base_edges(0, 3, spec["edges"])
         mgr.close()
 
+
+
+class _Poison(FaultInjector):
+    """Drops every reply of shard 0 for the poisoned seqs, so their
+    sub-batches crash-loop into quarantine."""
+
+    def __init__(self) -> None:
+        self.seqs: set[int] = set()
+
+    def on_recv(self, shard, seq):
+        return "drop" if shard == 0 and seq in self.seqs else None
+
+
+class TestCheckpointKeys:
+    """``shard_keys()`` advances each shard's previous keys by the
+    sub-batches applied since, and re-encodes a shard whose history a
+    restart or a quarantine re-anchored."""
+
+    N = 12
+    PAIRS = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+
+    def _executor(self, directory, injector=None):
+        initial = self.PAIRS[::3]
+        spec = {"kind": "spanner", "n": self.N, "edges": initial,
+                "seed": 5, "k": 2, "base_capacity": 8}
+        mgr = RecoveryManager(ResilienceConfig(directory=directory))
+        ex = ShardedExecutor(spec, 2, supervision=_SUP, recovery=mgr,
+                             injector=injector)
+        return mgr, ex, split_by_shard(initial, 2)
+
+    @staticmethod
+    def _apply(ex, mgr, model, seq, edges):
+        """Flip each edge of ``edges`` (delete if live) as commit
+        ``seq``; ``model`` follows every shard that did not quarantine."""
+        live = set().union(*map(set, model))
+        batch = _batch(ins=[e for e in edges if e not in live],
+                       dels=[e for e in edges if e in live])
+        res = ex.apply(batch, seq=seq)
+        mgr.log_applied(seq, batch)
+        for i, part in enumerate(model):
+            if i not in res.quarantined_shards:
+                part.difference_update(batch.deletions)
+                part.update(e for e in batch.insertions
+                            if edge_shard(e, 2) == i)
+        return res
+
+    @staticmethod
+    def _check(tmp_path, mgr, ex, model, seq):
+        keys = ex.shard_keys()
+        want = _keys(*model)
+        assert [k.tolist() for k in keys] == [k.tolist() for k in want]
+        mgr.write_checkpoint(seq, keys)
+        ref = CheckpointStore(tmp_path / f"ref-{seq}").save(seq, want)
+        (ours,) = (tmp_path / "wal").glob("checkpoint-*.bin")
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_keys_equal_set_encoding(self, tmp_path_factory, data):
+        """Random windows — an edge inserted then deleted, deleted then
+        re-inserted, or both — with supervised restarts and quarantined
+        sub-batches in between."""
+        tmp_path = tmp_path_factory.mktemp("keys")
+        poison = _Poison()
+        mgr, ex, model = self._executor(tmp_path / "wal", poison)
+        model = [set(p) for p in model]
+        seq = 0
+        try:
+            for _ in range(data.draw(st.integers(1, 4), label="windows")):
+                for _ in range(data.draw(st.integers(0, 5))):
+                    seq += 1
+                    fault = data.draw(st.sampled_from(
+                        ["none", "none", "none", "kill", "poison"]))
+                    if fault == "kill":
+                        ex.kill_shard(data.draw(st.integers(0, 1)))
+                    elif fault == "poison":
+                        poison.seqs.add(seq)
+                    edges = data.draw(st.lists(
+                        st.sampled_from(self.PAIRS[:20]), unique=True,
+                        max_size=6))
+                    self._apply(ex, mgr, model, seq, edges)
+                self._check(tmp_path, mgr, ex, model, seq)
+        finally:
+            ex.close()
+            mgr.close()
+
+    @pytest.mark.parametrize("fault", ["kill", "poison"])
+    def test_reanchored_history_reencoded(self, tmp_path, fault):
+        """After a checkpoint, a re-anchored shard's history is shorter
+        than the keys' last mark: advancing from it would skip every
+        batch applied since."""
+        poison = _Poison()
+        mgr, ex, model = self._executor(tmp_path / "wal", poison)
+        model = [set(p) for p in model]
+        shard0 = [e for e in self.PAIRS if edge_shard(e, 2) == 0]
+        try:
+            for seq in range(1, 7):
+                self._apply(ex, mgr, model, seq, shard0[seq:seq + 2])
+            self._check(tmp_path, mgr, ex, model, 6)
+            if fault == "kill":
+                ex.kill_shard(0)
+            else:
+                poison.seqs.add(7)
+            res = self._apply(ex, mgr, model, 7, shard0[:2])
+            assert res.recovered_shards == (0,)
+            assert len(ex.applied_batches[0]) < 6
+            for seq in (8, 9):
+                self._apply(ex, mgr, model, seq, shard0[seq:seq + 3])
+            self._check(tmp_path, mgr, ex, model, 9)
+        finally:
+            ex.close()
+            mgr.close()
+
+    def test_local_executor_keys(self, tmp_path):
+        from repro.service import LocalExecutor
+
+        initial = self.PAIRS[::3]
+        ex = LocalExecutor({"kind": "spanner", "n": self.N, "k": 2,
+                            "edges": initial, "seed": 5})
+        live = set(initial)
+        first = ex.shard_keys()
+        assert not first[0].flags.writeable
+        for i in range(6):
+            edges = self.PAIRS[i:i + 4]
+            b = _batch(ins=[e for e in edges if e not in live],
+                       dels=[e for e in edges if e in live])
+            ex.apply(b)
+            live = (live - set(b.deletions)) | set(b.insertions)
+            if i % 2:
+                assert ex.shard_keys()[0].tolist() == \
+                    edge_keys(live).tolist()
+        # the arrays handed out earlier are untouched
+        assert first[0].tolist() == edge_keys(set(initial)).tolist()
 
 def _service(executor, recovery=None, max_pending=1024, max_batch=512,
              max_delay=1000.0):

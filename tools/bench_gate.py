@@ -7,8 +7,9 @@ compares each entry's summary row against the committed baseline in
 
 Two kinds of field are compared:
 
-* cost-model ``work``/``depth`` pins.  They are machine-independent and
-  must stay *identical* across refactors of the charging code (charge
+* cost-model ``work``/``depth`` pins, and the ``commits``/``checkpoints``
+  counts of seeded streams.  They are machine-independent and must stay
+  *identical* across refactors of the charging code (charge
   preservation), so any drift fails the gate, in every mode;
 * wall-clock throughput (``ops_per_sec``, default threshold 15%) and
   the peak-RSS ceilings, in full mode only.
@@ -56,8 +57,9 @@ LATEST_PATH = ROOT / "BENCH_hotpath.latest.json"
 
 #: throughput fields gated by the regression threshold
 GATED_FIELDS = ("ops_per_sec",)
-#: cost-model fields that must match the baseline exactly
-EXACT_FIELDS = ("work", "depth")
+#: cost-model fields and seeded counts that must match the baseline
+#: exactly
+EXACT_FIELDS = ("work", "depth", "commits", "checkpoints")
 #: headroom factor applied when (re)writing memory ceilings
 MEMORY_HEADROOM = 1.5
 
