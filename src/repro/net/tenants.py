@@ -25,15 +25,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.resilience.manager import RecoveryManager, ResilienceConfig
+from repro.resilience.manager import (
+    RecoveryManager,
+    ResilienceConfig,
+    bootstrap_executor,
+)
 from repro.resilience.wal import WAL_MAGIC, encode_record
 from repro.service.admission import AdmissionConfig
 from repro.service.batcher import BatcherConfig
-from repro.service.engine import (
-    LocalExecutor,
-    ServiceConfig,
-    SpannerService,
-)
+from repro.service.engine import ServiceConfig, SpannerService
 from repro.workloads.streams import UpdateBatch
 
 __all__ = [
@@ -175,7 +175,7 @@ class TenantConfig:
 
     name: str
     spec: dict[str, Any]                 # build_backend spec
-    shards: int = 1                      # >1 = in-process ShardedExecutor
+    shards: int = 1                      # in-process: tenancy stays fork-free
     batcher: BatcherConfig = field(default_factory=BatcherConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     wal_dir: str | None = None           # durable when set
@@ -252,7 +252,6 @@ class TenantManager:
             if config.name in self._tenants:
                 raise ValueError(f"duplicate tenant {config.name!r}")
         recovery = None
-        boot_spec = dict(config.spec)
         base_seq = 0
         tail = []
         if config.wal_dir:
@@ -260,17 +259,14 @@ class TenantManager:
                 directory=Path(config.wal_dir),
                 checkpoint_interval=config.checkpoint_interval,
             ))
-            initial = [tuple(e) for e in config.spec.get("edges", ())]
-            base: set = set()
-            for i in range(config.shards):
-                base |= recovery.base_edges(i, config.shards, initial)
-            boot_spec["edges"] = sorted(base)
             base_seq = recovery.checkpoint.epoch if recovery.checkpoint \
                 else 0
             tail = list(recovery.tail)
-        executor = _build_executor(boot_spec, config.shards)
-        for rec in tail:
-            executor.apply(rec.batch, seq=rec.seq)
+        executor, _ = bootstrap_executor(config.spec, config.shards,
+                                         recovery)
+        # the edges the shards were built on: the replication log's base
+        boot_spec = dict(config.spec, edges=[
+            e for sub in executor.shard_specs for e in sub["edges"]])
         service = SpannerService(
             executor,
             config=ServiceConfig(
@@ -296,7 +292,7 @@ class TenantManager:
         (no flusher, no local writes, no durability)."""
         config = TenantConfig(name=name, spec=spec, shards=shards,
                               autostart=False)
-        executor = _build_executor(dict(spec), shards)
+        executor, _ = bootstrap_executor(spec, shards)
         service = SpannerService(executor, config=ServiceConfig())
         if base_seq:
             service.align_seq(base_seq)
@@ -334,16 +330,3 @@ class TenantManager:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def _build_executor(spec: dict[str, Any], shards: int):
-    """LocalExecutor for one shard, in-process ShardedExecutor beyond.
-
-    In-process shards keep tenancy deterministic and fork-free; the
-    process-per-shard executor stays available to single-tenant serving
-    via ``repro.cli serve`` (without ``--listen``).
-    """
-    if shards <= 1:
-        return LocalExecutor(spec)
-    from repro.service.shard import ShardedExecutor
-
-    return ShardedExecutor(spec, shards, processes=False)

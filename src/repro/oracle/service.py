@@ -102,22 +102,17 @@ def verify_service(service, executor, deep: bool = False,
     """Cross-check a :class:`~repro.service.engine.SpannerService` against
     a synchronous replay of its applied batches (see module docstring).
 
-    ``executor`` must expose ``shard_specs`` / ``applied_batches`` /
-    ``gather_edges`` (both :class:`LocalExecutor` via a single-shard view
-    and :class:`ShardedExecutor` do).
+    ``executor`` is the service's
+    :class:`~repro.service.shard.ShardedExecutor`; each shard is replayed
+    from its anchor ``(shard_specs[i], history[i])``.
     """
-    from repro.service.engine import build_backend
+    from repro.service.shard import build_backend
 
     result = ServiceVerification()
-    shard_specs = getattr(executor, "shard_specs", None)
-    applied = getattr(executor, "applied_batches", None)
-    if shard_specs is None:  # LocalExecutor: one implicit shard
-        shard_specs = [executor.spec]
-        applied = [applied or []]
-
     replay_output: set = set()
     replay_graph: set = set()
-    for shard_idx, (spec, batches) in enumerate(zip(shard_specs, applied)):
+    for shard_idx, (spec, batches) in enumerate(
+            zip(executor.shard_specs, executor.history)):
         rebuilt = build_backend(spec, CostModel())
         mirror = set(rebuilt.output_edges())
         for batch in batches:
@@ -181,7 +176,7 @@ def verify_service(service, executor, deep: bool = False,
     # so the queue's membership view is *expected* to drift from the
     # per-shard replay; the drift is recorded in executor.quarantined and
     # surfaced through metrics, not reported as an oracle violation.
-    if not getattr(executor, "quarantined", None):
+    if not executor.quarantined:
         queue_view = service.graph_edges()
         if replay_graph != queue_view:
             result.violations.append(Violation(

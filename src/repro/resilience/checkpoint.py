@@ -28,7 +28,9 @@ one rather than editing the last.  Edge sets are decoded only on demand
 (:meth:`Checkpoint.edges`), which in the serving engine means only on
 recovery.  The steady-state cost of a checkpoint is therefore the
 executor's :class:`KeyTracker` advancing each shard's previous array by
-the batches applied since, not an encode of the whole graph.
+the batches applied since, not an encode of the whole graph; the
+tracker reads only the shard's anchor (base edges + applied batches),
+never a live edge set.
 
 Checkpoints are written atomically (tmp file + ``fsync`` +
 ``os.replace``), so a crash mid-checkpoint leaves a ``.tmp`` orphan the
@@ -120,14 +122,13 @@ def edge_keys(edges: Collection[Edge]) -> np.ndarray:
 class KeyTracker:
     """One shard's checkpoint keys, advanced incrementally.
 
-    :meth:`keys` is handed the shard's applied-batch history and its
-    current edge set.  When the history is the same list object as last
-    time, only the batches appended since are looked at: every key they
-    touch is dropped, and the touched edges still in the edge set are
-    added back, so the cost is the window's size plus one pass over the
-    array, not an encode of the whole set.  A different list (a
-    supervised restart or a quarantine re-anchored the shard's history)
-    re-encodes the edge set.
+    :meth:`keys` is handed the shard's anchor: the base edges it was last
+    built on and the sub-batches applied since.  When the history is the
+    same list object as last time, only the batches appended since are
+    looked at, so the cost is the window's size plus one pass over the
+    array, not an encode of the whole graph.  A different list (a
+    supervised restart or a quarantine re-anchored the shard) encodes the
+    new base and advances it by the whole history.
     """
 
     __slots__ = ("_keys", "_history", "_mark")
@@ -138,34 +139,37 @@ class KeyTracker:
         self._mark = 0
 
     def keys(self, history: list[UpdateBatch],
-             edges: set[Edge]) -> np.ndarray:
-        """Sorted, read-only keys of ``edges``, the shard's edge set after
+             base: Collection[Edge]) -> np.ndarray:
+        """Sorted, read-only keys of the shard's edge set: ``base`` after
         every batch of ``history``."""
-        if self._keys is not None and history is self._history:
-            keys = _advance(self._keys, history[self._mark:], edges)
-        else:
-            keys = edge_keys(edges)
-            keys.flags.writeable = False
-        self._keys, self._history, self._mark = keys, history, len(history)
-        return keys
+        if self._keys is None or history is not self._history:
+            self._keys = edge_keys(set(base))
+            self._keys.flags.writeable = False
+            self._history, self._mark = history, 0
+        self._keys = _advance(self._keys, history[self._mark:])
+        self._mark = len(history)
+        return self._keys
 
 
-def _advance(keys: np.ndarray, window: list[UpdateBatch],
-             edges: set[Edge]) -> np.ndarray:
-    """``keys`` with the window's net effect applied: drop every key a
-    batch of ``window`` touched, then insert the touched edges that are
-    in ``edges`` at the window's end.  Returns a new read-only array."""
-    touched = set(chain.from_iterable(
-        chain(b.insertions, b.deletions) for b in window))
-    if not touched:
+def _advance(keys: np.ndarray, window: list[UpdateBatch]) -> np.ndarray:
+    """``keys`` with the window's net effect applied: per edge, the last
+    batch that touched it decides, a batch's insertions winning over its
+    deletions (:meth:`~repro.workloads.streams.Workload.replay` applies
+    deletions first).  Returns a new read-only array, or ``keys`` itself
+    for an empty window."""
+    live: dict[Edge, bool] = {}
+    for b in window:
+        live.update(dict.fromkeys(b.deletions, False))
+        live.update(dict.fromkeys(b.insertions, True))
+    if not live:
         return keys
-    gone = edge_keys(touched)
+    gone = edge_keys(live)
     at = np.searchsorted(keys, gone)
     hit = at < keys.size
     hit[hit] = keys[at[hit]] == gone[hit]
     kept = np.delete(keys, at[hit])
-    live = edge_keys(touched & edges)
-    out = np.insert(kept, np.searchsorted(kept, live), live)
+    added = edge_keys([e for e, on in live.items() if on])
+    out = np.insert(kept, np.searchsorted(kept, added), added)
     out.flags.writeable = False
     return out
 

@@ -11,8 +11,9 @@ into the single object the serving engine talks to:
   set and the WAL-tail sub-batches to replay (routing is re-derived with
   the deterministic :func:`~repro.service.shard.edge_shard` router, so a
   single global log serves every shard);
-* a cold-started engine calls :func:`bootstrap_executor` to rebuild the
-  whole sharded state before serving resumes.
+* every serving stack builds its executor with :func:`bootstrap_executor`,
+  which rebuilds the whole sharded state from this directory before
+  serving resumes.
 """
 
 from __future__ import annotations
@@ -247,30 +248,40 @@ class RecoveryManager:
 def bootstrap_executor(
     spec: dict,
     shards: int,
-    manager: RecoveryManager,
+    manager: RecoveryManager | None = None,
     processes: bool = False,
     supervision: SupervisionConfig | None = None,
     injector: FaultInjector | None = None,
 ):
-    """Cold-start recovery: rebuild a ShardedExecutor from durable state.
+    """Build the serving executor for ``spec`` over ``shards`` shards,
+    resuming from ``manager``'s durable state if one is given.
 
-    Returns ``(executor, last_seq)``.  The executor is constructed on the
-    checkpointed edge sets (falling back to ``spec['edges']`` when no
-    checkpoint exists) and the WAL tail is replayed through it batch by
-    batch, so the caller can resume committing at ``last_seq + 1``.
+    Returns ``(executor, last_seq)``; the caller resumes committing at
+    ``last_seq + 1``.  With a manager, the shards are built on the
+    checkpointed edge sets (``spec['edges']`` when no checkpoint exists)
+    and the WAL tail is replayed through the executor batch by batch;
+    without one (no durable state) the executor is built on ``spec`` as
+    is and ``last_seq`` is 0.  One shard in-process is a
+    :class:`~repro.service.shard.LocalExecutor`, anything else a
+    :class:`~repro.service.shard.ShardedExecutor`.
     """
-    from repro.service.shard import ShardedExecutor
+    from repro.service.shard import LocalExecutor, ShardedExecutor
 
-    initial = [tuple(e) for e in spec.get("edges", ())]
-    base_union: set[Edge] = set()
-    for i in range(shards):
-        base_union |= manager.base_edges(i, shards, initial)
     boot_spec = dict(spec)
-    boot_spec["edges"] = sorted(base_union)
-    executor = ShardedExecutor(
+    tail: list[WalRecord] = []
+    if manager is not None:
+        initial = [tuple(e) for e in spec.get("edges", ())]
+        base_union: set[Edge] = set()
+        for i in range(shards):
+            base_union |= manager.base_edges(i, shards, initial)
+        boot_spec["edges"] = sorted(base_union)
+        tail = manager.tail
+    cls = LocalExecutor if shards == 1 and not processes \
+        else ShardedExecutor
+    executor = cls(
         boot_spec, shards, processes=processes, supervision=supervision,
         recovery=manager, injector=injector,
     )
-    for rec in manager.tail:
+    for rec in tail:
         executor.apply(rec.batch, seq=rec.seq)
-    return executor, manager.last_seq
+    return executor, manager.last_seq if manager is not None else 0

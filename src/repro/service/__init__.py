@@ -8,7 +8,8 @@ queries from snapshot-consistent state:
 * :mod:`repro.service.batcher` — adaptive micro-batching (size/deadline),
 * :mod:`repro.service.admission` — bounded queues, shedding, timeouts,
 * :mod:`repro.service.engine` — the :class:`SpannerService` facade,
-* :mod:`repro.service.shard` — sharded multiprocessing executor,
+* :mod:`repro.service.shard` — the one executor: S shards (one in-process
+  is :class:`LocalExecutor`), inline or on worker processes,
 * :mod:`repro.service.metrics` — counters/histograms registry,
 * :mod:`repro.service.driver` — the end-to-end serve demo + verification.
 
@@ -26,21 +27,21 @@ from repro.service.admission import (
 from repro.service.batcher import AdaptiveBatcher, BatcherConfig
 from repro.service.driver import ServeConfig, ServeReport, run_serve
 from repro.service.engine import (
-    ApplyResult,
-    LocalExecutor,
     PendingQuery,
     QueryResult,
     ServiceConfig,
     SpannerService,
     SubmitResponse,
-    build_backend,
 )
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.queue import CoalescingQueue, DrainResult
 from repro.service.shard import (
+    ApplyResult,
+    LocalExecutor,
     ShardDeadError,
     ShardedExecutor,
     ShardHealth,
+    build_backend,
     edge_shard,
     split_by_shard,
 )

@@ -32,7 +32,6 @@ from repro.resilience.manager import (
 from repro.service.admission import AdmissionConfig
 from repro.service.batcher import BatcherConfig
 from repro.service.engine import ServiceConfig, SpannerService
-from repro.service.shard import ShardedExecutor
 from repro.workloads.streams import request_stream
 
 __all__ = ["ServeConfig", "ServeReport", "SimClock", "run_serve"]
@@ -158,22 +157,15 @@ def run_serve(cfg: ServeConfig, verify: bool = True) -> ServeReport:
             SupervisionConfig(recv_deadline=cfg.recv_deadline)
             if cfg.supervise else None
         )
-        resumed_from_seq = 0
         if cfg.wal_dir:
             recovery = RecoveryManager(ResilienceConfig(
                 directory=cfg.wal_dir,
                 checkpoint_interval=cfg.checkpoint_interval,
             ))
-            resumed_from_seq = recovery.last_seq
-            executor, _ = bootstrap_executor(
-                spec, cfg.shards, recovery,
-                processes=cfg.processes, supervision=supervision,
-            )
-        else:
-            executor = ShardedExecutor(
-                spec, cfg.shards, processes=cfg.processes,
-                supervision=supervision,
-            )
+        executor, resumed_from_seq = bootstrap_executor(
+            spec, cfg.shards, recovery,
+            processes=cfg.processes, supervision=supervision,
+        )
         clock = SimClock()
         service = SpannerService(
             executor,

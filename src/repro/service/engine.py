@@ -2,8 +2,9 @@
 
 One uniform ``submit_update`` / ``query`` API over any of the paper's
 structures (fully-dynamic spanner, sparse spanner, spectral sparsifier),
-run either in-process (:class:`LocalExecutor`) or across sharded worker
-processes (:class:`repro.service.shard.ShardedExecutor`).
+applied through one executor, :class:`repro.service.shard.ShardedExecutor`,
+over one shard in-process (:class:`LocalExecutor`) or many, inline or on
+worker processes.
 
 Consistency model: updates are queued, coalesced, and applied in batches;
 queries are answered from the engine's *snapshot* — one array graph of
@@ -26,18 +27,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.graph.array_graph import ArrayDynamicGraph
 from repro.graph.dynamic_graph import Edge
 from repro.graph.traversal import bfs_distances
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 from repro.queries.batch import QueryBatch, answer_queries
-from repro.resilience.checkpoint import KeyTracker
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.batcher import AdaptiveBatcher, BatcherConfig
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import CoalescingQueue, DrainResult
+# the executor module owns these; re-exported as the engine's API
+from repro.service.shard import (
+    ApplyResult,
+    LocalExecutor,
+    ShardedExecutor,
+    build_backend,
+)
 from repro.workloads.streams import UpdateBatch
 
 __all__ = [
@@ -50,147 +55,6 @@ __all__ = [
     "SubmitResponse",
     "build_backend",
 ]
-
-
-# -- backends ----------------------------------------------------------------
-
-
-class _SpannerAdapter:
-    """Uniform ``update``/``output_edges`` view over a spanner facade."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    def update(self, insertions=(), deletions=()):
-        return self.inner.update(insertions=insertions, deletions=deletions)
-
-    def output_edges(self) -> set[Edge]:
-        return self.inner.spanner_edges()
-
-
-class _SparsifierAdapter:
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    def update(self, insertions=(), deletions=()):
-        return self.inner.update(insertions=insertions, deletions=deletions)
-
-    def output_edges(self) -> set[Edge]:
-        return self.inner.output_edges()
-
-
-def build_backend(spec: dict[str, Any], cost: CostModel):
-    """Construct a structure from a picklable spec dict.
-
-    ``spec`` keys: ``kind`` ("spanner" | "sparse" | "sparsifier"), ``n``,
-    ``edges`` (initial edge list), ``seed``, plus per-kind parameters
-    (``k``, ``base_capacity``, ``t``).  Kept picklable so sharded workers
-    can rebuild the backend in a spawned process, and so the serve demo
-    can re-run the identical construction for verification.
-    """
-    kind = spec.get("kind", "spanner")
-    n = spec["n"]
-    edges = [tuple(e) for e in spec.get("edges", ())]
-    seed = spec.get("seed", 0)
-    if kind == "spanner":
-        from repro.spanner import FullyDynamicSpanner
-
-        return _SpannerAdapter(FullyDynamicSpanner(
-            n, edges, k=spec.get("k", 2), seed=seed,
-            base_capacity=spec.get("base_capacity"), cost=cost,
-        ))
-    if kind == "sparse":
-        from repro.contraction import SparseSpannerDynamic
-
-        return _SpannerAdapter(SparseSpannerDynamic(
-            n, edges, seed=seed,
-            base_capacity=spec.get("base_capacity"), cost=cost,
-        ))
-    if kind == "sparsifier":
-        from repro.sparsifier import FullyDynamicSpectralSparsifier
-
-        return _SparsifierAdapter(FullyDynamicSpectralSparsifier(
-            n, edges, t=spec.get("t", 2), seed=seed, cost=cost,
-        ))
-    raise ValueError(f"unknown backend kind {kind!r}")
-
-
-# -- executors ---------------------------------------------------------------
-
-
-@dataclass
-class ApplyResult:
-    """Outcome of applying one coalesced batch to the structure(s).
-
-    ``work`` sums over shards; ``depth`` and ``critical_work`` take the
-    max (shards run in parallel, so the slowest shard is the critical
-    path — ``work / critical_work`` is the batch's parallel speedup).
-
-    The recovery fields are populated by supervised executors: which
-    shards were restarted while applying this batch, which quarantined
-    their sub-batch as poison, how many restarts happened, and how much
-    wall time recovery consumed.
-    """
-
-    delta_ins: set[Edge]
-    delta_del: set[Edge]
-    work: int
-    depth: int
-    critical_work: int = 0
-    recovered_shards: tuple[int, ...] = ()
-    quarantined_shards: tuple[int, ...] = ()
-    restarts: int = 0
-    recovery_seconds: float = 0.0
-
-    @property
-    def recovered(self) -> bool:
-        return bool(self.recovered_shards or self.quarantined_shards)
-
-
-class LocalExecutor:
-    """Single in-process structure (the unsharded fast path)."""
-
-    def __init__(self, spec: dict[str, Any]) -> None:
-        self.spec = dict(spec)
-        self.n = int(self.spec["n"])
-        self._cost = CostModel()
-        self._backend = build_backend(self.spec, self._cost)
-        self.applied_batches: list[UpdateBatch] = []
-        self._graph: set[Edge] = {
-            tuple(e) for e in self.spec.get("edges", ())
-        }
-        self._key_tracker = KeyTracker()
-
-    def output_edges(self) -> set[Edge]:
-        """The structure's current output (spanner/sparsifier) edges."""
-        return self._backend.output_edges()
-
-    def shard_keys(self) -> list[np.ndarray]:
-        """Uniform with :meth:`ShardedExecutor.shard_keys` (one shard)."""
-        return [self._key_tracker.keys(self.applied_batches, self._graph)]
-
-    def graph_union(self) -> set[Edge]:
-        """The graph edge set implied by every applied batch."""
-        return set(self._graph)
-
-    def apply(self, batch: UpdateBatch, seq: int | None = None) -> ApplyResult:
-        """Apply one coalesced batch; returns deltas plus measured cost."""
-        with self._cost.frame() as fr:
-            ins, dels = self._backend.update(
-                insertions=batch.insertions, deletions=batch.deletions
-            )
-        self.applied_batches.append(batch)
-        self._graph -= set(batch.deletions)
-        self._graph |= set(batch.insertions)
-        return ApplyResult(set(ins), set(dels), fr.work, fr.depth,
-                           critical_work=fr.work)
-
-    def gather_edges(self) -> set[Edge]:
-        """Uniform with :meth:`ShardedExecutor.gather_edges`."""
-        return self.output_edges()
-
-    def close(self) -> None:
-        """No-op (uniform with :meth:`ShardedExecutor.close`)."""
 
 
 # -- the service -------------------------------------------------------------
@@ -274,7 +138,7 @@ class SpannerService:
 
     def __init__(
         self,
-        executor,
+        executor: ShardedExecutor,
         config: ServiceConfig | None = None,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -321,9 +185,7 @@ class SpannerService:
         # set by a supervised executor while a shard is being restarted;
         # checked lock-free so clients degrade instead of queueing behind
         # the recovering flush
-        self._degraded: threading.Event = getattr(
-            executor, "degraded", None
-        ) or threading.Event()
+        self._degraded: threading.Event = executor.degraded
         # vertex count: bounds every admitted write and sizes the
         # snapshot graph and the traversal charges
         self._n = executor.n
@@ -331,7 +193,7 @@ class SpannerService:
         # every read walks; guarded by its own lock so queries stay served
         # while a flush recovers a shard
         self._snap_lock = threading.Lock()
-        self._graph = ArrayDynamicGraph(self._n, executor.output_edges())
+        self._graph = ArrayDynamicGraph(self._n, executor.gather_edges())
         self._snapshot_seq = self._next_seq - 1
         # reads waiting to be answered at the next flush cycle
         self._pending_reads: list[PendingQuery] = []
@@ -755,7 +617,7 @@ class SpannerService:
             m.histogram("recovery_latency_s").observe(
                 result.recovery_seconds
             )
-        fallbacks = getattr(self.executor, "wal_fallbacks", 0)
+        fallbacks = self.executor.wal_fallbacks
         if fallbacks:
             wf = m.counter("wal_fallbacks")
             wf.inc(fallbacks - wf.value)
@@ -764,14 +626,11 @@ class SpannerService:
 
     def start(self) -> None:
         """Run a daemon thread that enforces the latency deadline and,
-        for supervised sharded executors, heartbeats worker liveness."""
+        for supervised executors, heartbeats worker liveness."""
         if self._thread is not None:
             return
         self._stop.clear()
-        supervision = getattr(self.executor, "supervision", None)
-        can_probe = supervision is not None and hasattr(
-            self.executor, "health_check"
-        )
+        supervision = self.executor.supervision
         last_probe = time.monotonic()
 
         def loop() -> None:
@@ -785,7 +644,8 @@ class SpannerService:
                     if wait <= 0.0:
                         self._flush_locked(now)
                         wait = self.config.batcher.max_delay
-                    if (can_probe and time.monotonic() - last_probe
+                    if (supervision is not None
+                            and time.monotonic() - last_probe
                             >= supervision.heartbeat_interval):
                         last_probe = time.monotonic()
                         for h in self.executor.health_check(restart=True):

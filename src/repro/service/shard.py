@@ -1,4 +1,4 @@
-"""Sharded executor: S independent structure instances on worker processes.
+"""The serving executor: S independent structure instances, one per shard.
 
 The paper's structures share no state across disjoint edge sets, so the
 engine can escape the GIL by hash-partitioning edges over ``S`` shards,
@@ -6,23 +6,34 @@ each a full structure instance on the common vertex set.  A flush
 scatters the coalesced batch into per-shard sub-batches (shards apply
 them in parallel), then gathers the ``(δ_ins, δ_del)`` deltas plus
 cost-model work/depth; shard work *sums* while shard depth *maxes*,
-exactly the cost model's parallel-composition rule.
+exactly the cost model's parallel-composition rule.  One shard is the
+trivial case of that composition, not a second design: the unsharded
+executor is ``ShardedExecutor(spec)``, and
+:func:`repro.resilience.bootstrap_executor` is the one way the serving
+stacks build an executor of either width.
+
+A shard is its *anchor* ``(shard_specs[i], history[i])``: the spec its
+structure was last built on and the sub-batches it applied since.
+Nothing else describes a shard's input graph: :meth:`graph_union`, the
+checkpoint keys (:meth:`shard_keys`), a restart's in-memory fallback and
+the replay oracle (:func:`repro.oracle.verify_service`) all derive from
+it, and a restart re-anchors the shard on what it was rebuilt from.
 
 Shards run on the one worker runtime, the execution backends of
 :mod:`repro.parallel`.  A shard is a *pinned stateful task*:
 :func:`shard_task` keeps shard ``i``'s structure in worker-local state
 and the executor always dispatches shard ``i`` to worker ``i`` of a
 :class:`~repro.parallel.pool.ProcessPoolBackend` (``processes=True``).
-``processes=False`` runs the same task inline on a
-:class:`~repro.parallel.backend.SequentialBackend` (deterministic, no
-fork needed) — tests and the benchmark baseline use it; the CLI demo uses
-real processes where the platform provides them.
+``processes=False`` calls the same task inline, in the calling thread
+(deterministic, no fork needed) — tests, tenants and the benchmark
+baseline use it; the CLI demo uses real processes where the platform
+provides them.
 
 Supervision: every dispatch carries a reply deadline (a worker that
 misses it is killed), and a shard whose worker died, hung, or crashed on
 its batch has lost its state.  It is rebuilt — after exponential backoff
 — from the last checkpoint plus a WAL-tail replay (or, lacking durable
-state, from the in-memory applied-batch history), and its sub-batch is
+state or with the log damaged, from its anchor), and its sub-batch is
 retried; a live shard's reply from the same dispatch is kept, so its
 sub-batch is never sent twice.  After ``max_batch_attempts`` consecutive
 crash-loops on the same batch the sub-batch is quarantined instead,
@@ -37,7 +48,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -49,13 +60,15 @@ from repro.resilience.checkpoint import KeyTracker
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
 from repro.resilience.manager import RecoveryManager, SupervisionConfig
 from repro.resilience.wal import WalCorruptionError
-from repro.service.engine import ApplyResult, build_backend
 from repro.workloads.streams import UpdateBatch
 
 __all__ = [
+    "ApplyResult",
+    "LocalExecutor",
     "ShardDeadError",
     "ShardedExecutor",
     "ShardHealth",
+    "build_backend",
     "edge_shard",
     "shard_task",
     "split_by_shard",
@@ -63,6 +76,101 @@ __all__ = [
 
 #: Former name of the shard crash type, kept for the public API.
 ShardDeadError = WorkerCrashed
+
+
+# -- backends ----------------------------------------------------------------
+
+
+class _SpannerAdapter:
+    """Uniform ``update``/``output_edges`` view over a spanner facade."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def update(self, insertions=(), deletions=()):
+        return self.inner.update(insertions=insertions, deletions=deletions)
+
+    def output_edges(self) -> set[Edge]:
+        return self.inner.spanner_edges()
+
+
+class _SparsifierAdapter:
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def update(self, insertions=(), deletions=()):
+        return self.inner.update(insertions=insertions, deletions=deletions)
+
+    def output_edges(self) -> set[Edge]:
+        return self.inner.output_edges()
+
+
+def build_backend(spec: dict[str, Any], cost: CostModel):
+    """Construct a structure from a picklable spec dict.
+
+    ``spec`` keys: ``kind`` ("spanner" | "sparse" | "sparsifier"), ``n``,
+    ``edges`` (initial edge list), ``seed``, plus per-kind parameters
+    (``k``, ``base_capacity``, ``t``).  Kept picklable so sharded workers
+    can rebuild the backend in a spawned process, and so the serve demo
+    can re-run the identical construction for verification.
+    """
+    kind = spec.get("kind", "spanner")
+    n = spec["n"]
+    edges = [tuple(e) for e in spec.get("edges", ())]
+    seed = spec.get("seed", 0)
+    if kind == "spanner":
+        from repro.spanner import FullyDynamicSpanner
+
+        return _SpannerAdapter(FullyDynamicSpanner(
+            n, edges, k=spec.get("k", 2), seed=seed,
+            base_capacity=spec.get("base_capacity"), cost=cost,
+        ))
+    if kind == "sparse":
+        from repro.contraction import SparseSpannerDynamic
+
+        return _SpannerAdapter(SparseSpannerDynamic(
+            n, edges, seed=seed,
+            base_capacity=spec.get("base_capacity"), cost=cost,
+        ))
+    if kind == "sparsifier":
+        from repro.sparsifier import FullyDynamicSpectralSparsifier
+
+        return _SparsifierAdapter(FullyDynamicSpectralSparsifier(
+            n, edges, t=spec.get("t", 2), seed=seed, cost=cost,
+        ))
+    raise ValueError(f"unknown backend kind {kind!r}")
+
+
+@dataclass
+class ApplyResult:
+    """Outcome of applying one coalesced batch to the structure(s).
+
+    ``work`` sums over shards; ``depth`` and ``critical_work`` take the
+    max (shards run in parallel, so the slowest shard is the critical
+    path — ``work / critical_work`` is the batch's parallel speedup).
+
+    The recovery fields are populated by supervised executors: which
+    shards were restarted while applying this batch, which quarantined
+    their sub-batch as poison, how many restarts happened, and how much
+    wall time recovery consumed.
+    """
+
+    delta_ins: set[Edge]
+    delta_del: set[Edge]
+    work: int
+    depth: int
+    critical_work: int = 0
+    recovered_shards: tuple[int, ...] = ()
+    quarantined_shards: tuple[int, ...] = ()
+    restarts: int = 0
+    recovery_seconds: float = 0.0
+
+    @property
+    def recovered(self) -> bool:
+        return bool(self.recovered_shards or self.quarantined_shards)
+
+
+# -- routing -----------------------------------------------------------------
 
 
 def edge_shard(edge: Edge, shards: int) -> int:
@@ -75,10 +183,15 @@ def split_by_shard(
     edges: list[Edge] | tuple[Edge, ...], shards: int
 ) -> list[list[Edge]]:
     """Partition ``edges`` into per-shard lists via :func:`edge_shard`."""
+    if shards == 1:
+        return [list(edges)]
     out: list[list[Edge]] = [[] for _ in range(shards)]
     for e in edges:
         out[edge_shard(e, shards)].append(e)
     return out
+
+
+# -- the worker-side task ----------------------------------------------------
 
 
 #: Worker-local shard state: (executor token, shard index) → the shard's
@@ -155,29 +268,32 @@ class ShardHealth:
     restarted: bool = False
 
 
+# -- the executor ------------------------------------------------------------
+
+
 class ShardedExecutor:
     """Partition one backend spec across ``shards`` independent workers.
 
     Parameters
     ----------
     spec:
-        Backend spec as for :func:`repro.service.engine.build_backend`;
-        its ``edges`` are routed to shards, and shard ``i`` gets
-        ``seed + i`` so instances stay independent yet reproducible.
+        Backend spec as for :func:`build_backend`; its ``edges`` are
+        routed to shards, and shard ``i`` gets ``seed + i`` so instances
+        stay independent yet reproducible.
     shards:
-        Number of partitions (>= 1).
+        Number of partitions (>= 1).  One shard builds exactly the
+        structure ``build_backend(spec)`` would.
     processes:
         Run shards on a :class:`~repro.parallel.pool.ProcessPoolBackend`
-        with one worker process per shard (parallel) or inline on a
-        :class:`~repro.parallel.backend.SequentialBackend`
-        (deterministic).
+        with one worker process per shard (parallel) or inline in the
+        calling thread (deterministic).
     supervision:
         Deadlines/backoff/quarantine policy; None disables supervision
         entirely (a dead shard then surfaces as :class:`WorkerCrashed`).
     recovery:
         A :class:`~repro.resilience.manager.RecoveryManager`; when set,
-        restarted shards rebuild from checkpoint + WAL replay, else from
-        the in-memory applied-batch history.
+        restarted shards rebuild from checkpoint + WAL replay, else (or
+        when the log is damaged) from their anchor.
     injector:
         Fault-injection hooks (chaos harness); defaults to no-op.
     """
@@ -185,7 +301,7 @@ class ShardedExecutor:
     def __init__(
         self,
         spec: dict[str, Any],
-        shards: int,
+        shards: int = 1,
         processes: bool = False,
         supervision: SupervisionConfig | None = None,
         recovery: RecoveryManager | None = None,
@@ -199,19 +315,20 @@ class ShardedExecutor:
         self.recovery = recovery
         self.injector = injector or NULL_INJECTOR
         base_seed = spec.get("seed", 0)
-        initial = [tuple(e) for e in spec.get("edges", ())]
-        self._initial_edges = initial
-        parts = split_by_shard(initial, shards)
-        self.shard_specs: list[dict[str, Any]] = []
-        for i in range(shards):
-            sub = dict(spec)
-            sub["edges"] = parts[i]
-            sub["seed"] = base_seed + i
-            self.shard_specs.append(sub)
+        parts = split_by_shard([tuple(e) for e in spec.get("edges", ())],
+                               shards)
+        # shard i's anchor: the spec its structure was built on and the
+        # sub-batches applied since (see the module docstring)
+        self.shard_specs: list[dict[str, Any]] = [
+            dict(spec, edges=part, seed=base_seed + i)
+            for i, part in enumerate(parts)
+        ]
+        self.history: list[list[UpdateBatch]] = [[] for _ in range(shards)]
         self.backend = (
             ProcessPoolBackend(shards, supervision=supervision)
             if processes else SequentialBackend()
         )
+        self._inline = not processes
         self._token = self.backend.new_token()
         # frees in-process shard state on close, or when the executor is
         # collected without one
@@ -227,13 +344,6 @@ class ShardedExecutor:
         except BaseException:
             self.close()
             raise
-        # per-shard applied sub-batches, for offline replay verification
-        self.applied_batches: list[list[UpdateBatch]] = [
-            [] for _ in range(shards)
-        ]
-        # per-shard *graph* edge sets (ground truth), and the checkpoint
-        # keys each shard_keys() call advances from them
-        self._graph: list[set[Edge]] = [set(p) for p in parts]
         self._key_trackers = [KeyTracker() for _ in range(shards)]
         self._restart_streak = [0] * shards   # resets on successful apply
         self.restarts_total = 0
@@ -241,18 +351,26 @@ class ShardedExecutor:
         self.wal_fallbacks = 0
         self.degraded = threading.Event()  # set while any shard recovers
 
+    @property
+    def applied_batches(self) -> list[list[UpdateBatch]]:
+        """:attr:`history` under its former name; read by the replay
+        benchmark (``perfbench/``) until it counts history publicly."""
+        return self.history
+
     def _call(self, shards, requests: list[tuple]) -> list[Any]:
         """Run one :func:`shard_task` request per shard, each on the
         shard's own worker; a shard that died, hung or lost its state
         replies None.  Replies of shards that finished are kept even when
         another shard's worker crashed mid-dispatch."""
         shards = list(shards)
+        args = [((self._token, i),) + r for i, r in zip(shards, requests)]
+        if self._inline:
+            # nothing to pin, time out or lose in-process: skip the
+            # backend's per-chunk bookkeeping and run the task directly
+            return [shard_task(a, None) for a in args]
         try:
             res = self.backend.map_chunks(
-                shard_task, [((self._token, i),) + r
-                             for i, r in zip(shards, requests)],
-                pinned=shards, deadline=self._deadline,
-            )
+                shard_task, args, pinned=shards, deadline=self._deadline)
             return [r.value for r in res]
         except WorkerCrashed as exc:
             return [exc.completed[j].value if j in exc.completed else None
@@ -265,25 +383,28 @@ class ShardedExecutor:
         _SHARDS.pop((self._token, i), None)
         self.backend.kill_worker(i)
 
-    # -- executor protocol ---------------------------------------------------
-
-    def output_edges(self) -> set[Edge]:
-        """Alias for :meth:`gather_edges` (executor protocol)."""
-        return self.gather_edges()
+    # -- the input graph, from the anchors -----------------------------------
 
     def shard_keys(self) -> list[np.ndarray]:
         """Per-shard sorted checkpoint keys (the checkpoint payload), each
         advanced from the previous call's by the sub-batches applied
         since (see :class:`~repro.resilience.checkpoint.KeyTracker`)."""
-        return [t.keys(h, g) for t, h, g in zip(
-            self._key_trackers, self.applied_batches, self._graph)]
+        return [t.keys(h, spec["edges"]) for t, h, spec in zip(
+            self._key_trackers, self.history, self.shard_specs)]
 
     def graph_union(self) -> set[Edge]:
-        """The graph edge set implied by every applied batch."""
+        """The graph edge set implied by every shard's anchor."""
         out: set[Edge] = set()
-        for g in self._graph:
-            out |= g
+        for spec in self.shard_specs:
+            out.update(spec["edges"])
+        # shards own disjoint edges, so their histories commute
+        for batches in self.history:
+            for b in batches:
+                out.difference_update(b.deletions)
+                out.update(b.insertions)
         return out
+
+    # -- applying batches ----------------------------------------------------
 
     def apply(self, batch: UpdateBatch, seq: int | None = None) -> ApplyResult:
         """Scatter the batch, apply on every touched shard, gather deltas.
@@ -351,9 +472,7 @@ class ShardedExecutor:
             if self.injector.on_apply(i, "post", seq) == "kill":
                 self.kill_shard(i)
             d_ins, d_del, w, d = reply
-            self.applied_batches[i].append(sub)
-            self._graph[i].difference_update(del_parts[i])
-            self._graph[i].update(ins_parts[i])
+            self.history[i].append(sub)
             self._restart_streak[i] = 0
             delta_ins.update(d_ins)
             delta_del.update(d_del)
@@ -378,23 +497,27 @@ class ShardedExecutor:
             return None
         return reply
 
-    def _recovery_source(self, i: int) -> tuple[set[Edge],
-                                                list[UpdateBatch], bool]:
-        """(base edges, replay batches, used_wal) for restarting shard i."""
+    def _recovery_source(self, i: int) -> tuple[Collection[Edge],
+                                                list[UpdateBatch]]:
+        """(base edges, replay batches) for restarting shard ``i``:
+        checkpoint + WAL tail when durable state exists, else — or when
+        the log is damaged — the shard's anchor."""
+        anchor = self.shard_specs[i]["edges"]
         if self.recovery is not None:
             try:
                 skip = {s for s, sh, _ in self.quarantined
                         if sh == i and s is not None}
-                base, replay = self.recovery.shard_recovery_plan(
-                    i, self.shards, self._initial_edges, skip_seqs=skip
-                )
-                return base, replay, True
+                # without a checkpoint the plan's base is the shard's
+                # construction edges, which its anchor still holds: only
+                # a checkpoint moves an anchor off them
+                return self.recovery.shard_recovery_plan(
+                    i, self.shards, anchor, skip_seqs=skip)
             except WalCorruptionError:
-                # the log is damaged mid-stream; fall back to the exact
-                # in-memory history (only possible while the parent lives)
+                # the log is damaged mid-stream; replay the in-memory
+                # history from the anchor (only possible while the
+                # parent lives)
                 self.wal_fallbacks += 1
-        base = set(split_by_shard(self._initial_edges, self.shards)[i])
-        return base, list(self.applied_batches[i]), False
+        return anchor, list(self.history[i])
 
     def _restart_shard(self, i: int) -> int:
         """Back off, then rebuild shard ``i`` on its worker from
@@ -408,21 +531,14 @@ class ShardedExecutor:
                 time.sleep(delay)
             self._restart_streak[i] = streak + 1
             self.restarts_total += 1
-            base, replay, _ = self._recovery_source(i)
-            spec = dict(self.shard_specs[i])
-            spec["edges"] = sorted(base)
+            base, replay = self._recovery_source(i)
+            spec = dict(self.shard_specs[i], edges=sorted(base))
             steps = [(b.insertions, b.deletions) for b in replay]
             if self._call([i], [("init", spec, steps)])[0] is None:
                 raise WorkerCrashed(f"shard {i} died while rebuilding")
-            # re-anchor the offline-verification view on the recovered
-            # construction: spec' + replayed tail is the shard's history now
+            # re-anchor on what the shard was rebuilt from
             self.shard_specs[i] = spec
-            self.applied_batches[i] = list(replay)
-            graph = set(base)
-            for b in replay:
-                graph -= set(b.deletions)
-                graph |= set(b.insertions)
-            self._graph[i] = graph
+            self.history[i] = list(replay)
             self.injector.on_restart(i, self._restart_streak[i])
             return 1
         finally:
@@ -493,3 +609,20 @@ class ShardedExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class LocalExecutor(ShardedExecutor):
+    """``ShardedExecutor(spec)``: one shard, in-process.
+
+    Defines nothing of its own but what the replay benchmark
+    (``perfbench/``) reads by name, until it reads public counters
+    instead: ``apply`` in the class's own namespace, which its tracer
+    wraps, and :attr:`applied_batches` as shard 0's flat history.
+    """
+
+    apply = ShardedExecutor.apply
+
+    @property
+    def applied_batches(self) -> list[UpdateBatch]:
+        """Shard 0's history, one :class:`UpdateBatch` per commit."""
+        return self.history[0]

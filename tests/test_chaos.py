@@ -267,7 +267,7 @@ class TestRealProcessKill:
             assert ex.backend.worker_restarts_total >= 1
             # rebuilt from the checkpoint at seq 2 plus the WAL tail (seq
             # 3), then the retried batch
-            assert ex.applied_batches[0] == batches[2:]
+            assert ex.history[0] == batches[2:]
             *_, (_, truth) = Workload(32, list(initial), batches).replay()
             assert ex.graph_union() == truth
             assert sum(ex.scatter_sizes()) == len(ex.gather_edges())
@@ -293,7 +293,7 @@ class TestRealProcessKill:
             res = ex.apply(UpdateBatch(insertions=[e0, e1]), seq=1)
             assert res.recovered_shards == (0,)
             assert log.read_text().splitlines() == ["applied"]
-            assert [b.insertions for b in ex.applied_batches[1]] == [[e1]]
+            assert [b.insertions for b in ex.history[1]] == [[e1]]
             assert ex.graph_union() == set(initial) | {e0, e1}
             assert all(h.alive for h in ex.health_check(restart=False))
         finally:

@@ -480,7 +480,8 @@ class TestReplica:
             finally:
                 replica.close()
 
-    def test_replica_of_recovered_primary(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_replica_of_recovered_primary(self, tmp_path, shards):
         """A primary resumed from checkpoint+WAL ships a log whose base
         is the checkpoint; a replica bootstrapping from sync_info must
         still converge to the exact live state."""
@@ -490,7 +491,7 @@ class TestReplica:
         with TenantManager() as tm:
             tm.create(TenantConfig(
                 name="default", spec=_spec(), wal_dir=wal_dir,
-                checkpoint_interval=2, autostart=False))
+                shards=shards, checkpoint_interval=2, autostart=False))
             svc = tm.get("default").service
             for i in range(8):
                 svc.submit_update("insert", 60 + i, 61 + i)
@@ -499,9 +500,10 @@ class TestReplica:
         with TenantManager() as tm:
             tenant = tm.create(TenantConfig(
                 name="default", spec=_spec(), wal_dir=wal_dir,
-                checkpoint_interval=10**9, autostart=False))
+                shards=shards, checkpoint_interval=10**9, autostart=False))
             svc = tenant.service
             assert tenant.replication.base_seq > 0
+            assert svc.executor.shards == shards
             svc.submit_update("insert", 90, 91)
             svc.flush()
             with ThreadedServer(tm) as srv:
@@ -515,12 +517,14 @@ class TestReplica:
 
 
 class TestRecoveredTenant:
-    def test_queue_sees_replayed_wal_tail(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_queue_sees_replayed_wal_tail(self, tmp_path, shards):
         """A tenant rebuilt from checkpoint + WAL tail admits writes
         against the recovered graph, not the checkpoint base."""
         wal_dir = str(tmp_path / "wal")
         config = TenantConfig(name="default", spec=_spec(), wal_dir=wal_dir,
-                              checkpoint_interval=10**9, autostart=False)
+                              shards=shards, checkpoint_interval=10**9,
+                              autostart=False)
         crashed = TenantManager().create(config).service
         assert crashed.submit_update("insert", 7, 9).accepted
         crashed.flush()

@@ -370,7 +370,7 @@ class TestServiceSelfCheck:
             svc.submit_update("delete", *e)
         svc.flush()
         # tamper with the applied-batch log: replaying it must now diverge
-        svc.executor.applied_batches.append(
+        svc.executor.history[0].append(
             UpdateBatch(deletions=[edges[6]])
         )
         result = verify_service(svc, svc.executor)

@@ -9,6 +9,7 @@ shutdown-path satellites (idempotent close/stop, admission overload,
 driver interrupt handling).
 """
 
+import contextlib
 import json
 import random
 import struct
@@ -622,6 +623,67 @@ class _Poison(FaultInjector):
         return "drop" if shard == 0 and seq in self.seqs else None
 
 
+@contextlib.contextmanager
+def _damaged_magic(path):
+    """Flip the WAL's first magic byte for the duration of the block, so
+    every live restart inside it finds the log damaged and falls back to
+    the shard's anchor; the log is whole again afterwards."""
+    with open(path, "r+b") as fh:
+        byte = fh.read(1)
+        fh.seek(0)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+    try:
+        yield
+    finally:
+        with open(path, "r+b") as fh:
+            fh.write(byte)
+
+
+class TestWalFallbackRestart:
+    def test_fallback_after_reanchor_replays_from_anchor(self, tmp_path):
+        """A restart re-anchors shard 0 on the checkpoint; a later restart
+        that finds the WAL damaged mid-stream must replay the in-memory
+        history from that anchor, not from the initial edges (which would
+        silently lose every change between the two)."""
+        spec = _spec()
+        mgr = RecoveryManager(ResilienceConfig(
+            directory=tmp_path, checkpoint_interval=4))
+        ex = ShardedExecutor(spec, 2, supervision=_SUP, recovery=mgr)
+        svc = _service(ex, recovery=mgr)
+        taken = set(spec["edges"])
+
+        def commit():
+            for k in range(6):
+                e = _edge_for_shard(k % 2, exclude=taken)
+                taken.add(e)
+                assert svc.submit_update("insert", *e).accepted
+            svc.flush()
+
+        for _ in range(5):
+            commit()
+        ex.kill_shard(0)
+        commit()                     # restart from checkpoint + WAL
+        assert ex.shard_specs[0]["edges"] != \
+            sorted(split_by_shard(spec["edges"], 2)[0])
+        for _ in range(5):
+            commit()
+        with open(mgr.wal_path, "r+b") as fh:
+            fh.seek(mgr.wal_path.stat().st_size // 3)
+            byte = fh.read(1)
+            fh.seek(-1, 1)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(WalCorruptionError):
+            read_wal(mgr.wal_path)
+        ex.kill_shard(0)
+        commit()                     # restart from the anchor
+        assert ex.wal_fallbacks == 1
+        assert svc.metrics.snapshot()["wal_fallbacks"] == 1
+        result = svc.self_check()
+        assert result.ok, str(result)
+        assert ex.graph_union() == svc.graph_edges() == taken
+        svc.close()
+
+
 class TestCheckpointKeys:
     """``shard_keys()`` advances each shard's previous keys by the
     sub-batches applied since, and re-encodes a shard whose history a
@@ -669,8 +731,9 @@ class TestCheckpointKeys:
     @given(data=st.data())
     def test_keys_equal_set_encoding(self, tmp_path_factory, data):
         """Random windows — an edge inserted then deleted, deleted then
-        re-inserted, or both — with supervised restarts and quarantined
-        sub-batches in between."""
+        re-inserted, or both — with supervised restarts (from checkpoint
+        + WAL, or from the anchor when the log is damaged) and
+        quarantined sub-batches in between."""
         tmp_path = tmp_path_factory.mktemp("keys")
         poison = _Poison()
         mgr, ex, model = self._executor(tmp_path / "wal", poison)
@@ -681,15 +744,20 @@ class TestCheckpointKeys:
                 for _ in range(data.draw(st.integers(0, 5))):
                     seq += 1
                     fault = data.draw(st.sampled_from(
-                        ["none", "none", "none", "kill", "poison"]))
-                    if fault == "kill":
+                        ["none", "none", "none", "kill", "poison",
+                         "fallback"]))
+                    if fault in ("kill", "fallback"):
                         ex.kill_shard(data.draw(st.integers(0, 1)))
                     elif fault == "poison":
                         poison.seqs.add(seq)
                     edges = data.draw(st.lists(
                         st.sampled_from(self.PAIRS[:20]), unique=True,
                         max_size=6))
-                    self._apply(ex, mgr, model, seq, edges)
+                    if fault == "fallback":
+                        with _damaged_magic(mgr.wal_path):
+                            self._apply(ex, mgr, model, seq, edges)
+                    else:
+                        self._apply(ex, mgr, model, seq, edges)
                 self._check(tmp_path, mgr, ex, model, seq)
         finally:
             ex.close()
@@ -714,7 +782,7 @@ class TestCheckpointKeys:
                 poison.seqs.add(7)
             res = self._apply(ex, mgr, model, 7, shard0[:2])
             assert res.recovered_shards == (0,)
-            assert len(ex.applied_batches[0]) < 6
+            assert len(ex.history[0]) < 6
             for seq in (8, 9):
                 self._apply(ex, mgr, model, seq, shard0[seq:seq + 3])
             self._check(tmp_path, mgr, ex, model, 9)
@@ -723,11 +791,16 @@ class TestCheckpointKeys:
             mgr.close()
 
     def test_local_executor_keys(self, tmp_path):
+        """The one-shard executor's keys come from its anchor alone: it
+        holds no edge set of its own."""
         from repro.service import LocalExecutor
 
         initial = self.PAIRS[::3]
         ex = LocalExecutor({"kind": "spanner", "n": self.N, "k": 2,
                             "edges": initial, "seed": 5})
+        assert isinstance(ex, ShardedExecutor) and ex.shards == 1
+        assert ex.shard_specs[0]["edges"] == initial
+        assert not any(isinstance(v, set) for v in vars(ex).values())
         live = set(initial)
         first = ex.shard_keys()
         assert not first[0].flags.writeable
@@ -742,6 +815,9 @@ class TestCheckpointKeys:
                     edge_keys(live).tolist()
         # the arrays handed out earlier are untouched
         assert first[0].tolist() == edge_keys(set(initial)).tolist()
+        assert ex.graph_union() == live
+        ex.close()
+
 
 def _service(executor, recovery=None, max_pending=1024, max_batch=512,
              max_delay=1000.0):

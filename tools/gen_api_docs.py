@@ -4,11 +4,13 @@
 Walks every public module, lists its ``__all__`` items with their
 signatures and first docstring paragraph.  Run from the repo root:
 
-    python tools/gen_api_docs.py
+    python tools/gen_api_docs.py            # rewrite docs/api.md
+    python tools/gen_api_docs.py --check    # exit 1 if it is stale
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -74,7 +76,12 @@ def document_module(mod) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; exit 1 if docs/api.md would change")
+    args = parser.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "src"))
     import repro
@@ -96,7 +103,14 @@ def main() -> int:
     for mod in packages:
         out.extend(document_module(mod))
     target = root / "docs" / "api.md"
-    target.write_text("\n".join(out) + "\n")
+    text = "\n".join(out) + "\n"
+    if args.check:
+        if target.exists() and target.read_text() == text:
+            print(f"{target} is up to date")
+            return 0
+        print(f"{target} is stale: run python tools/gen_api_docs.py")
+        return 1
+    target.write_text(text)
     print(f"wrote {target} ({len(out)} lines)")
     return 0
 
