@@ -29,7 +29,12 @@ parallel backend's version-keyed adjacency broadcast — see
 ``(id(graph), graph.version)``.  :meth:`csr` returns the compacted
 ``(indptr, indices)`` view, cached per epoch, that the vectorized frontier
 kernels in :mod:`repro.queries.batch` and :mod:`repro.graph.traversal`
-consume — the one derived view a served epoch builds; :meth:`segments`
+consume — the one derived view a served epoch builds.  While a CSR is
+cached, every mutation records the rows it changed, and the next epoch's
+:meth:`csr` splices just those rows from the arena into the cached arrays
+(untouched rows are copied as slices) instead of gathering all ``m``
+slots again; past ``n / _SPLICE_FRACTION`` touched rows it gathers in
+full.  :meth:`segments`
 exposes the live arena itself, which the point-to-point search reads so
 that a read between mutations builds no CSR.  :meth:`read_state` is the
 epoch's other derived state (:class:`EpochReadState`): component labels
@@ -46,7 +51,7 @@ loops, which ``tools/bench_gate.py`` pins exactly.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,6 +64,20 @@ _I64 = np.int64
 
 #: serializes creating an epoch's read state (rare: once per epoch)
 _READ_STATE_LOCK = threading.Lock()
+
+
+class _CsrCache(NamedTuple):
+    """One epoch's CSR and the rows mutated since that epoch.
+
+    ``csr()`` never clears ``touched``: it installs a new cache with an
+    empty set, so readers that fetched this one still pair its arrays
+    with the complete row set.
+    """
+
+    version: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    touched: set[int]
 
 
 class ArrayDynamicGraph:
@@ -79,6 +98,9 @@ class ArrayDynamicGraph:
     #: delete batches at or below this size take the scalar path, larger
     #: ones the vectorized join (docs/substrate.md has the measurement)
     _SCALAR_DELETE = 12
+    #: ``csr()`` splices at most ``n // _SPLICE_FRACTION`` touched rows
+    #: into the cached CSR; more take the full gather
+    _SPLICE_FRACTION = 32
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  slack: int = 2) -> None:
@@ -97,7 +119,7 @@ class ArrayDynamicGraph:
         self._nbr = np.empty(0, dtype=_I32)
         self._used = 0      # arena high-water mark
         self._dead = 0      # slots abandoned by relocation
-        self._csr_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._csr_cache: _CsrCache | None = None
         # no reader left; kept for the replay benchmark (see sorted_flat)
         self._sorted_cache: tuple[int, list[int], list[int]] | None = None
         self._read_state: EpochReadState | None = None
@@ -234,19 +256,50 @@ class ArrayDynamicGraph:
         return self._start, self._deg, self._nbr
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Compacted ``(indptr, indices)`` snapshot, cached per epoch."""
+        """Compacted ``(indptr, indices)`` snapshot, cached per epoch; a
+        new epoch's is spliced from the last cached one when it can be.
+
+        With a cached CSR of an earlier epoch, the rows the mutations
+        since then touched are spliced from the arena into it and every
+        untouched run of rows is copied as one slice: ``O(t + m)`` copy
+        work for ``t`` touched rows, no ``O(m)`` index arithmetic.  With
+        no cache, or once more than ``n // _SPLICE_FRACTION`` rows were
+        touched (a mutation then drops the cache), every live slot is
+        gathered in arena order.  The arrays returned are never written
+        again, and mutations must not run concurrently with reads.
+        """
         cache = self._csr_cache
-        if cache is not None and cache[0] == self.version:
-            return cache[1], cache[2]
+        if cache is not None and cache.version == self.version:
+            return cache.indptr, cache.indices
         indptr = np.zeros(self.n + 1, dtype=_I64)
         np.cumsum(self._deg, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=_I32)
-        # one gather: positions of all live slots in arena order
-        if self.n:
-            live = _segment_positions(self._start, self._deg)
-            indices[:] = self._nbr[live]
-        self._csr_cache = (self.version, indptr, indices)
+        if cache is not None:
+            indices = self._splice(cache)
+        else:
+            indices = np.empty(int(indptr[-1]), dtype=_I32)
+            if self.n:
+                live = _segment_positions(self._start, self._deg)
+                indices[:] = self._nbr[live]
+        self._csr_cache = _CsrCache(self.version, indptr, indices, set())
         return indptr, indices
+
+    def _splice(self, cache: _CsrCache) -> np.ndarray:
+        """``cache.indices`` with each touched row replaced by its live
+        arena segment (untouched rows kept their degree, so their old
+        slots are still exact)."""
+        rows = np.array(sorted(cache.touched), dtype=_I64)
+        old_ptr, old, nbr = cache.indptr, cache.indices, self._nbr
+        # untouched run i spans old slots [ends of touched row i - 1,
+        # start of touched row i); touched row i is its arena segment
+        run_a = [0] + old_ptr[rows + 1].tolist()
+        run_b = old_ptr[rows].tolist() + [len(old)]
+        first = self._start[rows]
+        seg_a = first.tolist()
+        seg_b = (first + self._deg[rows]).tolist()
+        parts = [None] * (2 * len(rows) + 1)
+        parts[0::2] = [old[a:b] for a, b in zip(run_a, run_b)]
+        parts[1::2] = [nbr[a:b] for a, b in zip(seg_a, seg_b)]
+        return np.concatenate(parts)
 
     def read_state(self) -> EpochReadState:
         """This epoch's :class:`EpochReadState`, built lazily and keyed by
@@ -265,9 +318,13 @@ class ArrayDynamicGraph:
 
     def __getstate__(self) -> dict:
         # the read state is a per-process cache; a copy shipped to a
-        # worker rebuilds it on its first read
+        # worker rebuilds it on its first read.  The CSR ships only when
+        # it is this epoch's (its touched-row set is then empty)
         state = self.__dict__.copy()
         state["_read_state"] = None
+        cache = self._csr_cache
+        if cache is not None and cache.version != self.version:
+            state["_csr_cache"] = None
         return state
 
     def sorted_flat(self) -> tuple[list[int], list[int]]:
@@ -338,7 +395,7 @@ class ArrayDynamicGraph:
                         self._grow(v, d + 1)
                     self._nbr[int(self._start[v]) + d] = w
                     self._deg[v] = d + 1
-            self._mutated(len(added))
+            self._mutated(len(added), *added)
             return
         arr = np.asarray(added, dtype=_I32)
         ends = np.concatenate([arr[:, 0], arr[:, 1]])
@@ -358,7 +415,7 @@ class ArrayDynamicGraph:
         pos = self._start[se] + self._deg[se] + offs
         self._nbr[pos] = other[order]
         self._deg[verts] = deg + inc
-        self._mutated(len(added))
+        self._mutated(len(added), verts.tolist())
 
     def delete_batch(self, edges: Iterable[Edge]) -> list[Edge]:
         """Delete a batch; returns the normalized edges removed.
@@ -385,7 +442,7 @@ class ArrayDynamicGraph:
                 i = seg.tolist().index(w)
                 seg[i] = seg[d - 1]
                 self._deg[v] = d - 1
-        self._mutated(-len(removed))
+        self._mutated(-len(removed), *removed)
         return removed
 
     def _check_delete(self, pairs: list) -> list[Edge]:
@@ -442,16 +499,21 @@ class ArrayDynamicGraph:
         tail = i >= (last - r)[seg]
         self._nbr[pos[hit & ~tail]] = self._nbr[pos[~hit & tail]]
         self._deg[verts] = deg - r
-        self._mutated(-k)
+        self._mutated(-k, verts.tolist())
         return list(zip(a.tolist(), b.tolist()))
 
-    def _mutated(self, dm: int) -> None:
-        """Close a batch that changed the edge count by ``dm``: count,
-        epoch and the epoch's caches."""
+    def _mutated(self, dm: int, *rows: Iterable[int]) -> None:
+        """Close a batch that changed the edge count by ``dm`` and the
+        vertices in ``rows``: count, epoch, and the cached CSR's touched
+        rows (the cache is dropped once they pass the splice bound)."""
         self._m += dm
         self.version += 1
-        self._csr_cache = None
         self._sorted_cache = None
+        cache = self._csr_cache
+        if cache is not None:
+            cache.touched.update(*rows)
+            if len(cache.touched) > self.n // self._SPLICE_FRACTION:
+                self._csr_cache = None
 
     # -- growth / compaction -------------------------------------------------
 

@@ -280,6 +280,78 @@ def _reads_sparse(smoke: bool) -> tuple[Rows, bool]:
     }], verified and (smoke or steady_ms <= 0.2)
 
 
+def _reads_dense(smoke: bool) -> tuple[Rows, bool]:
+    """PERF8: the served read path on a dense snapshot, the regime where
+    a distance sweep's last round is a pull and each epoch's CSR is
+    spliced from the previous one's.  Every epoch commits a few edges,
+    then answers four 32-item frames of the SRV3 mix; smoke mode runs
+    the same stream (it is the pinned one)."""
+    import statistics
+
+    import numpy as np
+
+    from repro.graph import ArrayDynamicGraph
+    from repro.oracle.queries import singleton_answers
+    from repro.queries import answer_queries
+    from repro.queries.bench import mix_read
+
+    # the wire_reads snapshot's shape: n = 1024, average degree 68
+    n, m, epochs, frames = 1024, 34_832, 40, 4
+    rng = np.random.default_rng(8)
+    us, vs = np.triu_indices(n, 1)
+    pick = rng.choice(len(us), size=m, replace=False)
+    graph = ArrayDynamicGraph(n, np.column_stack([us[pick], vs[pick]]))
+    live = set(zip(us[pick].tolist(), vs[pick].tolist()))
+    adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
+    for a, b in live:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    recent: list[tuple[int, int]] = []   # deletes churn inserted edges
+    cm = CostModel()
+    first: list[float] = []
+    steady: list[float] = []
+    verified = True
+    for _ in range(epochs):
+        gone = [recent.pop(int(rng.integers(0, len(recent))))
+                for _ in range(min(3, len(recent)))]
+        fresh: list[tuple[int, int]] = []
+        while len(fresh) < 3:
+            a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+            if (a, b) not in live:
+                live.add((a, b))
+                fresh.append((a, b))
+        live.difference_update(gone)
+        for a, b in gone:
+            adjacency[a].discard(b)
+            adjacency[b].discard(a)
+        for a, b in fresh:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        recent += fresh
+        if gone:
+            graph.delete_batch(gone)
+        graph.insert_batch(fresh)
+        for f in range(frames):
+            items = [mix_read(rng, n) for _ in range(32)]
+            t0 = time.perf_counter()
+            answers, _ = answer_queries(items, graph, cost=cm)
+            (steady if f else first).append(time.perf_counter() - t0)
+            verified = verified and \
+                answers == singleton_answers(items, live, adjacency)
+    total = sum(first) + sum(steady)
+    return [{
+        "n": n,
+        "m": graph.m,
+        "epochs": epochs,
+        "first_frame_ms": round(1000 * statistics.median(first), 3),
+        "steady_frame_ms": round(1000 * statistics.median(steady), 3),
+        "ops_per_sec": round(32 * epochs * frames / total, 1),
+        "work": cm.work,
+        "depth": cm.depth,
+        "verified": verified,
+    }], verified
+
+
 def _par1(smoke: bool) -> tuple[Rows, bool]:
     from repro.parallel.bench import BenchParallelConfig, run_bench_parallel
 
@@ -483,6 +555,10 @@ BENCHES: tuple[Bench, ...] = (
           "ms per checkpoint, snapshot and checkpoint bytes verified "
           "against set references; counts and work/depth pinned",
           _commit_path),
+    Bench("bench_reads_dense", "PERF8: 32-item frames of the SRV3 mix "
+          "between few-edge commits on a dense 1024-vertex snapshot: "
+          "first-of-epoch and steady frame ms, answers equal the "
+          "singleton path; work/depth pinned", _reads_dense),
 )
 
 

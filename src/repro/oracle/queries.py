@@ -374,6 +374,7 @@ class QueryFuzzReport:
     queries: int = 0
     deduped: int = 0
     wide: int = 0      # batches with more than 64 distinct BFS sources
+    dense: int = 0     # workloads on a dense graph (m ~ n^2 / 4)
     violations: list[tuple[int, Violation]] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -388,6 +389,7 @@ class QueryFuzzReport:
             "queries": self.queries,
             "deduped": self.deduped,
             "wide": self.wide,
+            "dense": self.dense,
             "violations": len(self.violations),
         }]
 
@@ -398,6 +400,10 @@ _WORD = 64
 #: big enough to host more than one mask word of sources
 _WIDE_EVERY = 6
 _WIDE_N = (_WORD + 2, 160)
+#: every _DENSE_EVERY-th workload draws a dense graph in the wide vertex
+#: range (diameter about 2), whose distance sweeps mostly end at a pull
+#: round's target check; it takes precedence over the wide draw
+_DENSE_EVERY = 10
 
 
 def _random_graph(
@@ -412,6 +418,14 @@ def _random_graph(
         u, v = int(u), int(v)
         edges.add((u, v) if u < v else (v, u))
     return n, edges
+
+
+def _dense_graph(rng: np.random.Generator) -> tuple[int, set[Edge]]:
+    """``n`` in the wide range and ``m = n^2 / 4`` distinct edges."""
+    n = int(rng.integers(_WIDE_N[0], _WIDE_N[1] + 1))
+    us, vs = np.triu_indices(n, 1)
+    pick = rng.choice(len(us), size=n * n // 4, replace=False)
+    return n, set(zip(us[pick].tolist(), vs[pick].tolist()))
 
 
 def _random_queries(
@@ -491,7 +505,10 @@ def run_query_fuzz(
                     f"after {i} workload(s) — campaign truncated")
             break
         rng = np.random.default_rng((0x9E3779B9, i))
-        if i % _WIDE_EVERY == _WIDE_EVERY - 1:
+        dense = i % _DENSE_EVERY == _DENSE_EVERY - 1
+        if dense:
+            n, edges = _dense_graph(rng)
+        elif i % _WIDE_EVERY == _WIDE_EVERY - 1:
             n, edges = _random_graph(rng, _WIDE_N[1], _WIDE_N[0])
         else:
             n, edges = _random_graph(rng, config.max_n)
@@ -517,6 +534,7 @@ def run_query_fuzz(
         sources = {min(p) for kind, p in keys
                    if kind == "distance" and p[0] != p[1]}
         report.wide += len(sources) > _WORD
+        report.dense += dense
         for v in viols:
             if log:
                 log(f"violation (workload {i}): {v}")

@@ -237,7 +237,10 @@ def _multi_source_bfs_csr(
     the epoch's ``state`` and are cleared column by column at the end,
     so a sweep that reaches a small ball costs ``O(ball)``, not ``O(n)``.
     With targets it then settles the pending ``(source, target)`` pairs
-    and retires finished sources at the round boundary.  Answers and
+    and retires finished sources at the round boundary.  Before a pull,
+    :func:`_targets_settle` first reads only the pending targets' rows:
+    if the round settles every pending pair, every live source retires
+    at its boundary and the sweep ends without the pull.  Answers and
     charges equal the scalar path's.
     """
     import numpy as np
@@ -314,10 +317,21 @@ def _multi_source_bfs_csr(
             # pull: the live masks sit in the accumulator rows while
             # every non-empty row ORs its neighbors' in one segmented
             # reduction; the new bits land back in the accumulator
+            for m, a in zip(frontier_m, acc):
+                a[fv] = m
+            if (targets is not None and len(t_dst) == sum(left)
+                    and _targets_settle(acc_flat, n, csr, deg,
+                                        t_src, t_dst, t_bit)):
+                # every live source retires at this boundary: the pull
+                # would only build a frontier no round reads
+                for i, t in zip(t_src.tolist(), t_dst.tolist()):
+                    dist[srcs[i]][t] = level
+                for a in acc:
+                    a[fv] = 0
+                break
             red = []
             hit = None
-            for m, a, r in zip(frontier_m, acc, reached):
-                a[fv] = m
+            for a, r in zip(acc, reached):
                 rj = np.bitwise_or.reduceat(a[indices], nz_starts)
                 a[fv] = 0
                 rj &= ~r[nz_rows]
@@ -375,6 +389,24 @@ def _multi_source_bfs_csr(
         r[cols] = 0
     state.release(sc)
     return dist
+
+
+def _targets_settle(acc_flat, n, csr, deg, t_src, t_dst, t_bit) -> bool:
+    """Whether this round settles every pending ``(source, target)``
+    pair, read from the targets' rows alone: one segmented OR of the
+    frontier masks (placed in the flattened accumulator ``acc_flat``)
+    over each target's neighbors, in the pair's source word.  Runs only
+    when those rows hold fewer slots than the pull would scan."""
+    import numpy as np
+
+    indptr, indices = csr
+    counts = deg[t_dst]
+    if not counts.all() or int(counts.sum()) >= len(indices):
+        return False   # an isolated target never settles
+    nbrs = _gather_neighbors(indices, indptr[t_dst], counts)
+    vals = acc_flat[((t_src >> 6) * n).repeat(counts) + nbrs]
+    firsts = counts.cumsum() - counts
+    return bool((np.bitwise_or.reduceat(vals, firsts) & t_bit).all())
 
 
 def batch_distances(

@@ -28,16 +28,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.pram.cost import CostModel
 
-__all__ = ["BenchQueriesConfig", "BenchQueriesReport", "run_bench_queries"]
+__all__ = ["BenchQueriesConfig", "BenchQueriesReport", "mix_read",
+           "run_bench_queries"]
 
 
 #: share of requests that are reads (the 95/5 mix)
 READ_FRACTION = 0.95
+#: read kinds, drawn uniformly
+_KINDS = ("distance", "distance", "connected", "connected", "contains")
 
 
 @dataclass
@@ -81,8 +85,6 @@ def _make_windows(
 ) -> list[tuple[list, list]]:
     """The request stream as (writes, reads) windows, fixed up front so
     both timed passes replay identical work."""
-    hot = max(4, cfg.n // 32)
-    kinds = ("distance", "distance", "connected", "connected", "contains")
     windows: list[tuple[list, list]] = []
     produced = 0
     while produced < cfg.requests:
@@ -94,18 +96,24 @@ def _make_windows(
             u, v = rng.choice(cfg.n, size=2, replace=False)
             op = "insert" if rng.random() < 0.5 else "delete"
             writes.append((op, int(u), int(v)))
-        reads = []
-        for _ in range(n_reads):
-            if rng.random() < 0.02:
-                reads.append(("size", None))
-                continue
-            lo = hot if rng.random() < cfg.hot_fraction else cfg.n
-            u = int(rng.integers(0, lo))
-            v = int(rng.integers(0, lo))
-            kind = kinds[int(rng.integers(0, len(kinds)))]
-            reads.append((kind, (u, v)))
+        reads = [mix_read(rng, cfg.n, cfg.hot_fraction)
+                 for _ in range(n_reads)]
         windows.append((writes, reads))
     return windows
+
+
+def mix_read(rng: np.random.Generator, n: int,
+             hot_fraction: float = 0.9) -> tuple[str, Any]:
+    """One read of the SRV3 mix: ``size`` 2% of the time, else a
+    ``distance``/``connected``/``contains`` pair (2:2:1) whose endpoints
+    come from the hot set ``[0, max(4, n // 32))`` with probability
+    ``hot_fraction`` and from all of ``[0, n)`` otherwise."""
+    if rng.random() < 0.02:
+        return ("size", None)
+    lo = max(4, n // 32) if rng.random() < hot_fraction else n
+    u = int(rng.integers(0, lo))
+    v = int(rng.integers(0, lo))
+    return (_KINDS[int(rng.integers(0, len(_KINDS)))], (u, v))
 
 
 def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:

@@ -379,6 +379,120 @@ class TestSelfLoopRejection:
                 assert c.submit("insert", 5, 6) == "accepted"
 
 
+# -- spliced per-epoch CSR ----------------------------------------------------
+
+
+def _full_gather(g: ArrayDynamicGraph):
+    """``g``'s CSR by the full gather: a copy carries no cached CSR."""
+    return g.copy().csr()
+
+
+def _assert_csr_exact(g: ArrayDynamicGraph) -> bool:
+    """``g.csr()`` is byte-identical to its full gather; whether it was
+    spliced into an earlier epoch's cache."""
+    import numpy as np
+
+    cache = g._csr_cache
+    spliced = cache is not None and cache.version != g.version
+    got, want = g.csr(), _full_gather(g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    return spliced
+
+
+class TestSplicedCsr:
+    """``csr()`` splices the rows mutations touched into the previous
+    epoch's CSR; every result must equal the same graph's full gather."""
+
+    N = 1024   # splice bound: 32 touched rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_splice_equals_full_gather(self, data):
+        """Insert/delete batches on both sides of the scalar/vectorized
+        crossovers (relocating segments through ``_grow``), ``compact``,
+        ``copy`` and pickle round trips, with ``csr()`` at random
+        points."""
+        import pickle
+
+        # endpoints drawn from a small universe, so some epochs stay
+        # under the splice bound and some pass it
+        span = data.draw(st.integers(8, 80))
+        pairs = [(u, v) for u in range(span) for v in range(u + 1, span)]
+        initial = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                     max_size=120))
+        g = ArrayDynamicGraph(self.N, initial, slack=data.draw(
+            st.integers(0, 2)))
+        live = set(initial)
+        g.csr()
+        top = 2 * max(ArrayDynamicGraph._SCALAR_DELETE,
+                      ArrayDynamicGraph._SCALAR_INSERT)
+        for _ in range(data.draw(st.integers(1, 12))):
+            op = data.draw(st.sampled_from(
+                ["insert", "delete"] * 2
+                + ["csr", "compact", "copy", "pickle"]))
+            if op == "csr":
+                _assert_csr_exact(g)
+            elif op == "compact":
+                g.compact()
+            elif op == "copy":
+                g = g.copy()
+            elif op == "pickle":
+                g = pickle.loads(pickle.dumps(g))
+            else:
+                pool = sorted(set(pairs) - live if op == "insert" else live)
+                if not pool:
+                    continue
+                # mostly served-delta sizes, sometimes past the bound
+                size = data.draw(st.one_of(st.integers(1, 8),
+                                           st.integers(1, top)))
+                batch = data.draw(st.permutations(pool))[:size]
+                getattr(g, f"{op}_batch")(batch)
+                live = live | set(batch) if op == "insert" else \
+                    live - set(batch)
+            if data.draw(st.booleans()):
+                _assert_csr_exact(g)
+        _assert_csr_exact(g)
+        assert g.edge_set() == live
+
+    def test_splices_under_the_bound_only(self):
+        g = ArrayDynamicGraph(self.N, [(0, 1), (2, 3)])
+        bound = self.N // ArrayDynamicGraph._SPLICE_FRACTION
+        g.insert_batch([(4, 5)])
+        assert g._csr_cache is None   # no CSR built: nothing recorded
+        g.csr()
+        # 16 edges over rows 0 .. bound - 1: exactly at the bound
+        g.insert_batch([(v, v + bound // 2) for v in range(bound // 2)
+                        if (v, v + bound // 2) not in g])
+        g.delete_batch([(0, 1)])
+        assert len(g._csr_cache.touched) == bound
+        assert _assert_csr_exact(g)
+        assert g._csr_cache.touched == set()
+        # one row past the bound drops the cache: a full gather
+        g.insert_batch([(v, v + 1) for v in range(100, 100 + bound, 2)])
+        assert g._csr_cache is not None
+        g.insert_batch([(200, 201)])
+        assert g._csr_cache is None
+        assert not _assert_csr_exact(g)
+
+    def test_pickle_ships_no_stale_cache(self):
+        import pickle
+
+        g = ArrayDynamicGraph(self.N, [(0, 1), (1, 2)])
+        g.csr()
+        g.insert_batch([(0, 2)])
+        assert g._csr_cache.touched == {0, 2}
+        assert pickle.loads(pickle.dumps(g))._csr_cache is None
+        g.csr()
+        h = pickle.loads(pickle.dumps(g))
+        assert h._csr_cache.version == h.version
+        assert h._csr_cache.touched == set()
+        h.delete_batch([(1, 2)])
+        assert _assert_csr_exact(h)
+        assert g.copy()._csr_cache is None
+
+
 # -- pooled ES-tree bucket scans ----------------------------------------------
 
 

@@ -402,6 +402,16 @@ class TestCoalesceAndAnswer:
         assert check_query_batch(n, edges, items,
                                  rng=np.random.default_rng(seed)) == []
 
+    def test_fuzz_campaign_draws_dense_graphs(self):
+        """Every tenth workload is dense (m = n^2 / 4, n > 65): wide
+        sweeps there end at a pull round's target check."""
+        from repro.oracle.queries import QueryFuzzConfig, run_query_fuzz
+
+        report = run_query_fuzz(QueryFuzzConfig(workloads=10,
+                                                service_every=0))
+        assert report.ok
+        assert report.dense == 1 and report.rows()[0]["dense"] == 1
+
 
 class TestEpochReadState:
     """Component labels memoized per epoch on the array graph."""
@@ -481,7 +491,9 @@ class TestEpochReadState:
     def test_concurrent_readers_match_serial(self):
         """Eight threads answer batches on one epoch at once; each gets
         exactly the serial answers and charges (memo fills race, and
-        scratches are leased per sweep)."""
+        scratches are leased per sweep).  On the second graph the
+        epoch's first ``csr()``, which the threads race to take, splices
+        rows into the previous epoch's CSR."""
         import sys
         import threading
 
@@ -502,42 +514,49 @@ class TestEpochReadState:
             answers, stats = answer_queries(items, ArrayDynamicGraph(n, edges),
                                             cost=cm)
             serial.append((answers, (stats.work, stats.depth)))
-        graph = ArrayDynamicGraph(n, edges)
-        start = threading.Barrier(8)
-        got: list = [None] * 8
-        errors: list = []
+        moved = sorted(edges)[:3]
+        spliced = ArrayDynamicGraph(n, edges - set(moved[:2]))
+        spliced.csr()
+        spliced.delete_batch(moved[2:])
+        spliced.insert_batch(moved)
+        cache = spliced._csr_cache
+        assert cache is not None and cache.version != spliced.version
+        for graph in (ArrayDynamicGraph(n, edges), spliced):
+            start = threading.Barrier(8)
+            got: list = [None] * 8
+            errors: list = []
 
-        def reader(t):
+            def reader(t):
+                try:
+                    start.wait()
+                    out = []
+                    for rep in range(5):
+                        # odd threads also read uncharged, filling labels
+                        # from non-root floods while the charged readers run
+                        if t % 2 and rep % 2:
+                            answer_queries(batches[t], graph)
+                        answers, stats = answer_queries(batches[t], graph,
+                                                        cost=CostModel())
+                        out.append((answers, (stats.work, stats.depth)))
+                    got[t] = out
+                except BaseException as exc:  # pragma: no cover - reported
+                    errors.append(exc)
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
             try:
-                start.wait()
-                out = []
-                for rep in range(5):
-                    # odd threads also read uncharged, filling labels from
-                    # non-root floods while the charged readers run
-                    if t % 2 and rep % 2:
-                        answer_queries(batches[t], graph)
-                    answers, stats = answer_queries(batches[t], graph,
-                                                    cost=CostModel())
-                    out.append((answers, (stats.work, stats.depth)))
-                got[t] = out
-            except BaseException as exc:  # pragma: no cover - reported
-                errors.append(exc)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=reader, args=(t,))
-                       for t in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert not errors
-        for t in range(8):
-            assert got[t] == [serial[t]] * 5
+                threads = [threading.Thread(target=reader, args=(t,))
+                           for t in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            for t in range(8):
+                assert got[t] == [serial[t]] * 5
 
 
 class TestChargeParity:
@@ -627,6 +646,48 @@ class TestChargeParity:
                    targets={s: [s + 1, s + 90] for s in sources[:70]})
         self._both(sources[:70], edges=dense)
         self._components_both(_edge_set(self.N, 2 * self.N, seed=23))
+        # a dense diameter-2 core (0 .. N-4) with a two-vertex tail
+        # hanging off 0 and one isolated vertex: pull rounds whose
+        # target check retires every live source, or only some
+        exits = []
+        settle = qbatch._targets_settle
+
+        def spy(*args):
+            exits.append(settle(*args))
+            return exits[-1]
+
+        monkeypatch.setattr(qbatch, "_targets_settle", spy)
+        core = self.N - 3
+        tail, far, lone = core, core + 1, core + 2
+        edges = _edge_set(core, core * core // 4, seed=25)
+        edges |= {(0, tail), (tail, far)}
+        rng = np.random.default_rng(25)
+        srcs = rng.choice(core, size=70, replace=False).tolist()
+        near = {s: rng.choice(core, size=3, replace=False).tolist()
+                for s in srcs}
+        for kw in ({}, {"bound": 1}, {"bound": 2}):
+            self._both(srcs[:20], edges=edges,
+                       targets={s: near[s] for s in srcs[:20]}, **kw)
+        if pull_factor:
+            assert exits and exits[-1]   # all retired at the check
+        exits.clear()
+        # half the sources also want the tail's far end (up to 4 hops),
+        # so the rest retire at a boundary whose check fails
+        mixed = {s: near[s] + [far] * (i % 2) for i, s in enumerate(srcs)}
+        for kw in ({}, {"bound": 1}, {"bound": 2}):
+            self._both(srcs, edges=edges, targets=mixed, **kw)
+        # unsettleable targets keep their source live past the check
+        for odd in (self.N + 5, -2, lone):
+            self._both(srcs, edges=edges,
+                       targets={s: near[s] + [odd] * (s % 2) for s in srcs})
+            self._both(srcs[:3], edges=edges,
+                       targets={s: [odd] for s in srcs[:3]}, bound=2)
+        # of these only the unbounded mixed sweep ends at a check, once
+        # its last pending target is the far end
+        if pull_factor:
+            assert exits.count(True) == 1 and False in exits
+        else:
+            assert exits == []   # push rounds never check
 
     @classmethod
     def _components_both(cls, edges):
