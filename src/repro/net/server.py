@@ -28,11 +28,20 @@ verb            semantics
 ==============  =============================================================
 
 Backpressure is per connection: requests on one connection are handled
-strictly sequentially and every response is ``await writer.drain()``-ed, so
-a slow reader throttles only itself.  Query admission is per tenant
+strictly sequentially and every response is ``await writer.drain()``-ed
+under ``write_deadline``, so a slow reader throttles only itself and is
+evicted past the deadline.  Query admission is per tenant
 (``AdmissionConfig.max_inflight_queries``), and query *execution* holds a
 server-wide slot semaphore for ``service_time`` seconds when a simulated
 per-query cost is configured (the capacity model the net benchmarks pin).
+
+Threading: every verb runs on the event loop except ``admin flush``,
+which commits in a worker thread.  A ``submit`` calls the engine's
+``submit_update`` directly: the engine's ingest lock is never held across
+a commit, so it does not wait behind one.  On an autostart tenant a
+submit that makes a flush due only wakes the tenant's background
+flusher; an ``autostart=False`` tenant has no flusher, so its due
+flushes run on the loop.
 
 ``drain()`` — wired to SIGTERM by :func:`serve` — stops the listener,
 lets in-flight connections finish (up to ``drain_timeout``), then flushes
@@ -279,8 +288,7 @@ class NetServer:
                     retry_after=tenant.service.admission.config.
                     min_retry_after)
         try:
-            resp = await asyncio.to_thread(
-                tenant.service.submit_update, op, u, v)
+            resp = tenant.service.submit_update(op, u, v)
         except BaseException:
             if key is not None:
                 tenant.idempotency.abort(key)

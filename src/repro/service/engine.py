@@ -128,12 +128,29 @@ class ServiceConfig:
 class SpannerService:
     """Asynchronous batch-dynamic serving engine (see module docstring).
 
-    Thread-safe: all public methods serialize on one lock, so a background
-    flusher thread (:meth:`start`) can share the engine with client
-    threads.  Determinism note: with a fixed request sequence the *applied
-    batches* depend on flush timing, but replaying the logged batches
-    always reproduces the structure exactly — that is what the serve
-    demo's verification checks.
+    Thread-safe, with two locks, always taken in the order commit →
+    ingest:
+
+    * the *commit lock* serializes commits (:meth:`flush`, :meth:`pump`,
+      the background flusher, :meth:`apply_replicated`, checkpoints and
+      heartbeats);
+    * the *ingest lock* guards the queue, admission, the batcher and the
+      pending reads.  A commit takes it only to drain the queue and swap
+      out the pending reads, and again to feed the batcher — never across
+      the executor apply, the WAL, a checkpoint or the snapshot delta — so
+      :meth:`submit_update` and :meth:`submit_query` never wait behind a
+      commit.
+
+    Who commits: while the background flusher runs (:meth:`start`), a
+    submit that makes a flush due only wakes it; with no flusher, the
+    submitting thread commits inline if the flush is still due once it
+    holds the commit lock.  A commit that raises leaves the reads parked
+    on its cycle for the next one.  Reads take only the snapshot lock.
+
+    Determinism note: with a fixed request sequence the *applied batches*
+    depend on flush timing, but replaying the logged batches always
+    reproduces the structure exactly — that is what the serve demo's
+    verification checks.
     """
 
     def __init__(
@@ -171,7 +188,9 @@ class SpannerService:
         self._m_offer: dict[str, Any] = {}
         self._m_queue_depth = m.gauge("queue_depth")
         self._clock = clock
-        self._lock = threading.RLock()
+        # lock order: commit, then ingest (see the class docstring)
+        self._commit_lock = threading.RLock()
+        self._ingest_lock = threading.Lock()
         # the executor may already hold a replayed WAL tail (cold-start
         # recovery), so seed membership from its live graph, not its spec
         self.queue = CoalescingQueue(executor.graph_union(), clock=clock)
@@ -200,6 +219,8 @@ class SpannerService:
         # stats from the most recent batched answer pass (inspection)
         self.last_query_stats = None
         self._stop = threading.Event()
+        # set by a submit whose offer made a flush due: wakes the flusher
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._closed = False
 
@@ -208,26 +229,31 @@ class SpannerService:
     def submit_update(
         self, op: str, u: int, v: int, now: float | None = None
     ) -> SubmitResponse:
-        """Submit one edge insert/delete; may trigger an inline flush.
+        """Submit one edge insert/delete.
 
-        Raises ``ValueError`` for an endpoint outside ``[0, n)`` (as for a
-        self-loop): such an edge could never enter the snapshot graph.
+        When the offer makes a flush due, the background flusher is woken
+        to commit it; with no flusher running, the flush runs inline on
+        the calling thread.  Raises ``ValueError`` for an endpoint outside
+        ``[0, n)`` (as for a self-loop): such an edge could never enter
+        the snapshot graph.
         """
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise ValueError(f"edge ({u}, {v}) outside [0, {self._n})")
         if self._degraded.is_set():
-            # a shard is mid-recovery: shed immediately (without queueing
-            # behind the recovering flush) with a retry hint sized to the
-            # flush deadline, per the admission controller's policy
-            self._m_requests_update.inc()
-            self._m_shed_degraded.inc()
-            decision = self.admission.admit(
-                self.queue.depth, self.config.batcher.max_delay,
-                degraded=True,
-            )
+            # a shard is mid-recovery: shed immediately with a retry hint
+            # sized to the flush deadline, per the admission controller's
+            # policy (the ingest lock is never held across the recovering
+            # commit, so this does not wait for it)
+            with self._ingest_lock:
+                self._m_requests_update.inc()
+                self._m_shed_degraded.inc()
+                decision = self.admission.admit(
+                    self.queue.depth, self.config.batcher.max_delay,
+                    degraded=True,
+                )
             return SubmitResponse(False, "shed_degraded",
                                   decision.retry_after)
-        with self._lock:
+        with self._ingest_lock:
             if now is None:
                 now = self._clock()
             self._m_requests_update.inc()
@@ -251,11 +277,12 @@ class SpannerService:
             accepted = outcome in (
                 "accepted", "coalesced_dedup", "coalesced_cancel"
             )
-            if accepted and self.batcher.should_flush(
+            due = accepted and self.batcher.should_flush(
                 self.queue.depth, self.queue.oldest_enqueued_at(), now
-            ):
-                self._flush_locked(now)
-            return SubmitResponse(accepted, outcome)
+            )
+        if due:
+            self._commit_due(now)
+        return SubmitResponse(accepted, outcome)
 
     def query(
         self,
@@ -292,8 +319,7 @@ class SpannerService:
         queueing behind the recovery.
         """
         if consistency == "fresh":
-            with self._lock:
-                self.flush()
+            self.flush()
         elif consistency != "snapshot":
             raise ValueError(f"unknown consistency {consistency!r}")
         self._m_requests_query.inc()
@@ -353,8 +379,7 @@ class SpannerService:
         else:
             items = list(items)
         if consistency == "fresh":
-            with self._lock:
-                self.flush()
+            self.flush()
         elif consistency != "snapshot":
             raise ValueError(f"unknown consistency {consistency!r}")
         self._m_requests_query.inc(len(items))
@@ -390,21 +415,42 @@ class SpannerService:
         Enqueued reads count toward the batcher's flush trigger, so a
         read-heavy workload still flushes promptly.
         """
-        with self._lock:
+        with self._ingest_lock:
             if now is None:
                 now = self._clock()
             pending = PendingQuery(kind, payload, now)
             self._pending_reads.append(pending)
-            if self.batcher.should_flush(
-                self.queue.depth + len(self._pending_reads),
-                self._oldest_waiting(),
-                now,
-            ):
-                self._flush_locked(now)
-            return pending
+            due = self._cycle_due(now)
+        if due:
+            self._commit_due(now)
+        return pending
+
+    def _commit_due(self, now: float) -> None:
+        """Run the flush a submit made due: wake the background flusher
+        when it runs, else commit on the calling thread — if the flush is
+        still due once the commit lock is held (another submitter may
+        have committed it meanwhile)."""
+        if self._thread is not None:
+            self._wake.set()
+            return
+        with self._commit_lock:
+            self._flush_if_due(now)
+
+    def _cycle_due(self, now: float) -> bool:
+        """Whether pending updates and reads must flush now.
+
+        Caller holds the ingest lock.
+        """
+        return self.batcher.should_flush(
+            self.queue.depth + len(self._pending_reads),
+            self._oldest_waiting(), now,
+        )
 
     def _oldest_waiting(self) -> float | None:
-        """Oldest enqueue time across pending updates *and* reads."""
+        """Oldest enqueue time across pending updates *and* reads.
+
+        Caller holds the ingest lock.
+        """
         oldest = self.queue.oldest_enqueued_at()
         if self._pending_reads:
             oldest_read = self._pending_reads[0].enqueued_at
@@ -440,7 +486,7 @@ class SpannerService:
         :meth:`apply_replicated` would refuse the shipped stream.  Only
         legal before anything was committed locally.
         """
-        with self._lock:
+        with self._commit_lock:
             if self.metrics.counter("flushes").value or \
                     self.metrics.counter("replicated_batches").value:
                 raise RuntimeError("align_seq after commits were applied")
@@ -460,7 +506,7 @@ class SpannerService:
         (replica state is derived, the primary owns durability).  A gap
         or an endpoint outside ``[0, n)`` raises before anything applies.
         """
-        with self._lock:
+        with self._commit_lock:
             if seq != self._next_seq:
                 raise ValueError(
                     f"replicated seq {seq} is not the next expected "
@@ -476,7 +522,8 @@ class SpannerService:
             result = self.executor.apply(batch, seq=seq)
             latency = time.perf_counter() - t0
             self._next_seq = seq + 1
-            self.queue.sync_applied(batch)
+            with self._ingest_lock:
+                self.queue.sync_applied(batch)
             with self._snap_lock:
                 self._adj_apply_delta(result.delta_ins, result.delta_del)
                 self._snapshot_seq = seq
@@ -493,16 +540,21 @@ class SpannerService:
 
     def pump(self, now: float | None = None) -> bool:
         """Flush if the batcher says it is due; returns True if it flushed."""
-        with self._lock:
+        with self._commit_lock:
             if now is None:
                 now = self._clock()
-            if self.batcher.should_flush(
-                self.queue.depth + len(self._pending_reads),
-                self._oldest_waiting(), now,
-            ):
-                self._flush_locked(now)
-                return True
-            return False
+            return self._flush_if_due(now)
+
+    def _flush_if_due(self, now: float) -> bool:
+        """Commit if pending updates and reads are due at ``now``.
+
+        Caller holds the commit lock.
+        """
+        with self._ingest_lock:
+            due = self._cycle_due(now)
+        if due:
+            self._flush_locked(now)
+        return due
 
     def flush(self) -> DrainResult | None:
         """Unconditionally drain and apply whatever is pending.
@@ -511,59 +563,77 @@ class SpannerService:
         applies queued updates first, then answers every waiting read
         from the new snapshot in one batched pass.
         """
-        with self._lock:
-            if self.queue.depth == 0 and not self._pending_reads:
+        with self._commit_lock:
+            with self._ingest_lock:
+                idle = self.queue.depth == 0 and not self._pending_reads
+            if idle:
                 return None
             return self._flush_locked(self._clock())
 
     def _flush_locked(self, now: float) -> DrainResult:
-        drained = self.queue.drain(now=now)
+        """One commit cycle.  Caller holds the commit lock; the ingest
+        lock is taken only around the drain and the batcher feedback."""
+        with self._ingest_lock:
+            drained = self.queue.drain(now=now)
+            pending, self._pending_reads = self._pending_reads, []
         m = self.metrics
-        if drained.batch.size:
-            seq = self._next_seq
-            # latency is real wall time even when flush *decisions* run on
-            # an injected (possibly simulated) clock
-            t0 = time.perf_counter()
-            result = self.executor.apply(drained.batch, seq=seq)
-            latency = time.perf_counter() - t0
-            self._next_seq = seq + 1
-            self.batcher.record_flush(drained.batch.size, result.work)
-            self._commit_durable(seq, drained.batch)
-            for hook in self.commit_hooks:
-                hook(seq, drained.batch)
-            if result.recovered:
-                # a shard was rebuilt mid-batch: its fresh structure may
-                # output different edges, so the delta stream is void —
-                # resynchronize the snapshot from the live workers
-                self._record_recovery(result)
-                # built outside the snapshot lock, so reads keep being
-                # served from the old graph until the swap
-                resynced = ArrayDynamicGraph(
-                    self._n, self.executor.gather_edges()
+        try:
+            if drained.batch.size:
+                seq = self._next_seq
+                # latency is real wall time even when flush *decisions*
+                # run on an injected (possibly simulated) clock
+                t0 = time.perf_counter()
+                result = self.executor.apply(drained.batch, seq=seq)
+                latency = time.perf_counter() - t0
+                self._next_seq = seq + 1
+                with self._ingest_lock:
+                    self.batcher.record_flush(drained.batch.size, result.work)
+                self._commit_durable(seq, drained.batch)
+                for hook in self.commit_hooks:
+                    hook(seq, drained.batch)
+                if result.recovered:
+                    # a shard was rebuilt mid-batch: its fresh structure
+                    # may output different edges, so the delta stream is
+                    # void — resynchronize the snapshot from the live
+                    # workers
+                    self._record_recovery(result)
+                    # built outside the snapshot lock, so reads keep being
+                    # served from the old graph until the swap
+                    resynced = ArrayDynamicGraph(
+                        self._n, self.executor.gather_edges()
+                    )
+                    with self._snap_lock:
+                        self._graph = resynced
+                        self._snapshot_seq = seq
+                else:
+                    with self._snap_lock:
+                        self._adj_apply_delta(
+                            result.delta_ins, result.delta_del
+                        )
+                        self._snapshot_seq = seq
+                m.counter("flushes").inc()
+                m.counter("ops_applied").inc(drained.batch.size)
+                m.histogram("batch_size").observe(drained.batch.size)
+                m.histogram("flush_latency_s").observe(latency)
+                m.histogram("batch_work").observe(result.work)
+                m.histogram("batch_critical_work").observe(
+                    result.critical_work
                 )
-                with self._snap_lock:
-                    self._graph = resynced
-                    self._snapshot_seq = seq
-            else:
-                with self._snap_lock:
-                    self._adj_apply_delta(result.delta_ins, result.delta_del)
-                    self._snapshot_seq = seq
-            m.counter("flushes").inc()
-            m.counter("ops_applied").inc(drained.batch.size)
-            m.histogram("batch_size").observe(drained.batch.size)
-            m.histogram("flush_latency_s").observe(latency)
-            m.histogram("batch_work").observe(result.work)
-            m.histogram("batch_critical_work").observe(result.critical_work)
-            m.histogram("batch_depth").observe(result.depth)
+                m.histogram("batch_depth").observe(result.depth)
+        except BaseException:
+            # the reads were not answered: park them again, ahead of any
+            # read that arrived meanwhile, for the next cycle
+            with self._ingest_lock:
+                self._pending_reads[:0] = pending
+            raise
         m.counter("ops_coalesced_away").inc(drained.coalesced_away)
         m.counter("ops_expired").inc(drained.expired_ops)
         m.histogram("coalesce_ratio").observe(drained.coalesce_ratio)
         m.gauge("queue_depth").set(self.queue.depth)
         m.gauge("adaptive_max_batch").set(self.batcher.current_max_batch)
-        if self._pending_reads:
+        if pending:
             # answer every read that was waiting on this cycle from one
             # shared traversal pass over the just-updated snapshot
-            pending, self._pending_reads = self._pending_reads, []
             self._m_reads_coalesced.inc(len(pending))
             results = self.query_batch(
                 [(p.kind, p.payload) for p in pending]
@@ -596,9 +666,10 @@ class SpannerService:
             return False
         m = self.metrics
         try:
-            self.recovery.write_checkpoint(
-                self._next_seq - 1, self.executor.shard_keys()
-            )
+            with self._commit_lock:
+                self.recovery.write_checkpoint(
+                    self._next_seq - 1, self.executor.shard_keys()
+                )
         except Exception:
             m.counter("checkpoint_failures").inc()
             return False
@@ -625,35 +696,47 @@ class SpannerService:
     # -- background flusher --------------------------------------------------
 
     def start(self) -> None:
-        """Run a daemon thread that enforces the latency deadline and,
-        for supervised executors, heartbeats worker liveness."""
+        """Run the daemon thread that owns commits: it flushes when the
+        batcher says a flush is due (woken by the submit that made it
+        due, or by the latency deadline) and, for supervised executors,
+        heartbeats worker liveness.  A commit that raises is counted in
+        ``flusher_errors`` and the thread keeps serving."""
         if self._thread is not None:
             return
         self._stop.clear()
         supervision = self.executor.supervision
+        max_delay = self.config.batcher.max_delay
         last_probe = time.monotonic()
 
         def loop() -> None:
             nonlocal last_probe
-            while not self._stop.is_set():
-                with self._lock:
-                    now = self._clock()
-                    wait = self.batcher.seconds_until_deadline(
-                        self._oldest_waiting(), now
-                    )
-                    if wait <= 0.0:
-                        self._flush_locked(now)
-                        wait = self.config.batcher.max_delay
-                    if (supervision is not None
-                            and time.monotonic() - last_probe
-                            >= supervision.heartbeat_interval):
-                        last_probe = time.monotonic()
-                        for h in self.executor.health_check(restart=True):
-                            if h.restarted:
-                                self.metrics.counter(
-                                    "heartbeat_restarts"
-                                ).inc()
-                self._stop.wait(min(wait, self.config.batcher.max_delay))
+            while True:
+                # cleared before the checks below, so a wake (or stop)
+                # that lands after them cuts the wait short
+                self._wake.clear()
+                if self._stop.is_set():
+                    return
+                try:
+                    with self._commit_lock:
+                        self._flush_if_due(self._clock())
+                        if (supervision is not None
+                                and time.monotonic() - last_probe
+                                >= supervision.heartbeat_interval):
+                            last_probe = time.monotonic()
+                            for h in self.executor.health_check(
+                                    restart=True):
+                                if h.restarted:
+                                    self.metrics.counter(
+                                        "heartbeat_restarts"
+                                    ).inc()
+                    with self._ingest_lock:
+                        wait = self.batcher.seconds_until_deadline(
+                            self._oldest_waiting(), self._clock()
+                        )
+                except Exception:
+                    self.metrics.counter("flusher_errors").inc()
+                    wait = max_delay
+                self._wake.wait(min(wait, max_delay))
 
         self._thread = threading.Thread(
             target=loop, name="repro-service-flusher", daemon=True
@@ -671,6 +754,7 @@ class SpannerService:
         thread, self._thread = self._thread, None
         if thread is not None:
             self._stop.set()
+            self._wake.set()
             thread.join(timeout=5.0)
         try:
             self.flush()
@@ -714,7 +798,7 @@ class SpannerService:
 
     def graph_edges(self) -> set[Edge]:
         """The *graph* edge set implied by every applied batch."""
-        with self._lock:
+        with self._commit_lock, self._ingest_lock:
             return self.queue.live_edges
 
     def self_check(self, deep: bool = False):
@@ -727,7 +811,7 @@ class SpannerService:
         """
         from repro.oracle.service import verify_service
 
-        with self._lock:
+        with self._commit_lock:
             self.flush()
             return verify_service(self, self.executor, deep=deep)
 

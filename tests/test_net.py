@@ -37,6 +37,7 @@ from repro.net.protocol import (
     request_frame,
 )
 from repro.net.replica import LogShippingReplica, ReplicaConfig, run_replica
+from repro.service import BatcherConfig
 from repro.service.admission import AdmissionConfig
 from repro.workloads import UpdateBatch
 
@@ -777,6 +778,79 @@ class TestReadDeadlines:
                 sock.close()
                 assert srv.server.evictions["idle"] == 1
             finally:
+                srv.stop()
+
+
+class TestIngestDuringCommit:
+    def test_submit_and_reads_answered_while_a_flush_stalls(
+            self, stall_first_apply):
+        """Regression: a wire submit waited for the engine lock that the
+        commit held, so one connection's stalled ``admin flush`` held
+        every other connection's writes."""
+        with _manager(autostart=False, batcher=BatcherConfig(
+                max_batch=1000, max_delay=60.0)) as tm, \
+                ThreadedServer(tm) as srv:
+            stall = stall_first_apply(1.0)
+            tm.get("default").service.executor.injector = stall
+            with NetClient(srv.host, srv.port) as c1, \
+                    NetClient(srv.host, srv.port) as c2:
+                c1.submit("insert", 5, 9)
+                flusher = threading.Thread(target=c1.flush)
+                flusher.start()
+                assert stall.started.wait(5.0)
+                t0 = time.perf_counter()
+                assert c2.submit("insert", 6, 9) == "accepted"
+                reply = c2.query_batch([("size", None),
+                                        ("connected", (0, 3))])
+                elapsed = time.perf_counter() - t0
+                flusher.join(timeout=10.0)
+                assert not flusher.is_alive()
+                assert elapsed < 0.5, f"answered after {elapsed:.2f}s"
+                assert reply["as_of_seq"] == 0
+                assert reply["values"][1] is True
+                assert c2.flush() == 2
+            svc = tm.get("default").service
+            assert {(5, 9), (6, 9)} <= svc.graph_edges()
+            assert svc.self_check().ok
+
+
+class TestWriteDeadline:
+    def test_slow_reader_is_evicted(self):
+        """A client that stops reading while large replies pile up is
+        evicted once a reply cannot drain within ``write_deadline``;
+        other clients keep being served and see the eviction counted."""
+        from repro.graph import gnm_random_graph
+
+        spec = _spec(edges=gnm_random_graph(512, 3000, seed=3))
+        tm = TenantManager()
+        tm.create(TenantConfig(name="default", spec=spec, autostart=False))
+        with tm:
+            srv = ThreadedServer(
+                tm, NetServerConfig(write_deadline=0.2)).start()
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.connect((srv.host, srv.port))
+                sock.settimeout(5.0)
+                sock.sendall(encode_frame(hello_frame(0, "default")))
+                FrameDecoder().feed(sock.recv(65536))
+                # each sync reply carries the 3000-edge boot spec; send
+                # far more than the socket buffers hold and read nothing
+                sock.sendall(b"".join(encode_frame(request_frame(i, "sync"))
+                                      for i in range(1, 400)))
+                deadline = time.monotonic() + 10.0
+                while (srv.server.evictions["slow_reader"] == 0
+                       and time.monotonic() < deadline):
+                    time.sleep(0.02)
+                assert srv.server.evictions == {
+                    "mid_frame": 0, "idle": 0, "slow_reader": 1}
+                sock.close()
+                with NetClient(srv.host, srv.port) as c:
+                    assert c.query("size") >= 0
+                    text = c.metrics(all_tenants=True)
+                assert 'repro_net_evictions{reason="slow_reader"} 1' in text
+            finally:
+                sock.close()
                 srv.stop()
 
 

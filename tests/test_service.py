@@ -7,6 +7,9 @@ multiprocessing shard round trip (skip-marked on platforms without
 """
 
 import multiprocessing as mp
+import sys
+import threading
+import time
 
 import pytest
 
@@ -1019,4 +1022,170 @@ class TestStalenessTagRace:
         assert svc.metrics.counter("stale_reads").value == 2
         svc.set_degraded(False)
         assert not svc.query_batch([("size", None)])[0].stale
+        svc.close()
+
+
+class TestIngestDuringCommit:
+    """Regression: submits used to share one lock with the whole commit,
+    so a write waited out any apply, WAL append or checkpoint in flight."""
+
+    def test_submit_returns_inside_a_stalled_apply(self, stall_first_apply):
+        svc, _, edges, _ = _local_service()
+        stall = stall_first_apply(1.0)
+        svc.executor.injector = stall
+        batches = {}
+        svc.commit_hooks.append(lambda seq, b: batches.__setitem__(seq, b))
+        first, second = edges[0], edges[1]
+        svc.submit_update("delete", *first)
+        flusher = threading.Thread(target=svc.flush)
+        flusher.start()
+        assert stall.started.wait(5.0)
+        t0 = time.perf_counter()
+        resp = svc.submit_update("delete", *second)
+        elapsed = time.perf_counter() - t0
+        flusher.join(timeout=10.0)
+        assert not flusher.is_alive()
+        assert resp.accepted
+        assert elapsed < 0.3, f"submit waited {elapsed:.2f}s on the commit"
+        assert batches[1].deletions == [first]
+        svc.flush()
+        assert batches[2].deletions == [second]
+        assert svc.self_check().ok
+        svc.close()
+
+    def test_size_triggered_submit_commits_on_the_flusher(self):
+        svc, _, edges, _ = _local_service(max_batch=4, max_delay=60.0)
+        committers = []
+        svc.commit_hooks.append(
+            lambda seq, b: committers.append(threading.current_thread()))
+        svc.start()
+        try:
+            for e in edges[:4]:
+                assert svc.submit_update("delete", *e).accepted
+            deadline = time.monotonic() + 5.0
+            while svc.committed_seq < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            svc.stop()
+        assert svc.committed_seq == 1
+        assert committers[0] is not threading.current_thread()
+        assert committers[0].name == "repro-service-flusher"
+        svc.close()
+
+    def test_flusher_survives_a_failing_commit(self):
+        """A commit that raises on the flusher is counted, the flusher
+        keeps serving, and the reads parked on that cycle are answered
+        at the next one (they were once dropped, blocking ``result()``
+        forever)."""
+        svc, _, edges, _ = _local_service(max_batch=2, max_delay=60.0)
+        real_apply = svc.executor.apply
+        calls = []
+
+        def failing_once(batch, seq=None):
+            calls.append(seq)
+            if len(calls) == 1:
+                raise RuntimeError("injected commit failure")
+            return real_apply(batch, seq=seq)
+
+        def wait_for(cond):
+            deadline = time.monotonic() + 5.0
+            while not cond() and time.monotonic() < deadline:
+                time.sleep(0.005)
+
+        svc.executor.apply = failing_once
+        svc.start()
+        try:
+            read = svc.submit_query("size")
+            for e in edges[:2]:                   # due at 2 ops: fails
+                svc.submit_update("delete", *e)
+            wait_for(lambda: svc.metrics.counter("flusher_errors").value)
+            assert svc.metrics.counter("flusher_errors").value == 1
+            assert not read.done
+            for e in edges[2:4]:                  # due again: commits
+                svc.submit_update("delete", *e)
+            answer = read.result(timeout=5.0)
+        finally:
+            svc.stop()
+        assert svc.committed_seq == 1      # the failed batch never committed
+        assert svc.executor.history[0][-1].deletions == sorted(edges[2:4])
+        assert answer.as_of_seq == 1
+        assert answer.value == len(svc.snapshot_edges())
+        svc.close()
+
+    def test_inline_flush_rechecks_due_under_the_commit_lock(self):
+        """With no flusher, a submit that made a flush due commits only if
+        the flush is still due once it holds the commit lock: when another
+        thread committed the due batch first, the op that arrived since
+        stays queued instead of going out as a one-op commit."""
+        svc, _, edges, _ = _local_service(max_batch=2, max_delay=60.0)
+        with svc._commit_lock:
+            submitter = threading.Thread(
+                target=lambda: [svc.submit_update("delete", *e)
+                                for e in edges[:2]])
+            submitter.start()       # its second op makes a flush due
+            deadline = time.monotonic() + 5.0
+            while svc.queue.depth < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert svc.queue.depth == 2
+            svc.flush()             # another thread commits that batch
+            svc.submit_update("delete", *edges[2])
+        submitter.join(timeout=5.0)
+        assert not submitter.is_alive()
+        assert svc.committed_seq == 1
+        assert svc.queue.depth == 1
+        svc.close()
+
+    def test_concurrent_submits_lose_no_update(self):
+        """Stress: more submitting threads than cores against a running
+        flusher, with a shard degraded now and then, at a short switch
+        interval; every request is counted once and every accepted op
+        is applied or coalesced away."""
+        svc, _, edges, _ = _local_service(max_batch=6, max_delay=0.002)
+        svc._clock = time.monotonic
+        shed = []
+        accepted = []
+        lock = threading.Lock()
+
+        def writer(k):
+            for i in range(200):
+                e = edges[(k * 7 + i) % len(edges)]
+                op = "delete" if (i // len(edges)) % 2 == 0 else "insert"
+                resp = svc.submit_update(op, *e)
+                with lock:
+                    (accepted if resp.accepted else shed).append(resp)
+
+        def toggler():
+            for _ in range(20):
+                svc.set_degraded(True)
+                time.sleep(0.001)
+                svc.set_degraded(False)
+                time.sleep(0.002)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc.start()
+        try:
+            threads = [threading.Thread(target=writer, args=(k,))
+                       for k in range(6)]
+            threads.append(threading.Thread(target=toggler))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+            svc.stop()
+        m = svc.metrics
+        assert m.counter("requests_update").value == 6 * 200
+        degraded = [r for r in shed if r.outcome == "shed_degraded"]
+        assert m.counter("shed_degraded").value == len(degraded)
+        assert svc.admission.degraded_shed_count == len(degraded)
+        # accepted and cancelling offers enter the queue; dedups do not
+        queued = sum(1 for r in accepted
+                     if r.outcome in ("accepted", "coalesced_cancel"))
+        assert (m.counter("ops_applied").value
+                + m.counter("ops_coalesced_away").value) == queued
+        assert svc.queue.depth == 0
+        assert svc.self_check().ok
         svc.close()
