@@ -634,8 +634,8 @@ def _cmd_fuzz_queries(args: argparse.Namespace) -> int:
               "query-at-a-time path, answers are order- and "
               "duplication-invariant, the array sweeps charge what the "
               "reference loops charge, answers and charges do not move "
-              "with the epoch's memoized labels, and work/depth stayed "
-              "inside the shared-traversal envelopes")
+              "with the epoch's memoized or carried labels, and "
+              "work/depth stayed inside the shared-traversal envelopes")
         return 0
     for i, v in report.violations:
         print(f"\nVIOLATION (workload {i}) {v}")

@@ -39,8 +39,14 @@ exposes the live arena itself, which the point-to-point search reads so
 that a read between mutations builds no CSR.  :meth:`read_state` is the
 epoch's other derived state (:class:`EpochReadState`): component labels
 filled one touched component at a time, the component floods' charges,
-and a small pool of leased sweep scratches.  :meth:`sorted_flat` has no
-caller left: batched reads charge order-independently now.
+and a small pool of leased sweep scratches.  Labels outlive their
+epoch: while an epoch has them, mutations log the edges they apply,
+and the next epoch's first connectivity read carries the labels across
+the log (inserts merge classes, a delete that split its class resets
+it), so it floods only what a delete split; past
+:meth:`_label_log_bound` logged edges the log is dropped and reads
+flood afresh.  :meth:`sorted_flat` has no caller left: batched reads
+charge order-independently now.
 
 Charge preservation: this class performs no cost-model charging of its own
 (neither does ``DynamicGraph``); the traversal kernels that consume it
@@ -56,6 +62,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from repro.graph.dynamic_graph import Edge, norm_edge
+from repro.graph.traversal import _bfs_bidirectional
 
 __all__ = ["ArrayDynamicGraph", "EpochReadState", "SweepScratch"]
 
@@ -78,6 +85,18 @@ class _CsrCache(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
     touched: set[int]
+
+
+class _LabelLog(NamedTuple):
+    """The edges applied since an epoch that had component labels.
+
+    Immutable: a mutation logs by replacing the graph's log, so a read
+    state created earlier keeps the log exactly as of its epoch.
+    """
+
+    labels: np.ndarray
+    inserted: tuple[Edge, ...]
+    deleted: tuple[Edge, ...]
 
 
 class ArrayDynamicGraph:
@@ -123,6 +142,8 @@ class ArrayDynamicGraph:
         # no reader left; kept for the replay benchmark (see sorted_flat)
         self._sorted_cache: tuple[int, list[int], list[int]] | None = None
         self._read_state: EpochReadState | None = None
+        # edges applied since the last epoch with labels (see _log_labels)
+        self._label_log: _LabelLog | None = None
         # an (m, 2) integer array builds without a per-edge Python tuple
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
@@ -305,23 +326,56 @@ class ArrayDynamicGraph:
         """This epoch's :class:`EpochReadState`, built lazily and keyed by
         :attr:`version` like :meth:`csr`.  A new epoch inherits the
         scratch pool (scratches are clear between leases and depend only
-        on ``n``); its labels start empty."""
+        on ``n``).  When an earlier epoch had labels and the log of the
+        edges applied since is intact, the new state carries them over
+        on its first labels use (:meth:`EpochReadState.component_labels`);
+        otherwise its labels start empty."""
         st = self._read_state
         if st is None or st.version != self.version:
             with _READ_STATE_LOCK:
                 st = self._read_state
                 if st is None or st.version != self.version:
                     pool = st.pool if st is not None else []
+                    log = self._label_log
                     st = self._read_state = EpochReadState(
-                        self.version, self.n, pool)
+                        self.version, self.n, pool,
+                        None if log is None else (log, self.segments()))
         return st
 
+    def _log_labels(self, edges: list[Edge], deleted: bool) -> None:
+        """Log a batch about to be applied, while the current epoch has
+        labels or an earlier epoch's log is intact."""
+        st = self._read_state
+        log = self._label_log
+        if (st is not None and st.version == self.version
+                and st.labels is not None):
+            log = _LabelLog(st.labels, (), ())
+        elif log is None:
+            return
+        if len(log.inserted) + len(log.deleted) + len(edges) \
+                > self._label_log_bound():
+            self._label_log = None
+        elif deleted:
+            self._label_log = log._replace(deleted=log.deleted + tuple(edges))
+        else:
+            self._label_log = log._replace(
+                inserted=log.inserted + tuple(edges))
+
+    def _label_log_bound(self) -> int:
+        """Most edges the label log holds: as many rows as the CSR
+        splices, and never fewer than a scalar insert batch, so a small
+        served delta carries on any graph.  Each logged delete may cost
+        a search, so a longer log is dropped and reads flood instead."""
+        return max(self._SCALAR_INSERT, self.n // self._SPLICE_FRACTION)
+
     def __getstate__(self) -> dict:
-        # the read state is a per-process cache; a copy shipped to a
-        # worker rebuilds it on its first read.  The CSR ships only when
-        # it is this epoch's (its touched-row set is then empty)
+        # the read state and the label log (which holds an old epoch's
+        # labels) are per-process caches; a copy shipped to a worker
+        # rebuilds them on its first read.  The CSR ships only when it
+        # is this epoch's (its touched-row set is then empty)
         state = self.__dict__.copy()
         state["_read_state"] = None
+        state["_label_log"] = None
         cache = self._csr_cache
         if cache is not None and cache.version != self.version:
             state["_csr_cache"] = None
@@ -385,6 +439,7 @@ class ArrayDynamicGraph:
         return added
 
     def _apply_insert(self, added: list[Edge]) -> None:
+        self._log_labels(added, deleted=False)
         if len(added) <= self._SCALAR_INSERT:
             # scalar path: most serving deltas are a few edges, where
             # the vectorized path's fixed numpy overhead dwarfs the work
@@ -431,6 +486,7 @@ class ArrayDynamicGraph:
         removed = self._check_delete(pairs)
         if not removed:
             return removed
+        self._log_labels(removed, deleted=True)
         # scalar swap-remove per endpoint (in-segment neighbor order is
         # not part of the contract; every consumer treats the segment as
         # a set)
@@ -494,13 +550,15 @@ class ArrayDynamicGraph:
         # edge is absent or repeated
         if int(np.count_nonzero(hit)) != 2 * k:
             return None
+        removed = list(zip(a.tolist(), b.tolist()))
+        self._log_labels(removed, deleted=True)
         # each touched segment keeps its first deg - r slots: a deleted
         # neighbor there takes the place of a survivor from the last r
         tail = i >= (last - r)[seg]
         self._nbr[pos[hit & ~tail]] = self._nbr[pos[~hit & tail]]
         self._deg[verts] = deg - r
         self._mutated(-k, verts.tolist())
-        return list(zip(a.tolist(), b.tolist()))
+        return removed
 
     def _mutated(self, dm: int, *rows: Iterable[int]) -> None:
         """Close a batch that changed the edge count by ``dm`` and the
@@ -569,7 +627,7 @@ class ArrayDynamicGraph:
             raise ValueError(f"vertex {v} outside [0, {self.n})")
 
     def copy(self) -> "ArrayDynamicGraph":
-        """Independent copy of the graph."""
+        """Independent copy of the graph (no read state, no label log)."""
         g = ArrayDynamicGraph(self.n, slack=self._slack)
         g._start = self._start.copy()
         g._deg = self._deg.copy()
@@ -634,9 +692,13 @@ class EpochReadState:
 
     * ``labels`` — per-vertex component label, canonical as the
       component's minimum vertex, ``-1`` until a read touches the
-      component (allocated on the first connectivity read);
+      component.  Made on the first connectivity read: carried from an
+      earlier epoch's labels when the graph hands the state a label
+      log (``carried`` is then True), else all ``-1``;
     * ``floods`` — per root, ``(work, rounds)`` of the flood from that
-      root, the charge a connectivity read pays for its component;
+      root, the charge a connectivity read pays for its component.
+      Never carried: a charged read floods each touched root once per
+      epoch, so charges do not depend on what was carried;
     * :meth:`rows` — per-vertex degrees and the non-empty CSR rows,
       built on first use;
     * a pool of :class:`SweepScratch`, leased through :meth:`acquire`
@@ -645,7 +707,9 @@ class EpochReadState:
     Entries only ever go from unknown to their one correct value, so
     concurrent readers of one epoch may fill them without a lock: at
     worst two of them flood the same component and write the same
-    labels.  Only allocating the shared arrays takes the state's lock.
+    labels.  Only making the shared arrays takes the state's lock; the
+    carry runs under it and publishes the labels when complete, so a
+    racing reader waits for it.
     The pool is a plain list: ``pop`` and ``append`` are atomic, and its
     cap is advisory.
     """
@@ -657,25 +721,36 @@ class EpochReadState:
     #: batch does not keep ``O(n * words)`` memory resident
     MAX_POOLED_WORDS = 64
 
-    __slots__ = ("version", "n", "labels", "floods", "pool", "_rows",
-                 "_lock")
+    __slots__ = ("version", "n", "labels", "floods", "pool", "carried",
+                 "_carry", "_rows", "_lock")
 
     def __init__(self, version: int, n: int,
-                 pool: list[SweepScratch]) -> None:
+                 pool: list[SweepScratch],
+                 carry: tuple[_LabelLog, tuple] | None = None) -> None:
         self.version = version
         self.n = n
         self.labels: np.ndarray | None = None
         self.floods: dict[int, tuple[int, int]] = {}
         self.pool = pool
+        #: True once ``labels`` were carried from an earlier epoch
+        self.carried = False
+        # (label log, this epoch's arena segments) until the labels exist
+        self._carry = carry
         self._rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
     def component_labels(self) -> np.ndarray:
-        """The ``labels`` array, allocated (all ``-1``) on first use."""
+        """The ``labels`` array, made on first use: carried across the
+        state's label log when it has one, else all ``-1``."""
         if self.labels is None:
             with self._lock:
                 if self.labels is None:
-                    self.labels = np.full(self.n, -1, dtype=_I64)
+                    if self._carry is None:
+                        self.labels = np.full(self.n, -1, dtype=_I64)
+                    else:
+                        self.labels = _carry_labels(*self._carry)
+                        self.carried = True
+                        self._carry = None
         return self.labels
 
     def rows(self, indptr: np.ndarray
@@ -706,6 +781,63 @@ class EpochReadState:
         if (len(self.pool) < self.POOL_MAX
                 and sc.words <= self.MAX_POOLED_WORDS):
             self.pool.append(sc)
+
+
+def _carry_labels(log: _LabelLog, segments: tuple) -> np.ndarray:
+    """An earlier epoch's labels carried across ``log`` onto the graph
+    whose arena is ``segments``.
+
+    Inserts merge classes: a union-find over the distinct ``(label[u],
+    label[v])`` pairs, hooking each root under the smaller one, so a
+    merged class is labelled with its minimum vertex and a class joined
+    to an unknown one (``-1``) becomes unknown; one pass through a
+    remap array relabels every vertex.  The graph is then a subgraph of
+    the merged one, with equal components as long as every deleted
+    edge's endpoints are still connected: a bidirectional search checks
+    each deleted edge of a known class, and a class with a miss goes
+    back to unknown (the next read floods each side on its own).
+    """
+    labels = log.labels
+    if log.inserted:
+        ends = np.array(log.inserted, dtype=_I64)
+        a, b = labels[ends[:, 0]], labels[ends[:, 1]]
+        join = a != b
+        if join.any():
+            k = int(np.count_nonzero(join))
+            ids, at = np.unique(np.concatenate([a[join], b[join]]),
+                                return_inverse=True)
+            ia, ib = at[:k], at[k:]
+            # ids ascend, so a smaller index is a smaller label and -1
+            # (index 0 when present) absorbs every class it touches
+            parent = np.arange(len(ids))
+            while True:
+                while True:
+                    up = parent[parent]
+                    if (up == parent).all():
+                        break
+                    parent = up
+                ra, rb = parent[ia], parent[ib]
+                live = ra != rb
+                if not live.any():
+                    break
+                ra, rb = ra[live], rb[live]
+                np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            remap = np.arange(-1, len(labels), dtype=_I64)
+            remap[ids + 1] = ids[parent]
+            labels = remap[labels + 1]
+    if labels is log.labels:
+        labels = labels.copy()
+    # a deleted edge's endpoints share a class: every class is labelled
+    # whole, and the merge joined the classes of every inserted edge
+    split: set[int] = set()
+    for u, v in set(log.deleted):
+        c = int(labels[u])
+        if c >= 0 and c not in split \
+                and _bfs_bidirectional(segments, u, v) is None:
+            split.add(c)
+    if split:
+        labels[np.isin(labels, list(split))] = -1
+    return labels
 
 
 def _segment_positions(start: np.ndarray, deg: np.ndarray) -> np.ndarray:

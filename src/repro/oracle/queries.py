@@ -127,6 +127,7 @@ def check_query_batch(
     edge_set: set[Edge],
     items: Sequence[tuple[str, Any]],
     rng: np.random.Generator | None = None,
+    carries: list[bool] | None = None,
 ) -> list[Violation]:
     """Cross-check one query batch against the singleton path.
 
@@ -137,9 +138,9 @@ def check_query_batch(
     parity (``batch_distances``/``batch_connected`` charge the same
     ``(work, depth)`` on the array graph as on the dict adjacency —
     charges depend only on the graph and the batch); memo invariance
-    (:func:`check_memo_charges`); and the work/depth envelopes of the
-    shared traversals.  Returns every violation found
-    (empty list = all checks pass).
+    (:func:`check_memo_charges`, which appends to ``carries``); and the
+    work/depth envelopes of the shared traversals.  Returns every
+    violation found (empty list = all checks pass).
     """
     items = list(items)
     adjacency = _adjacency(edge_set)
@@ -189,7 +190,7 @@ def check_query_batch(
             f"array graph charged (work, depth) {charges[1]}, the dict "
             f"adjacency's reference loops {charges[0]}",
         ))
-    viols.extend(check_memo_charges(n, edge_set, items, rng))
+    viols.extend(check_memo_charges(n, edge_set, items, rng, carries))
     # envelopes: shared traversals mean total work is bounded by
     # (#BFS waves) x graph size plus per-query O(log n) bookkeeping —
     # never by (#queries) x graph size — and depth by levels x log n
@@ -227,20 +228,26 @@ def check_memo_charges(
     edge_set: set[Edge],
     items: Sequence[tuple[str, Any]],
     rng: np.random.Generator | None = None,
+    carries: list[bool] | None = None,
 ) -> list[Violation]:
-    """One batch, three memo states: identical answers and charges.
+    """One batch, four memo states: identical answers and charges.
 
     The array graph keeps component labels and flood charges per epoch
-    (:meth:`~repro.graph.array_graph.ArrayDynamicGraph.read_state`), so
-    a batch may be answered from a fresh epoch, from one that an earlier
-    batch partly labelled, or with its requests reordered.  Charges must
-    depend only on the graph and the set of touched components, so the
-    batch is run charged (a) on a fresh epoch, (b) on a fresh epoch after
-    an uncharged batch of other connectivity reads, whose floods start
-    from the high end of the id range and so rarely at a component's
-    root, and (c) permuted, on that same, now warm, epoch.  Any
-    difference in an answer or in ``(work, depth)`` is one
-    ``memo-charge-variance``.
+    (:meth:`~repro.graph.array_graph.ArrayDynamicGraph.read_state`) and
+    carries the labels into later epochs, so a batch may be answered
+    from a fresh epoch, from one that an earlier batch partly labelled,
+    with its requests reordered, or from labels carried across commits.
+    Charges must depend only on the graph and the set of touched
+    components, so the batch is run charged (a) on a fresh epoch, (b) on
+    a fresh epoch after an uncharged batch of other connectivity reads,
+    whose floods start from the high end of the id range and so rarely
+    at a component's root, (c) permuted, on that same, now warm, epoch,
+    and (d) on an epoch reached from a perturbed edge set, labelled by
+    the same uncharged batch, through one random delete batch and one
+    insert batch.  Any difference in an answer or in ``(work, depth)``
+    is one ``memo-charge-variance``.  Whether (d)'s labels were in fact
+    carried (the batch has a connectivity read and the perturbation is
+    not empty) is appended to ``carries``.
     """
     items = list(items)
     perm = (list(rng.permutation(len(items))) if rng is not None
@@ -251,7 +258,9 @@ def check_memo_charges(
     other = [("connected", (v, v - 1)) for v in range(n - 1, n // 2, -1)]
     other.append(("connected", (-1, n)))
     answer_queries(other, warm)
-    for graph, order in ((fresh, None), (warm, None), (warm, perm)):
+    carried = _carried_epoch(n, edge_set, other, rng)
+    for graph, order in ((fresh, None), (warm, None), (warm, perm),
+                         (carried, None)):
         batch = items if order is None else [items[i] for i in order]
         cost = CostModel()
         answers, stats = answer_queries(batch, graph, cost=cost)
@@ -261,8 +270,10 @@ def check_memo_charges(
                 unperm[i] = answers[j]
             answers = unperm
         runs.append((answers, (stats.work, stats.depth)))
+    if carries is not None:
+        carries.append(carried.read_state().carried)
     cases = ("fresh epoch", "epoch labelled by another batch",
-             "permuted, warm epoch")
+             "permuted, warm epoch", "labels carried across commits")
     for case, (answers, charge) in zip(cases[1:], runs[1:]):
         if answers != runs[0][0] or charge != runs[0][1]:
             return [Violation(
@@ -272,6 +283,34 @@ def check_memo_charges(
                 f"{'equal' if answers == runs[0][0] else 'differ'}",
             )]
     return []
+
+
+def _carried_epoch(
+    n: int,
+    edge_set: set[Edge],
+    labelling: list[tuple[str, Any]],
+    rng: np.random.Generator | None,
+) -> ArrayDynamicGraph:
+    """A graph of ``edge_set`` whose epoch carries labels: up to four
+    of its edges left out and up to four non-edges added, labelled by
+    the uncharged ``labelling`` batch, then the non-edges deleted and
+    the left-out edges inserted (well inside the label log's bound)."""
+    if rng is None:
+        rng = np.random.default_rng(n)
+    present = sorted(edge_set)
+    out = [present[i] for i in rng.permutation(len(present))[:int(
+        rng.integers(0, 5))]]
+    extra: set[Edge] = set()
+    if n > 1:
+        for _ in range(int(rng.integers(0, 5))):
+            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+            if (u, v) not in edge_set:
+                extra.add((u, v))
+    graph = ArrayDynamicGraph(n, (edge_set - set(out)) | extra)
+    answer_queries(labelling, graph)
+    graph.delete_batch(sorted(extra))
+    graph.insert_batch(out)
+    return graph
 
 
 def check_empty_batch(
@@ -375,6 +414,7 @@ class QueryFuzzReport:
     deduped: int = 0
     wide: int = 0      # batches with more than 64 distinct BFS sources
     dense: int = 0     # workloads on a dense graph (m ~ n^2 / 4)
+    carried: int = 0   # memo checks answered from carried labels
     violations: list[tuple[int, Violation]] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -390,6 +430,7 @@ class QueryFuzzReport:
             "deduped": self.deduped,
             "wide": self.wide,
             "dense": self.dense,
+            "carried": self.carried,
             "violations": len(self.violations),
         }]
 
@@ -513,7 +554,8 @@ def run_query_fuzz(
         else:
             n, edges = _random_graph(rng, config.max_n)
         items = _random_queries(rng, n, config.max_queries)
-        viols = check_query_batch(n, edges, items, rng=rng)
+        carries: list[bool] = []
+        viols = check_query_batch(n, edges, items, rng=rng, carries=carries)
         if i % max(config.forest_every, 1) == 0:
             forest = EulerTourForest(n, seed=i)
             linked: list[tuple[int, int]] = []
@@ -535,6 +577,7 @@ def run_query_fuzz(
                    if kind == "distance" and p[0] != p[1]}
         report.wide += len(sources) > _WORD
         report.dense += dense
+        report.carried += sum(carries)
         for v in viols:
             if log:
                 log(f"violation (workload {i}): {v}")

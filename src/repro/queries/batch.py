@@ -10,8 +10,9 @@ work/depth charges to the ambient :class:`~repro.pram.cost.CostModel`:
   vertex scanned on behalf of several sources in the same round pays one
   adjacency scan, not k.
 * :func:`batch_components` / :func:`batch_connected` — connectivity for
-  many pairs by flooding each *touched* component once (once per epoch
-  on an array substrate, whose labels persist in its read state); total
+  many pairs by flooding each *touched* component once (on an array
+  substrate only while its label is unknown: labels persist in the
+  read state and carry across commits that do not split them); total
   work is bounded by the graph size independent of the number of
   queries.
 
@@ -462,10 +463,12 @@ def batch_components(
 
     Two queried vertices share a label iff they are connected; the
     result holds the queried vertices only.  A touched component is
-    flooded once per batch — on an array substrate once per *epoch*: the
-    labels persist in the graph's :meth:`read_state
+    flooded once per batch — on an array substrate only while its label
+    is unknown: the labels persist in the graph's :meth:`read_state
     <repro.graph.array_graph.ArrayDynamicGraph.read_state>`, so a later
-    batch on the same snapshot answers from them without a traversal.
+    batch on the same snapshot answers from them without a traversal,
+    and a later epoch carries them across its commits, so only a
+    component that a delete split is flooded again.
 
     Charges depend only on the graph and the set of touched components,
     never on the order of ``vertices`` or on what an earlier batch
@@ -473,10 +476,11 @@ def batch_components(
     from its minimum vertex (its root), work ``|V_C| + 2|E_C|``
     (``|frontier| + scanned`` per round) and depth ``rounds * log n``.
     A queried vertex outside the graph is its own neighborless component
-    (one round, one scan).  When charging is enabled and a component's
-    first flood did not start at its root, one more flood from the root
-    measures the charge (once per component per epoch on an array
-    substrate); an uncharged call never floods a component twice.
+    (one round, one scan).  When charging is enabled and no flood from
+    a component's root has run (its first flood started elsewhere, or
+    its label was carried), one flood from the root measures the charge
+    (once per component per epoch on an array substrate); an uncharged
+    call never floods a component twice.
 
     With a ``backend``, floods expand chunk-parallel across workers; the
     per-round scan count is partition-invariant, so answers *and* charges
@@ -548,11 +552,14 @@ def _batch_components_csr(
 ) -> dict[int, int]:
     """:func:`batch_components` from an epoch's memoized labels.
 
-    Each queried vertex whose component is still unlabelled costs one
-    vectorized flood (:func:`_flood_csr`), which labels the whole
-    component with its minimum vertex; every other queried vertex is one
-    gather from ``state.labels``.  Charges replay the root floods stored
-    in ``state.floods``.
+    The epoch's labels come from :meth:`EpochReadState.component_labels
+    <repro.graph.array_graph.EpochReadState.component_labels>`, carried
+    from an earlier epoch when they can be.  Each queried vertex whose
+    component is still unlabelled costs one vectorized flood
+    (:func:`_flood_csr`), which labels the whole component with its
+    minimum vertex; every other queried vertex is one gather from
+    ``state.labels``.  Charges replay the root floods stored in
+    ``state.floods``, flooding from a root the epoch has not flooded.
     """
     import numpy as np
 

@@ -387,6 +387,30 @@ class TestCoalesceAndAnswer:
                                   rng=np.random.default_rng(13))
         assert [v.kind for v in viols] == ["memo-charge-variance"]
 
+    def test_oracle_flags_variance_on_carried_labels(self, monkeypatch):
+        """A charge that moves only when an epoch's labels were carried
+        is caught by the fourth memo state, which the oracle counts."""
+        import repro.queries.batch as qbatch
+
+        real = qbatch._batch_components_csr
+
+        def skewed(csr, state, vertices, *, cost, **kw):
+            out = real(csr, state, vertices, cost=cost, **kw)
+            if state.carried:
+                cost.charge_many(1, 0)
+            return out
+
+        monkeypatch.setattr(qbatch, "_batch_components_csr", skewed)
+        edges = _edge_set(25, 20, seed=13)
+        items = [("connected", (0, 24)), ("connected", (3, 9))]
+        carries: list = []
+        viols = check_query_batch(25, edges, items,
+                                  rng=np.random.default_rng(13),
+                                  carries=carries)
+        assert carries == [True]
+        assert [v.kind for v in viols] == ["memo-charge-variance"]
+        assert "carried" in viols[0].detail
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 24), st.integers(0, 10**6),
            st.lists(st.tuples(
@@ -453,9 +477,11 @@ class TestEpochReadState:
         batch_components(g, [6, 4], cost=again)
         assert floods == [3, 6, 0, 5]
         assert (again.work, again.depth) == (cm.work, cm.depth)
-        g.insert_batch([(4, 5)])              # a new epoch starts empty
-        batch_components(g, [6])
-        assert floods == [3, 6, 0, 5, 6]
+        g.insert_batch([(4, 5)])              # the merge is carried over
+        batch_components(g, [6])              # uncharged: no flood
+        assert floods == [3, 6, 0, 5]
+        batch_components(g, [6, 4], cost=CostModel())
+        assert floods == [3, 6, 0, 5, 0]      # one charged root flood
 
     def test_charge_is_root_flood(self):
         """Work |V_C| + 2|E_C|, depth the rounds from the minimum vertex
@@ -493,7 +519,9 @@ class TestEpochReadState:
         exactly the serial answers and charges (memo fills race, and
         scratches are leased per sweep).  On the second graph the
         epoch's first ``csr()``, which the threads race to take, splices
-        rows into the previous epoch's CSR."""
+        rows into the previous epoch's CSR; on the third, the epoch's
+        first labels use, which they race to make, carries an earlier
+        epoch's labels across a delete and an insert."""
         import sys
         import threading
 
@@ -521,7 +549,15 @@ class TestEpochReadState:
         spliced.insert_batch(moved)
         cache = spliced._csr_cache
         assert cache is not None and cache.version != spliced.version
-        for graph in (ArrayDynamicGraph(n, edges), spliced):
+        # a labelled epoch, then a delete and an insert: the threads race
+        # to run the carry on the epoch's first labels use
+        extra = next((u, u + 1) for u in range(n) if (u, u + 1) not in edges)
+        carried = ArrayDynamicGraph(n, edges - {moved[0]} | {extra})
+        batch_components(carried, range(n))
+        carried.delete_batch([extra])
+        carried.insert_batch([moved[0]])
+        assert carried.read_state().labels is None
+        for graph in (ArrayDynamicGraph(n, edges), spliced, carried):
             start = threading.Barrier(8)
             got: list = [None] * 8
             errors: list = []
@@ -557,6 +593,7 @@ class TestEpochReadState:
             assert not errors
             for t in range(8):
                 assert got[t] == [serial[t]] * 5
+        assert carried.read_state().carried
 
 
 class TestChargeParity:
