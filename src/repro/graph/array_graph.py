@@ -61,7 +61,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge, norm_edge
+from repro.graph.dynamic_graph import Edge, edge_array, norm_edge
 from repro.graph.traversal import _bfs_bidirectional
 
 __all__ = ["ArrayDynamicGraph", "EpochReadState", "SweepScratch"]
@@ -154,9 +154,7 @@ class ArrayDynamicGraph:
 
     def _bulk_build(self, edges: list[Edge] | np.ndarray) -> None:
         """Vectorized initial build (CSR layout with per-vertex slack)."""
-        arr = np.asarray(edges, dtype=_I64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
+        arr = edge_array(edges)
         a = np.minimum(arr[:, 0], arr[:, 1])
         b = np.maximum(arr[:, 0], arr[:, 1])
         n = self.n

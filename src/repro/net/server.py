@@ -158,12 +158,10 @@ class NetServer:
                 timeout = (cfg.read_deadline if decoder.pending_bytes
                            else cfg.idle_timeout)
                 try:
-                    if timeout is None:
+                    # no Task per read, unlike wait_for; None: no deadline
+                    async with asyncio.timeout(timeout):
                         data = await reader.read(65536)
-                    else:
-                        data = await asyncio.wait_for(
-                            reader.read(65536), timeout=timeout)
-                except asyncio.TimeoutError:
+                except TimeoutError:
                     self.evictions[
                         "mid_frame" if decoder.pending_bytes else "idle"
                     ] += 1
@@ -195,13 +193,10 @@ class NetServer:
 
     async def _send(self, writer: asyncio.StreamWriter, msg: dict) -> None:
         writer.write(encode_frame(msg, self.config.max_frame))
-        deadline = self.config.write_deadline
-        if deadline is None:
-            await writer.drain()
-            return
         try:
-            await asyncio.wait_for(writer.drain(), timeout=deadline)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(self.config.write_deadline):
+                await writer.drain()
+        except TimeoutError:
             # slow-client eviction: a reader that cannot drain its own
             # responses must not pin server buffers
             self.evictions["slow_reader"] += 1

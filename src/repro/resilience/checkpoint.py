@@ -24,13 +24,13 @@ and writes it without re-encoding; :meth:`CheckpointStore.load` returns
 read-only views of the file's bytes.  A :class:`Checkpoint` owns its
 arrays and never writes to them, and neither may anyone else holding
 them: :class:`KeyTracker` hands out read-only arrays and builds each new
-one rather than editing the last.  Edge sets are decoded only on demand
-(:meth:`Checkpoint.edges`), which in the serving engine means only on
-recovery.  The steady-state cost of a checkpoint is therefore the
-executor's :class:`KeyTracker` advancing each shard's previous array by
-the batches applied since, not an encode of the whole graph; the
-tracker reads only the shard's anchor (base edges + applied batches),
-never a live edge set.
+one rather than editing the last.  Edges are decoded only on recovery:
+a bootstrap decodes every shard at once (:meth:`Checkpoint.sorted_edges`),
+a restarting shard its own (:meth:`Checkpoint.edges`).  The steady-state
+cost of a checkpoint is therefore the executor's :class:`KeyTracker`
+advancing each shard's previous array by the batches applied since, not
+an encode of the whole graph; the tracker reads only the shard's anchor
+(base edges + applied batches), never a live edge set.
 
 Checkpoints are written atomically (tmp file + ``fsync`` +
 ``os.replace``), so a crash mid-checkpoint leaves a ``.tmp`` orphan the
@@ -47,13 +47,12 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Collection
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge
+from repro.graph.dynamic_graph import Edge, edge_array
 from repro.workloads.streams import UpdateBatch
 
 __all__ = ["Checkpoint", "CheckpointError", "CheckpointStore", "KeyTracker",
@@ -89,9 +88,12 @@ class Checkpoint:
     def edges(self, shard: int) -> set[Edge]:
         """Shard ``shard``'s edge set, decoded from its keys (a fresh set
         per call)."""
-        keys = self.shard_keys[shard]
-        return set(zip((keys >> np.uint64(32)).tolist(),
-                       (keys & np.uint64(_U32_MAX)).tolist()))
+        return set(_key_edges(self.shard_keys[shard]))
+
+    def sorted_edges(self) -> list[Edge]:
+        """Every shard's edges in ascending order: one sort of the
+        concatenated keys, decoded once."""
+        return _key_edges(np.sort(np.concatenate(self.shard_keys)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
@@ -108,15 +110,20 @@ def edge_keys(edges: Collection[Edge]) -> np.ndarray:
     out_of_range = ValueError(
         f"checkpoint vertex ids must lie in [0, {_U32_MAX}]")
     try:
-        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                          count=2 * len(edges))
+        ids = edge_array(edges)
     except OverflowError:
         raise out_of_range from None
     if ids.size and (ids.min() < 0 or ids.max() > _U32_MAX):
         raise out_of_range
-    keys = ids[0::2].astype(_KEY) << np.uint64(32) | ids[1::2].astype(_KEY)
+    keys = ids[:, 0].astype(_KEY) << np.uint64(32) | ids[:, 1].astype(_KEY)
     keys.sort()
     return keys
+
+
+def _key_edges(keys: np.ndarray) -> list[Edge]:
+    """The ``(u, v)`` tuples of ``u << 32 | v`` keys, in key order."""
+    return list(zip((keys >> np.uint64(32)).tolist(),
+                    (keys & np.uint64(_U32_MAX)).tolist()))
 
 
 class KeyTracker:

@@ -149,16 +149,23 @@ class RecoveryManager:
     def wal_bytes(self) -> int:
         return self._writer.bytes_written
 
+    def _checkpoint_for(self, shards: int) -> Checkpoint | None:
+        """The recovered checkpoint, refusing one of another shard count."""
+        ckpt = self.checkpoint
+        if ckpt is not None and ckpt.shards != shards:
+            raise ValueError(
+                f"checkpoint has {ckpt.shards} shard(s), executor has "
+                f"{shards}; resharding a checkpointed log is unsupported")
+        return ckpt
+
     def base_edges(self, shard_idx: int, shards: int,
                    initial: list[Edge]) -> set[Edge]:
-        """Shard's graph edges as of the checkpoint epoch (or construction)."""
-        ckpt = self.checkpoint
+        """One shard's graph edges as of the checkpoint epoch, or its part
+        of ``initial`` (the construction edges) without one; a restart
+        asks this for its shard, while :func:`bootstrap_executor` reads
+        the whole checkpoint at once."""
+        ckpt = self._checkpoint_for(shards)
         if ckpt is not None:
-            if ckpt.shards != shards:
-                raise ValueError(
-                    f"checkpoint has {ckpt.shards} shard(s), executor has "
-                    f"{shards}; resharding a checkpointed log is unsupported"
-                )
             return ckpt.edges(shard_idx)
         from repro.service.shard import split_by_shard
 
@@ -257,24 +264,23 @@ def bootstrap_executor(
     resuming from ``manager``'s durable state if one is given.
 
     Returns ``(executor, last_seq)``; the caller resumes committing at
-    ``last_seq + 1``.  With a manager, the shards are built on the
-    checkpointed edge sets (``spec['edges']`` when no checkpoint exists)
-    and the WAL tail is replayed through the executor batch by batch;
-    without one (no durable state) the executor is built on ``spec`` as
-    is and ``last_seq`` is 0.  One shard in-process is a
-    :class:`~repro.service.shard.LocalExecutor`, anything else a
-    :class:`~repro.service.shard.ShardedExecutor`.
+    ``last_seq + 1``.  With a manager, one sorted boot edge list is
+    computed once (the checkpoint's, from one sort of its per-shard keys,
+    else ``sorted(set(spec['edges']))``) and split over the shards once,
+    then the WAL tail is replayed batch by batch; without one the
+    executor is built on ``spec`` as is and ``last_seq`` is 0.  One
+    shard in-process is a :class:`~repro.service.shard.LocalExecutor`,
+    anything else a :class:`~repro.service.shard.ShardedExecutor`.
     """
     from repro.service.shard import LocalExecutor, ShardedExecutor
 
     boot_spec = dict(spec)
     tail: list[WalRecord] = []
     if manager is not None:
-        initial = [tuple(e) for e in spec.get("edges", ())]
-        base_union: set[Edge] = set()
-        for i in range(shards):
-            base_union |= manager.base_edges(i, shards, initial)
-        boot_spec["edges"] = sorted(base_union)
+        ckpt = manager._checkpoint_for(shards)
+        boot_spec["edges"] = (
+            ckpt.sorted_edges() if ckpt is not None
+            else sorted(set(map(tuple, spec.get("edges", ())))))
         tail = manager.tail
     cls = LocalExecutor if shards == 1 and not processes \
         else ShardedExecutor

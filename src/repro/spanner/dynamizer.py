@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Protocol
 
-from repro.graph.dynamic_graph import Edge, norm_edge
+import numpy as np
+
+from repro.graph.dynamic_graph import Edge, edge_array, norm_edge
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 
 __all__ = ["BentleySaxeDynamizer", "DecrementalStructure"]
@@ -39,6 +41,28 @@ class DecrementalStructure(Protocol):
     ) -> tuple[set[Edge], set[Edge]]:
         """Delete a batch; returns the net output delta ``(ins, dels)``."""
         ...
+
+
+def _level_order(edges: Iterable[Edge]) -> list[Edge]:
+    """``sorted(norm_edge(u, v) for u, v in edges)`` by one numpy sort of
+    ``u << 32 | v`` keys (u32 ids), holding the caller's own tuples (only
+    a reversed pair is rebuilt); ValueError on a self-loop or duplicate."""
+    edges = list(map(tuple, edges))
+    arr = edge_array(edges)
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
+    for i in np.flatnonzero(lo == hi)[:1].tolist():
+        norm_edge(*edges[i])   # raises the self-loop error
+    if lo.min(initial=0) < 0 or hi.max(initial=0) > 0xFFFFFFFF:
+        raise ValueError("vertex ids must lie in [0, 2**32)")
+    for i in np.flatnonzero(arr[:, 0] > arr[:, 1]).tolist():
+        edges[i] = edges[i][::-1]
+    keys = lo.astype(np.uint64) << np.uint64(32) | hi.astype(np.uint64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("duplicate edges")
+    objs = np.fromiter(edges, dtype=object, count=len(edges))
+    return objs[order].tolist()
 
 
 class _Part:
@@ -98,34 +122,37 @@ class BentleySaxeDynamizer:
         self.rebuild_count = 0  # instrumentation: structures built so far
         self.rebuilt_edge_count = 0  # edges fed through initializations
 
-        edges = [norm_edge(u, v) for u, v in edges]
-        if len(set(edges)) != len(edges):
-            raise ValueError("duplicate edges")
+        edges = list(edges)
         if edges:
-            j = 0
-            while len(edges) > self._cap(j):
-                j += 1
-            self._build(j, set(edges))
+            self._build(self._fit(len(edges)), edges)
 
     # -- helpers ------------------------------------------------------------
 
     def _cap(self, i: int) -> int:
         return self._base << i
 
-    def _build(self, j: int, edges: set[Edge]) -> set[Edge]:
-        """Create partition ``j`` over ``edges``; returns its output set."""
+    def _fit(self, m: int) -> int:
+        """The lowest level whose capacity holds ``m >= 1`` edges."""
+        return ((m - 1) // self._base).bit_length()
+
+    def _build(self, j: int, edges: Iterable[Edge]) -> set[Edge]:
+        """Create partition ``j`` over ``edges``; returns its output set.
+        Runs at construction, at every level merge and at every restart:
+        :func:`_level_order` normalizes, dedup-checks and orders the
+        level with one numpy key sort, and the factory gets that list."""
         assert j not in self._parts
-        assert len(edges) <= self._cap(j), (len(edges), j)
-        self._cost.charge_hash_op(len(edges))
-        for e in edges:
+        level = _level_order(edges)
+        assert len(level) <= self._cap(j), (len(level), j)
+        self._cost.charge_hash_op(len(level))
+        for e in level:
             self._index[e] = j
         if j == 0:
-            part = _Part(edges, None, set(edges))
+            part = _Part(set(level), None, set(level))
         else:
-            struct = self._factory(sorted(edges))
-            part = _Part(edges, struct, set(struct.output_edges()))
+            struct = self._factory(level)
+            part = _Part(set(level), struct, set(struct.output_edges()))
             self.rebuild_count += 1
-            self.rebuilt_edge_count += len(edges)
+            self.rebuilt_edge_count += len(level)
         self._parts[j] = part
         return part.out
 
@@ -200,7 +227,7 @@ class BentleySaxeDynamizer:
 
     def _restart(self, bump) -> None:
         """Tear down every partition and rebuild from the live edge set."""
-        edges = set(self._index)
+        edges = list(self._index)
         for part in self._parts.values():
             for e in part.out:
                 bump(e, -1)
@@ -209,12 +236,7 @@ class BentleySaxeDynamizer:
         self._updates_since_restart = 0
         self.restart_count += 1
         if edges:
-            j = 0
-            while len(edges) > self._cap(j):
-                j += 1
-            out = self._build(j, edges)
-            for e in out:
-                bump(e, +1)
+            self._apply_build(self._fit(len(edges)), edges, bump)
 
     def _delete(self, edges: list[Edge], bump) -> None:
         by_level: dict[int, list[Edge]] = {}
@@ -264,14 +286,14 @@ class BentleySaxeDynamizer:
             size = base << i
             chunk = edges[pos : pos + size]
             pos += size
-            self._merge_into_empty(i, set(chunk), bump)
+            self._merge_into_empty(i, chunk, bump)
         remainder = edges[pos:]
         if not remainder:
             return
         part0 = self._parts.get(0)
         if len(remainder) + (len(part0.edges) if part0 else 0) <= base:
             if part0 is None:
-                self._apply_build(0, set(remainder), bump)
+                self._apply_build(0, remainder, bump)
             else:
                 for e in remainder:
                     self._index[e] = 0
@@ -279,23 +301,23 @@ class BentleySaxeDynamizer:
                     part0.out.add(e)
                     bump(e, +1)
         else:
-            self._merge_into_empty(0, set(remainder), bump)
+            self._merge_into_empty(0, remainder, bump)
 
-    def _merge_into_empty(self, i: int, chunk: set[Edge], bump) -> None:
+    def _merge_into_empty(self, i: int, chunk: list[Edge], bump) -> None:
         """Place ``chunk`` (destined for level ``i``) into the first empty
         slot ``j >= i``, absorbing partitions ``i..j-1``."""
         j = self._first_empty(i)
-        merged = set(chunk)
+        merged = list(chunk)
         for lvl in range(i, j):
             part = self._parts.pop(lvl, None)
             if part is None:
                 continue
-            merged |= part.edges
+            merged += part.edges
             for e in part.out:
                 bump(e, -1)
         self._apply_build(j, merged, bump)
 
-    def _apply_build(self, j: int, edges: set[Edge], bump) -> None:
+    def _apply_build(self, j: int, edges: list[Edge], bump) -> None:
         out = self._build(j, edges)
         for e in out:
             bump(e, +1)

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge, norm_edge
+from repro.graph.dynamic_graph import Edge, edge_array, norm_edge
 from repro.bfs.es_tree import BatchDynamicESTree
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 
@@ -83,10 +83,7 @@ def _edge_array(edges) -> np.ndarray:
     """Normalize an undirected edge collection to an ``(m, 2)`` int64
     array with each row sorted ``(min, max)`` — the vectorized counterpart
     of mapping :func:`norm_edge` over the list (same self-loop error)."""
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
-    else:
-        arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    arr = edge_array(edges)
     if len(arr):
         loops = arr[:, 0] == arr[:, 1]
         if loops.any():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import gnm_random_graph, norm_edge
 from repro.spanner.dynamizer import BentleySaxeDynamizer
@@ -249,3 +251,80 @@ class TestRestart:
             assert spanner == sp.spanner_edges()
             assert is_spanner(n, alive, spanner, 3)
             sp.check_invariants()
+
+
+class _Recording:
+    """Identity structure that records the edge list each build received."""
+
+    built: list = []
+
+    def __init__(self, edges):
+        _Recording.built.append(edges)
+        self._edges = set(edges)
+
+    def output_edges(self):
+        return set(self._edges)
+
+    def batch_delete(self, edges):
+        self._edges -= set(edges)
+        return set(), set(edges)
+
+
+_pairs = st.sets(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(
+        lambda e: e[0] < e[1]),
+    min_size=2, max_size=60,
+)
+
+
+class TestLevelOrder:
+    """A level's factory gets ``sorted(norm_edge(u, v) ...)`` from one
+    numpy key sort, holding the caller's own normalized tuples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pairs, st.randoms(use_true_random=False))
+    def test_factory_order_equals_sorted(self, edges, rng):
+        given_edges = [e[::-1] if rng.random() < 0.4 else e
+                       for e in sorted(edges, key=lambda _: rng.random())]
+        _Recording.built = []
+        BentleySaxeDynamizer(given_edges, _Recording, base_capacity=1)
+        (level,) = _Recording.built
+        assert level == sorted(norm_edge(u, v) for u, v in given_edges)
+        assert all(type(e) is tuple for e in level)
+        # an already-normalized tuple is the caller's own object
+        mine = {e: e for e in given_edges if e[0] < e[1]}
+        assert all(e is mine[e] for e in level if e in mine)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_pairs, st.integers(1, 8))
+    def test_merges_and_restarts_order_equals_sorted(self, edges, base):
+        edges = sorted(edges)
+        _Recording.built = []
+        dyn = BentleySaxeDynamizer(edges[:base], _Recording, base,
+                                   restart_every=len(edges))
+        for i in range(base, len(edges), 3):
+            dyn.update(insertions=edges[i:i + 3])
+        assert _Recording.built or len(edges) <= base
+        for level in _Recording.built:
+            assert level == sorted(level)
+        dyn.check_invariants()
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 0)],
+                                       [(2, 3), (0, 1), (2, 3)]])
+    def test_duplicate_rejected(self, edges):
+        with pytest.raises(ValueError, match="^duplicate edges$"):
+            make(edges)
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 2)], [(5, 5)]])
+    def test_self_loop_rejected(self, edges):
+        u = edges[-1][0]
+        with pytest.raises(ValueError, match=rf"^self-loop \({u}, {u}\)$"):
+            make(edges)
+
+    def test_spanner_rejects_like_the_dynamizer(self):
+        from repro.spanner import FullyDynamicSpanner
+
+        with pytest.raises(ValueError, match="^duplicate edges$"):
+            FullyDynamicSpanner(4, [(0, 1), (1, 0)], k=2, seed=1)
+        with pytest.raises(ValueError, match=r"^self-loop \(2, 2\)$"):
+            FullyDynamicSpanner(4, [(0, 1), (2, 2)], k=2, seed=1)

@@ -10,6 +10,7 @@ driver interrupt handling).
 """
 
 import contextlib
+import hashlib
 import json
 import random
 import struct
@@ -608,7 +609,118 @@ class TestBootstrap:
         mgr.write_checkpoint(1, _keys({(0, 1)}, set()))
         with pytest.raises(ValueError):
             mgr.base_edges(0, 3, spec["edges"])
+        with pytest.raises(ValueError, match="resharding"):
+            bootstrap_executor(spec, 3, mgr)
         mgr.close()
+
+
+def _pin_spec():
+    """A fixed spec and three batches that move edges on every shard."""
+    edges, _ = request_stream(64, 400, 1, seed=11)
+    present = sorted(edges)
+    absent = sorted({(u, v) for u in range(64) for v in range(u + 1, 64)}
+                    - set(edges))
+    batches = [_batch(ins=absent[:5], dels=present[:3]),
+               _batch(ins=absent[5:9], dels=present[3:10]),
+               _batch(ins=absent[9:30], dels=absent[:2])]
+    spec = {"kind": "spanner", "n": 64, "edges": edges, "seed": 11,
+            "k": 2, "base_capacity": 16}
+    return spec, batches
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes) else repr(p).encode())
+    return h.hexdigest()[:16]
+
+
+class TestBootEdges:
+    """``bootstrap_executor`` computes the boot edge list once; the specs,
+    keys and checkpoint bytes it leads to are those of the per-shard
+    ``base_edges`` union it replaced."""
+
+    @staticmethod
+    def _reference(mgr, spec, shards):
+        """The replaced computation: each shard's ``base_edges``, their
+        union, sorted."""
+        initial = [tuple(e) for e in spec["edges"]]
+        union = set()
+        for i in range(shards):
+            union |= mgr.base_edges(i, shards, initial)
+        return sorted(union)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_specs_equal_the_union_reference(self, tmp_path, monkeypatch,
+                                             shards, checkpointed):
+        import repro.service.shard as shard_mod
+
+        spec, batches = _pin_spec()
+        # JSON-shaped edges with a repeat: the boot list is deduplicated
+        spec["edges"] = [list(e) for e in spec["edges"]] + \
+            [list(spec["edges"][0])]
+        if checkpointed:
+            mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
+            ex, _ = bootstrap_executor(spec, shards, mgr)
+            for seq, b in enumerate(batches, start=1):
+                ex.apply(b, seq=seq)
+                mgr.log_applied(seq, b)
+            mgr.write_checkpoint(3, ex.shard_keys())
+            ex.close()
+            mgr.close()
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        assert (mgr.checkpoint is not None) == checkpointed
+        expected = self._reference(mgr, spec, shards)
+        booted = []
+
+        class Recording(ShardedExecutor):
+            def __init__(self, spec, *args, **kwargs):
+                booted.append(spec)
+                super().__init__(spec, *args, **kwargs)
+
+        monkeypatch.setattr(shard_mod, "LocalExecutor", Recording)
+        monkeypatch.setattr(shard_mod, "ShardedExecutor", Recording)
+        ex, _ = bootstrap_executor(spec, shards, mgr)
+        assert booted[0]["edges"] == expected
+        assert all(type(e) is tuple for e in booted[0]["edges"])
+        for i, (sub, part) in enumerate(zip(
+                ex.shard_specs, split_by_shard(expected, shards))):
+            assert sub == dict(spec, edges=part, seed=spec["seed"] + i)
+        ex.close()
+        mgr.close()
+
+    # (boot keys + output, checkpoint file + output, rebooted keys +
+    # output) digests, recorded before the boot list was computed once
+    PINS = {
+        1: ("c36a57b9cf011d76", "e85b37d683149ede", "fbec1e03031be757"),
+        2: ("90980a19b194bdfd", "56228ff667ae50e9", "cab26f924176f009"),
+        3: ("111088b797bb6ffb", "879b6bdb077ca270", "9886e29320323759"),
+    }
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_keys_and_checkpoint_bytes_pinned(self, tmp_path, shards):
+        spec, batches = _pin_spec()
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        ex, _ = bootstrap_executor(spec, shards, mgr)
+        boot = _digest(*(k.tobytes() for k in ex.shard_keys()),
+                       sorted(ex.gather_edges()))
+        for seq, b in enumerate(batches, start=1):
+            ex.apply(b, seq=seq)
+            mgr.log_applied(seq, b)
+        mgr.write_checkpoint(3, ex.shard_keys())
+        written = _digest(
+            next(tmp_path.glob("checkpoint-*.bin")).read_bytes(),
+            sorted(ex.gather_edges()))
+        ex.close()
+        mgr.close()
+        mgr2 = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        ex2, _ = bootstrap_executor(spec, shards, mgr2)
+        rebooted = _digest(*(k.tobytes() for k in ex2.shard_keys()),
+                           sorted(ex2.gather_edges()))
+        ex2.close()
+        mgr2.close()
+        assert (boot, written, rebooted) == self.PINS[shards]
 
 
 
