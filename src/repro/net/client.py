@@ -53,7 +53,12 @@ class NetClient:
         self._pending: list[dict] = []
         self._max_frame = max_frame
         self._next_id = 0
-        self.hello = self.call("hello", _raw=hello_frame(0, tenant))
+        try:
+            self.hello = self.call("hello", _raw=hello_frame(0, tenant))
+        except BaseException as exc:
+            # a refused handshake leaves no client to close the socket
+            self._poison(f"handshake failed: {exc!r}")
+            raise
 
     # -- plumbing -------------------------------------------------------------
 

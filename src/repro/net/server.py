@@ -27,10 +27,13 @@ verb            semantics
 ``wal_fetch``   a chunk of the tenant's replication log from a byte offset
 ==============  =============================================================
 
-Backpressure is per connection: requests on one connection are handled
-strictly sequentially and every response is ``await writer.drain()``-ed
-under ``write_deadline``, so a slow reader throttles only itself and is
-evicted past the deadline.  Query admission is per tenant
+Each connection is an :class:`asyncio.Protocol` that answers the frames
+of a read in order inside ``data_received``.  Backpressure is per
+connection: while a verb waits (``admin flush``, or a query under
+``service_time``) later frames are held back; while the write buffer is
+over its high-water mark nothing is answered and reading pauses, and a
+reader that does not drain within ``write_deadline`` is evicted, so a
+slow reader throttles only itself.  Query admission is per tenant
 (``AdmissionConfig.max_inflight_queries``), and query *execution* holds a
 server-wide slot semaphore for ``service_time`` seconds when a simulated
 per-query cost is configured (the capacity model the net benchmarks pin).
@@ -44,8 +47,9 @@ flusher; an ``autostart=False`` tenant has no flusher, so its due
 flushes run on the loop.
 
 ``drain()`` — wired to SIGTERM by :func:`serve` — stops the listener,
-lets in-flight connections finish (up to ``drain_timeout``), then flushes
-and checkpoints every tenant before returning.
+closes every connection with nothing in flight, lets the others finish
+their request and close (up to ``drain_timeout``), then flushes and
+checkpoints every tenant before returning.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import contextlib
 import math
 import signal
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from repro.net.protocol import (
@@ -102,7 +107,7 @@ class NetServer:
         self.host: str | None = None
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._conns: set[asyncio.Task] = set()
+        self._conns: set[_Connection] = set()
         self._draining = False
         self._slots: asyncio.Semaphore | None = None
         self.connections_served = 0
@@ -113,9 +118,8 @@ class NetServer:
         """Bind the listener and record the resolved host/port."""
         cfg = self.config
         self._slots = asyncio.Semaphore(max(1, cfg.query_slots))
-        self._server = await asyncio.start_server(
-            self._on_connection, host=cfg.host, port=cfg.port
-        )
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=cfg.host, port=cfg.port)
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
 
@@ -126,81 +130,17 @@ class NetServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
+        for conn in list(self._conns):
+            conn.pump()                 # closes it unless mid-request
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout
+        while self._conns and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for conn in list(self._conns):
+            conn.transport.abort()
+        if self._server is not None:
             await self._server.wait_closed()
-        if self._conns:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*self._conns, return_exceptions=True),
-                    timeout=self.config.drain_timeout,
-                )
-            for task in self._conns:
-                task.cancel()
         await asyncio.to_thread(self.tenants.flush_all)
-
-    # -- connection lifecycle -------------------------------------------------
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._conns.add(task)
-        task.add_done_callback(self._conns.discard)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self.connections_served += 1
-        decoder = FrameDecoder(self.config.max_frame)
-        tenant: Tenant | None = None
-        cfg = self.config
-        try:
-            while not (self._draining and decoder.pending_bytes == 0):
-                # per-connection read deadline: mid-frame stalls are
-                # bounded by read_deadline, idle keep-alive by idle_timeout
-                timeout = (cfg.read_deadline if decoder.pending_bytes
-                           else cfg.idle_timeout)
-                try:
-                    # no Task per read, unlike wait_for; None: no deadline
-                    async with asyncio.timeout(timeout):
-                        data = await reader.read(65536)
-                except TimeoutError:
-                    self.evictions[
-                        "mid_frame" if decoder.pending_bytes else "idle"
-                    ] += 1
-                    break
-                if not data:
-                    break
-                try:
-                    msgs = decoder.feed(data)
-                except ProtocolError as exc:
-                    await self._send(writer, error_envelope(
-                        None, "protocol", str(exc)))
-                    break
-                for msg in msgs:
-                    self.requests_served += 1
-                    if tenant is None:
-                        reply, tenant = self._handshake(msg)
-                        await self._send(writer, reply)
-                        if tenant is None:
-                            return
-                        continue
-                    reply = await self._dispatch(tenant, msg)
-                    await self._send(writer, reply)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _send(self, writer: asyncio.StreamWriter, msg: dict) -> None:
-        writer.write(encode_frame(msg, self.config.max_frame))
-        try:
-            async with asyncio.timeout(self.config.write_deadline):
-                await writer.drain()
-        except TimeoutError:
-            # slow-client eviction: a reader that cannot drain its own
-            # responses must not pin server buffers
-            self.evictions["slow_reader"] += 1
-            raise ConnectionResetError("slow client evicted") from None
 
     # -- verbs ----------------------------------------------------------------
 
@@ -229,34 +169,61 @@ class NetServer:
             tenants=self.tenants.names(),
         ), tenant
 
-    async def _dispatch(self, tenant: Tenant, msg: dict) -> dict:
+    def _dispatch(self, tenant: Tenant, msg: dict) -> dict | asyncio.Future:
+        """Answer one request: its envelope, or a future of it for the two
+        verbs that wait (``admin flush``, a query under ``service_time``)."""
         req_id = msg.get("id")
         verb = msg.get("verb")
         try:
             if verb == "submit":
-                return await self._do_submit(tenant, req_id, msg)
+                return self._do_submit(tenant, req_id, msg)
             if verb in ("query", "query_info"):
-                return await self._do_query(tenant, req_id, msg)
+                return self._do_query(tenant, req_id, msg)
             if verb == "query_batch":
-                return await self._do_query_batch(tenant, req_id, msg)
+                return self._do_query_batch(tenant, req_id, msg)
             if verb == "metrics":
                 return self._do_metrics(tenant, req_id, msg)
             if verb == "admin":
-                return await self._do_admin(tenant, req_id, msg)
+                return self._do_admin(tenant, req_id, msg)
             if verb == "sync":
                 return ok_envelope(req_id, **tenant.sync_info())
             if verb == "wal_fetch":
                 return self._do_wal_fetch(tenant, req_id, msg)
             return error_envelope(req_id, "unknown_verb",
                                   f"unknown verb {verb!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            return error_envelope(req_id, "bad_request",
-                                  f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # engine/executor failure: keep serving
-            return error_envelope(req_id, "internal",
-                                  f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            return _failure(req_id, exc)
 
-    async def _do_submit(self, tenant: Tenant, req_id, msg: dict) -> dict:
+    async def _slotted(self, tenant: Tenant, req_id, answer) -> dict:
+        """Hold a server-wide query slot for ``service_time`` seconds, then
+        answer: the capacity model the replica-scaling benchmark pins."""
+        try:
+            assert self._slots is not None
+            async with self._slots:
+                await asyncio.sleep(self.config.service_time)
+                return answer()
+        except Exception as exc:
+            return _failure(req_id, exc)
+        finally:
+            tenant.inflight_queries -= 1
+
+    def _query(self, tenant: Tenant, req_id, answer):
+        """Admit one query charge, then ``answer()`` now, or after a slot
+        when ``service_time`` is set."""
+        cfg = self.config
+        decision = tenant.service.admission.admit_query(
+            tenant.inflight_queries, cfg.service_time)
+        if not decision.admitted:
+            tenant.service.metrics.counter("query_shed").inc()
+            return error_envelope(req_id, "shed_query",
+                                  "tenant read quota exhausted",
+                                  retry_after=decision.retry_after)
+        if cfg.service_time <= 0:
+            return answer()
+        tenant.inflight_queries += 1
+        return asyncio.ensure_future(self._slotted(tenant, req_id, answer))
+
+    def _do_submit(self, tenant: Tenant, req_id, msg: dict) -> dict:
         if self.config.read_only:
             return error_envelope(
                 req_id, "read_only",
@@ -300,47 +267,21 @@ class NetServer:
             tenant.idempotency.commit(key, {"status": resp.outcome})
         return ok_envelope(req_id, status=resp.outcome)
 
-    async def _do_query(self, tenant: Tenant, req_id, msg: dict) -> dict:
-        cfg = self.config
-        decision = tenant.service.admission.admit_query(
-            tenant.inflight_queries, cfg.service_time)
-        if not decision.admitted:
-            tenant.service.metrics.counter("query_shed").inc()
-            return error_envelope(req_id, "shed_query",
-                                  "tenant read quota exhausted",
-                                  retry_after=decision.retry_after)
+    def _do_query(self, tenant: Tenant, req_id, msg: dict):
         kind = msg["kind"]
         payload = msg.get("payload")
         if isinstance(payload, list):
             payload = tuple(payload)
-        tenant.inflight_queries += 1
-        try:
-            assert self._slots is not None
-            async with self._slots:
-                if cfg.service_time > 0:
-                    # pinned per-query engine cost: the capacity model the
-                    # replica-scaling benchmark measures against
-                    await asyncio.sleep(cfg.service_time)
-                result = tenant.service.query_info(
-                    kind, payload, msg.get("consistency", "snapshot"))
-        finally:
-            tenant.inflight_queries -= 1
-        return ok_envelope(
-            req_id, value=_jsonable(result.value), stale=result.stale,
-            as_of_seq=result.as_of_seq)
 
-    async def _do_query_batch(self, tenant: Tenant, req_id,
-                              msg: dict) -> dict:
-        cfg = self.config
-        # one admission charge and one service_time charge per batch —
-        # that amortization is the whole point of batching reads
-        decision = tenant.service.admission.admit_query(
-            tenant.inflight_queries, cfg.service_time)
-        if not decision.admitted:
-            tenant.service.metrics.counter("query_shed").inc()
-            return error_envelope(req_id, "shed_query",
-                                  "tenant read quota exhausted",
-                                  retry_after=decision.retry_after)
+        def answer() -> dict:
+            result = tenant.service.query_info(
+                kind, payload, msg.get("consistency", "snapshot"))
+            return ok_envelope(
+                req_id, value=_jsonable(result.value), stale=result.stale,
+                as_of_seq=result.as_of_seq)
+        return self._query(tenant, req_id, answer)
+
+    def _do_query_batch(self, tenant: Tenant, req_id, msg: dict):
         items = []
         for entry in msg["items"]:
             kind = entry[0]
@@ -348,26 +289,24 @@ class NetServer:
             if isinstance(payload, list):
                 payload = tuple(payload)
             items.append((kind, payload))
-        tenant.inflight_queries += 1
-        try:
-            assert self._slots is not None
-            async with self._slots:
-                if cfg.service_time > 0:
-                    await asyncio.sleep(cfg.service_time)
-                results = tenant.service.query_batch(
-                    items, msg.get("consistency", "snapshot"))
-        finally:
-            tenant.inflight_queries -= 1
-        stats = tenant.service.last_query_stats
-        return ok_envelope(
-            req_id,
-            values=[_jsonable(r.value) for r in results],
-            stale=bool(results and results[0].stale),
-            as_of_seq=(results[0].as_of_seq if results
-                       else tenant.service.committed_seq),
-            unique=stats.unique if stats else 0,
-            deduped=(stats.queries - stats.unique) if stats else 0,
-        )
+
+        def answer() -> dict:
+            svc = tenant.service
+            results = svc.query_batch(items,
+                                      msg.get("consistency", "snapshot"))
+            stats = svc.last_query_stats
+            return ok_envelope(
+                req_id,
+                values=[_jsonable(r.value) for r in results],
+                stale=bool(results and results[0].stale),
+                as_of_seq=(results[0].as_of_seq if results
+                           else svc.committed_seq),
+                unique=stats.unique if stats else 0,
+                deduped=(stats.queries - stats.unique) if stats else 0,
+            )
+        # one admission charge and one service_time charge per batch —
+        # that amortization is the whole point of batching reads
+        return self._query(tenant, req_id, answer)
 
     def _do_metrics(self, tenant: Tenant, req_id, msg: dict) -> dict:
         if msg.get("all"):
@@ -392,13 +331,22 @@ class NetServer:
             f"{eviction_lines}"
         )
 
-    async def _do_admin(self, tenant: Tenant, req_id, msg: dict) -> dict:
+    @staticmethod
+    def _flush(tenant: Tenant, req_id) -> dict:
+        """``admin flush``; runs in a worker thread."""
+        try:
+            result = tenant.service.flush()
+        except Exception as exc:
+            return _failure(req_id, exc)
+        return ok_envelope(
+            req_id, flushed=result.batch.size if result else 0,
+            committed_seq=tenant.service.committed_seq)
+
+    def _do_admin(self, tenant: Tenant, req_id, msg: dict):
         action = msg.get("action", "stats")
         if action == "flush":
-            result = await asyncio.to_thread(tenant.service.flush)
-            return ok_envelope(
-                req_id, flushed=result.batch.size if result else 0,
-                committed_seq=tenant.service.committed_seq)
+            return asyncio.get_running_loop().run_in_executor(
+                None, self._flush, tenant, req_id)
         if action == "tenants":
             return ok_envelope(req_id, tenants=self.tenants.names())
         if action == "stats":
@@ -428,6 +376,137 @@ class NetServer:
             log_size=tenant.replication.size,
             last_seq=tenant.replication.last_seq,
         )
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: the frames of each read are answered in
+    order inside ``data_received``."""
+
+    def __init__(self, server: NetServer) -> None:
+        self.server = server
+        self.decoder = FrameDecoder(server.config.max_frame)
+        self.tenant: Tenant | None = None
+        self.transport: asyncio.Transport | None = None
+        self.backlog: deque = deque()   # frames not yet answered, in order
+        self.waiting: asyncio.Future | None = None   # a reply not yet known
+        self.write_paused = self.eof = self.closed = False
+        self.timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server.connections_served += 1
+        self.server._conns.add(self)
+        self.pump()
+
+    def connection_lost(self, exc) -> None:
+        self.closed = True
+        self._arm(None, "")
+        self.server._conns.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.backlog.extend(self.decoder.feed(data))
+        except ProtocolError as exc:
+            self.backlog.append(exc)    # answered in turn, then we close
+        self.pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        return self.waiting is not None   # stay open to send that reply
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self._arm(self.server.config.write_deadline, "slow_reader")
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.pump()
+
+    def pump(self) -> None:
+        """Answer held frames in order until one waits or writes pause;
+        then close if done, else set reading and the read deadline."""
+        server, backlog = self.server, self.backlog
+        while backlog and not (self.waiting or self.write_paused
+                               or self.closed):
+            msg = backlog.popleft()
+            if isinstance(msg, ProtocolError):
+                self._write(error_envelope(None, "protocol", str(msg)))
+                self._close()
+            elif self.tenant is None:
+                server.requests_served += 1
+                reply, self.tenant = server._handshake(msg)
+                self._write(reply)
+                if self.tenant is None:
+                    self._close()
+            else:
+                server.requests_served += 1
+                reply = server._dispatch(self.tenant, msg)
+                if isinstance(reply, dict):
+                    self._write(reply)
+                else:
+                    self.waiting = reply
+                    reply.add_done_callback(self._on_reply)
+        if self.closed:
+            return
+        mid = self.decoder.pending_bytes > 0
+        if not (self.waiting or backlog) and (self.eof or (
+                server._draining and not (mid or self.write_paused))):
+            self._close()
+            return
+        # frames held back: read no more until they are answered
+        if backlog or self.write_paused:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+        if not self.write_paused:
+            # a started frame must finish within read_deadline; the next
+            # must start within idle_timeout; no deadline while we answer
+            cfg = server.config
+            self._arm(None if self.waiting or backlog else
+                      cfg.read_deadline if mid else cfg.idle_timeout,
+                      "mid_frame" if mid else "idle")
+
+    def _on_reply(self, fut: asyncio.Future) -> None:
+        self.waiting = None
+        if not (self.closed or fut.cancelled()):
+            self._write(fut.result())
+            self.pump()
+
+    def _write(self, reply: dict) -> None:
+        max_frame = self.server.config.max_frame
+        try:
+            frame = encode_frame(reply, max_frame)
+        except ProtocolError as exc:    # the reply is over the frame cap
+            frame = encode_frame(error_envelope(
+                reply.get("id"), "internal", str(exc)), max_frame)
+        self.transport.write(frame)
+
+    def _arm(self, delay: float | None, reason: str) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = None if delay is None else \
+            asyncio.get_running_loop().call_later(delay, self._evict, reason)
+
+    def _evict(self, reason: str) -> None:
+        self.timer = None
+        self.server.evictions[reason] += 1
+        if reason == "slow_reader":
+            self.closed = True
+            self.transport.abort()      # its replies cannot drain
+        else:
+            self._close()
+
+    def _close(self) -> None:
+        self.closed = True
+        self._arm(None, "")
+        self.transport.close()
+
+
+def _failure(req_id, exc: Exception) -> dict:
+    """The error envelope of a verb that raised: the engine keeps serving."""
+    code = "bad_request" if isinstance(
+        exc, (KeyError, TypeError, ValueError)) else "internal"
+    return error_envelope(req_id, code, f"{type(exc).__name__}: {exc}")
 
 
 def _jsonable(value):

@@ -104,18 +104,22 @@ class Checkpoint:
                         in zip(self.shard_keys, other.shard_keys)))
 
 
-def edge_keys(edges: Collection[Edge]) -> np.ndarray:
-    """Sorted ``u << 32 | v`` keys of a set of edges (ValueError for an
-    id outside the u32 range)."""
-    out_of_range = ValueError(
-        f"checkpoint vertex ids must lie in [0, {_U32_MAX}]")
+def pair_keys(edges: Collection[Edge]) -> np.ndarray:
+    """Unsorted ``u << 32 | v`` keys of the pairs as given (ValueError for
+    an id outside the u32 range)."""
     try:
         ids = edge_array(edges)
     except OverflowError:
-        raise out_of_range from None
-    if ids.size and (ids.min() < 0 or ids.max() > _U32_MAX):
-        raise out_of_range
-    keys = ids[:, 0].astype(_KEY) << np.uint64(32) | ids[:, 1].astype(_KEY)
+        ids = None
+    if ids is None or ids.size and (ids.min() < 0 or ids.max() > _U32_MAX):
+        raise ValueError(f"vertex ids must lie in [0, {_U32_MAX}]")
+    return ids[:, 0].astype(_KEY) << np.uint64(32) | ids[:, 1].astype(_KEY)
+
+
+def edge_keys(edges: Collection[Edge]) -> np.ndarray:
+    """Sorted ``u << 32 | v`` keys of a set of edges (ValueError for an
+    id outside the u32 range)."""
+    keys = pair_keys(edges)
     keys.sort()
     return keys
 

@@ -18,13 +18,16 @@ into the single object the serving engine talks to:
 
 from __future__ import annotations
 
+import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from repro.graph.dynamic_graph import Edge
-from repro.resilience.checkpoint import Checkpoint, CheckpointStore
+from repro.resilience.checkpoint import Checkpoint, CheckpointStore, pair_keys
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
 from repro.resilience.wal import (
     WalCorruptionError,
@@ -252,6 +255,25 @@ class RecoveryManager:
         self._writer.close()
 
 
+def _boot_edges(edges) -> list[Edge]:
+    """``sorted(set(map(tuple, edges)))`` by one stable argsort of
+    ``u << 32 | v`` keys, keeping the first tuple of each run of equal
+    keys as the set does (ValueError for an id that is not an integer in
+    the u32 range)."""
+    edges = list(map(tuple, edges))
+    try:
+        deque(map(operator.index, chain.from_iterable(edges)), maxlen=0)
+    except TypeError:
+        raise ValueError("vertex ids must be integers") from None
+    keys = pair_keys(edges)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    objs = np.fromiter(edges, dtype=object, count=len(edges))
+    return objs[order[first]].tolist()
+
+
 def bootstrap_executor(
     spec: dict,
     shards: int,
@@ -266,7 +288,8 @@ def bootstrap_executor(
     Returns ``(executor, last_seq)``; the caller resumes committing at
     ``last_seq + 1``.  With a manager, one sorted boot edge list is
     computed once (the checkpoint's, from one sort of its per-shard keys,
-    else ``sorted(set(spec['edges']))``) and split over the shards once,
+    else ``sorted(set(spec['edges']))`` by :func:`_boot_edges`) and split
+    over the shards once,
     then the WAL tail is replayed batch by batch; without one the
     executor is built on ``spec`` as is and ``last_seq`` is 0.  One
     shard in-process is a :class:`~repro.service.shard.LocalExecutor`,
@@ -280,7 +303,7 @@ def bootstrap_executor(
         ckpt = manager._checkpoint_for(shards)
         boot_spec["edges"] = (
             ckpt.sorted_edges() if ckpt is not None
-            else sorted(set(map(tuple, spec.get("edges", ())))))
+            else _boot_edges(spec.get("edges", ())))
         tail = manager.tail
     cls = LocalExecutor if shards == 1 and not processes \
         else ShardedExecutor

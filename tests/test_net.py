@@ -17,6 +17,7 @@ import pytest
 from repro.net import (
     PROTOCOL_NAME,
     PROTOCOL_VERSION,
+    ConnectionClosed,
     FrameDecoder,
     NetClient,
     NetServerConfig,
@@ -214,6 +215,23 @@ class TestServerRoundTrip:
             assert reply["ok"] is False
             assert reply["error"]["code"] == "version_mismatch"
 
+    def test_refused_handshake_closes_the_socket(self, monkeypatch):
+        """Regression: a refused ``hello`` raised out of ``__init__`` and
+        left the client's socket open, with no object to close it."""
+        opened = []
+        create = socket.create_connection
+
+        def spy(*args, **kwargs):
+            opened.append(create(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", spy)
+        with _manager() as tm, ThreadedServer(tm) as srv:
+            with pytest.raises(ServerError, match="unknown_tenant"):
+                NetClient(srv.host, srv.port, tenant="nope")
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
+
     def test_first_frame_must_be_hello(self):
         import socket
 
@@ -234,6 +252,16 @@ class TestServerRoundTrip:
                     c.call("query", kind="no_such_kind")
                 # the connection survives error envelopes
                 assert c.query("size") == 3
+
+    def test_reply_over_the_frame_cap_is_an_error_envelope(self):
+        tm = TenantManager()
+        tm.create(TenantConfig(name="default", spec=_spec(
+            edges=[(i, i + 1) for i in range(100)])))
+        with tm, ThreadedServer(tm, NetServerConfig(max_frame=400)) as srv:
+            with NetClient(srv.host, srv.port) as c:
+                with pytest.raises(ServerError, match="internal.*cap"):
+                    c.call("sync")      # the boot spec does not fit
+                assert c.query("size") == 100
 
     def test_shed_surfaces_retry_after_through_the_wire(self):
         """Satellite: backpressure hints survive the wire unchanged."""
@@ -559,6 +587,44 @@ class TestDrain:
             assert svc.queue.depth == 0
             assert (11, 12) in svc.snapshot_edges()
 
+    def test_idle_client_does_not_hold_the_drain(self):
+        """Regression: ``stop()`` waited the whole ``drain_timeout`` for a
+        keep-alive client that had nothing in flight."""
+        with _manager(autostart=False) as tm:
+            srv = ThreadedServer(
+                tm, NetServerConfig(drain_timeout=5.0)).start()
+            with NetClient(srv.host, srv.port) as c:
+                c.submit("insert", 11, 12)
+                t0 = time.perf_counter()
+                srv.stop()
+                elapsed = time.perf_counter() - t0
+                assert elapsed < 1.0, f"stop took {elapsed:.2f}s"
+                with pytest.raises((ConnectionClosed, ProtocolError)):
+                    c.query("size")     # the server hung up
+            assert (11, 12) in tm.get("default").service.snapshot_edges()
+
+    def test_flush_in_flight_at_drain_is_answered(self, stall_first_apply):
+        """A connection mid-request when the drain starts gets its reply,
+        then is closed."""
+        with _manager(autostart=False, batcher=BatcherConfig(
+                max_batch=1000, max_delay=60.0)) as tm:
+            srv = ThreadedServer(
+                tm, NetServerConfig(drain_timeout=5.0)).start()
+            stall = stall_first_apply(0.5)
+            tm.get("default").service.executor.injector = stall
+            seqs: list[int] = []
+            with NetClient(srv.host, srv.port) as c:
+                c.submit("insert", 5, 9)
+                flusher = threading.Thread(
+                    target=lambda: seqs.append(c.flush()))
+                flusher.start()
+                assert stall.started.wait(5.0)
+                srv.stop()
+                flusher.join(timeout=10.0)
+                assert seqs == [1]
+                with pytest.raises((ConnectionClosed, ProtocolError)):
+                    c.query("size")     # the server hung up
+
     def test_concurrent_clients_from_threads(self):
         with _manager(autostart=False) as tm, ThreadedServer(tm) as srv:
             errors: list[Exception] = []
@@ -852,6 +918,47 @@ class TestWriteDeadline:
             finally:
                 sock.close()
                 srv.stop()
+
+
+class TestPipelining:
+    def test_frames_in_one_write_are_answered_in_order(self):
+        """Frames sent back to back are answered in request order; a
+        waiting ``admin flush`` holds later frames back, so it commits
+        exactly the submits sent before it."""
+        with _manager(autostart=False, batcher=BatcherConfig(
+                max_batch=1000, max_delay=60.0)) as tm, \
+                ThreadedServer(tm) as srv:
+            requests = [request_frame(1, "submit", op="insert", u=5, v=9),
+                        request_frame(2, "submit", op="insert", u=6, v=9),
+                        request_frame(3, "submit", op="insert", u=7, v=9),
+                        request_frame(4, "query_batch",
+                                      items=[["size", None],
+                                             ["contains", [5, 9]]]),
+                        request_frame(5, "admin", action="flush"),
+                        request_frame(6, "submit", op="insert", u=8, v=9),
+                        request_frame(7, "submit", op="delete", u=5, v=9),
+                        request_frame(8, "metrics")]
+            with socket.create_connection((srv.host, srv.port)) as sock:
+                sock.settimeout(5.0)
+                sock.sendall(encode_frame(hello_frame(0)) + b"".join(
+                    encode_frame(r) for r in requests))
+                decoder, replies = FrameDecoder(), []
+                while len(replies) < 1 + len(requests):
+                    data = sock.recv(65536)
+                    assert data, "server closed early"
+                    replies.extend(decoder.feed(data))
+            assert [r["id"] for r in replies] == list(range(9))
+            assert all(r["ok"] for r in replies)
+            assert [r["status"] for r in replies[1:4]] == ["accepted"] * 3
+            assert replies[4]["as_of_seq"] == 0
+            assert replies[4]["values"][1] is False
+            assert replies[5]["flushed"] == 3
+            assert replies[5]["committed_seq"] == 1
+            assert [r["status"] for r in replies[6:8]] == ["accepted"] * 2
+            assert "repro_net_requests_served" in replies[8]["text"]
+            svc = tm.get("default").service
+            assert svc.queue.depth == 2
+            assert {(5, 9), (6, 9), (7, 9)} <= svc.snapshot_edges()
 
 
 class TestBenchNetFailover:

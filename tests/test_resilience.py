@@ -690,6 +690,45 @@ class TestBootEdges:
         ex.close()
         mgr.close()
 
+    @pytest.mark.parametrize("edges", [
+        [],
+        [[3, 4], [1, 2], [3, 4], [0, 9]],            # JSON pairs, a repeat
+        [(2, 1), (1, 2), (2, 1), (1, 2), (0, 0)],    # both orientations
+        [(0xFFFFFFFF, 0), (0, 0xFFFFFFFF), (7, 7)],  # the u32 edges
+    ])
+    def test_key_sort_equals_the_tuple_sort(self, edges):
+        from repro.resilience.manager import _boot_edges
+
+        out = _boot_edges(edges)
+        assert out == sorted(set(map(tuple, edges)))
+        assert all(type(e) is tuple for e in out)
+
+    @pytest.mark.parametrize("edges, match", [
+        ([(1 << 32, 0), (1, 2)], "must lie in"),     # past u32
+        ([(1 << 70, 0)], "must lie in"),             # past int64
+        ([(-1, 3), (2, 0)], "must lie in"),
+        ([(1.5, 2), (1, 2)], "must be integers"),    # would collapse to one
+        ([(1.5, 2), (1, 3)], "must be integers"),
+    ])
+    def test_key_sort_refuses_ids_it_cannot_key(self, edges, match):
+        from repro.resilience.manager import _boot_edges
+
+        with pytest.raises(ValueError, match=match):
+            _boot_edges(edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                    max_size=120))
+    def test_key_sort_keeps_the_callers_tuples(self, edges):
+        from repro.resilience.manager import _boot_edges
+
+        out = _boot_edges(edges)
+        assert out == sorted(set(edges))
+        firsts = {}
+        for e in edges:
+            firsts.setdefault(e, e)
+        assert all(e is firsts[e] for e in out)
+
     # (boot keys + output, checkpoint file + output, rebooted keys +
     # output) digests, recorded before the boot list was computed once
     PINS = {
