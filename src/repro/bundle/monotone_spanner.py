@@ -95,10 +95,6 @@ class MonotoneDecrementalSpanner:
         ``cap + 1`` hops (tree depth ≤ shift cap)."""
         return 2.0 * (self.cap + 1)
 
-    @property
-    def num_instances(self) -> int:
-        return len(self._instances)
-
     def __contains__(self, edge: Edge) -> bool:
         return norm_edge(*edge) in self._graph
 

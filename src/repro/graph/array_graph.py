@@ -646,12 +646,6 @@ class ArrayDynamicGraph:
         g.add_edges_from(zip(*(a.tolist() for a in self._edge_arrays())))
         return g
 
-    @property
-    def arena_slots(self) -> int:
-        """Total allocated neighbor slots (live + slack + dead) —
-        memory-accounting hook for the benchmarks."""
-        return len(self._nbr)
-
 
 class SweepScratch:
     """``O(n)`` scratch for one frontier sweep, all-clear between leases.

@@ -5,6 +5,12 @@ updates are edge insertions/deletions only).  Edges are stored normalized as
 ``(min(u, v), max(u, v))`` tuples.  Duplicate edges are rejected, matching
 the paper's standing assumption that the graph stays simple (enforced there
 with hash tables).
+
+The served system's id contract lives here too: a vertex id is an ``int``
+(a ``bool``, float or str is refused, not coerced) in ``[0, n)`` with
+``n <= 2**32``, checked once per entry point (:func:`check_edge`,
+:func:`check_edges`); :func:`pair_keys` / :func:`key_edges` are the one
+``u << 32 | v`` codec.
 """
 
 from __future__ import annotations
@@ -14,9 +20,12 @@ from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Edge", "edge_array", "norm_edge", "DynamicGraph"]
+__all__ = ["Edge", "edge_array", "norm_edge", "DynamicGraph", "check_n",
+           "check_edge", "check_edges", "pair_keys", "key_edges"]
 
 Edge = tuple[int, int]
+
+_ID_END = 1 << 32       # ids are u32: the WAL's and the pair keys' range
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -37,6 +46,59 @@ def edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     if ids.size != 2 * len(edges):
         raise ValueError("edges must be (u, v) pairs")
     return ids.reshape(-1, 2)
+
+
+def check_n(n) -> int:
+    """``n`` if it is a vertex count: an ``int`` in ``[0, 2**32]``."""
+    if type(n) is not int or not 0 <= n <= _ID_END:
+        raise ValueError(f"n must be an integer in [0, 2**32], not {n!r}")
+    return n
+
+
+def check_edge(u, v, n: int) -> None:
+    """ValueError unless ``u`` and ``v`` are both vertex ids of ``[0, n)``
+    (see the module docstring): the check of one submitted update."""
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"vertex ids must be integers, not ({u!r}, {v!r})")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) outside [0, {n})")
+
+
+def check_edges(edges: Collection[Edge], n: int) -> np.ndarray:
+    """The ``(m, 2)`` int64 ids of a spec's edge list, after checking
+    that each is a vertex id of ``[0, n)``: one Python pass over the ids'
+    types, then numpy range checks (ValueError otherwise)."""
+    check_n(n)
+    types = list(map(type, chain.from_iterable(edges)))
+    if types.count(int) != len(types):
+        raise ValueError("vertex ids must be integers")
+    return _id_array(edges, n)
+
+
+def _id_array(edges, end: int) -> np.ndarray:
+    """:func:`edge_array` of ``edges``, ValueError for an id outside
+    ``[0, end)`` (an id past int64 included)."""
+    try:
+        ids = edge_array(edges)
+    except OverflowError:
+        ids = None
+    if ids is None or ids.size and (ids.min() < 0 or ids.max() >= end):
+        raise ValueError(f"vertex ids must lie in [0, {end})")
+    return ids
+
+
+def pair_keys(edges: Collection[Edge] | np.ndarray) -> np.ndarray:
+    """Unsorted ``u << 32 | v`` keys of the pairs as given (ValueError for
+    an id outside the u32 range)."""
+    ids = _id_array(edges, _ID_END)
+    keys = ids.astype(np.uint64)
+    return keys[:, 0] << np.uint64(32) | keys[:, 1]
+
+
+def key_edges(keys: np.ndarray) -> list[Edge]:
+    """The ``(u, v)`` tuples of ``u << 32 | v`` keys, in key order."""
+    return list(zip((keys >> np.uint64(32)).tolist(),
+                    (keys & np.uint64(_ID_END - 1)).tolist()))
 
 
 class DynamicGraph:

@@ -50,10 +50,6 @@ class RunStats:
     def work_per_update(self) -> float:
         return self.update_cost.work / max(self.total_updates, 1)
 
-    @property
-    def seconds_per_update(self) -> float:
-        return self.update_seconds / max(self.total_updates, 1)
-
     def simulated_time(self, processors: int) -> float:
         """Brent bound for the whole update phase on ``p`` processors."""
         return brent_time(self.update_cost, processors)

@@ -14,7 +14,7 @@ Layers (see ``docs/replication.md``):
 - :mod:`repro.net.resilient` — retrying client: deadlines, decorrelated
   backoff, circuit breaker, reconnect, idempotent writes, hedged reads.
 - :mod:`repro.net.faultproxy` — in-process TCP fault-injection proxy
-  (latency, bandwidth caps, torn frames, resets, partitions).
+  (latency, torn frames, resets, partitions).
 - :mod:`repro.net.replica` — single-writer primary → N read replicas via
   WAL-framed log shipping; snapshot-consistent stale-tagged reads.
 - :mod:`repro.net.bench` — the SRV2 replica-scaling benchmark.

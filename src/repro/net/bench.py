@@ -191,8 +191,12 @@ class _SubprocCluster:
             "--service-time-us", str(int(cfg.service_time * 1e6)),
         ]
         self._primary_proc, self.primary_addr = _spawn(serve_cmd)
-        for _ in range(cfg.replicas):
-            self.add_replica()
+        try:
+            for _ in range(cfg.replicas):
+                self.add_replica()
+        except BaseException:
+            self.close()    # a failed replica must not orphan the rest
+            raise
 
     def replica_addrs(self) -> list[tuple[str, int]]:
         return list(self._addrs)

@@ -99,8 +99,8 @@ class NetClient:
             if reply.get("id") != req_id:
                 raise ProtocolError(
                     f"response id {reply.get('id')} != request id {req_id}")
-        except ProtocolError as exc:
-            # half-read frame / desynced ids: the stream is unusable
+        except (ProtocolError, ConnectionClosed) as exc:
+            # half-read frame / desynced ids / peer gone: stream unusable
             self._poison(str(exc))
             raise
         except OSError as exc:  # reset, timeout, broken pipe, ...
@@ -114,7 +114,10 @@ class NetClient:
         while not self._pending:
             data = self._sock.recv(65536)
             if not data:
-                raise ProtocolError("server closed the connection")
+                if self._decoder.pending_bytes:
+                    raise ProtocolError(
+                        "server closed the connection mid-frame")
+                raise ConnectionClosed("server closed the connection")
             self._pending.extend(self._decoder.feed(data))
         return self._pending.pop(0)
 

@@ -5,7 +5,6 @@ replica↔primary link and injects the wire faults the resilience layer
 must survive:
 
 * **latency** — a fixed delay added to every forwarded chunk;
-* **bandwidth caps** — forwarding throttled to a byte rate;
 * **torn frames** — a prefix of the next chunk is forwarded, then the
   link is closed (FIN), leaving the peer with a half-read frame;
 * **mid-frame disconnects** — same tear, but the link dies with an RST;
@@ -34,7 +33,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Iterator
 
 __all__ = ["FaultProxy", "PumpDirection"]
 
@@ -124,7 +122,6 @@ class FaultProxy:
         self._parked: list[socket.socket] = []
         # fault state (all guarded by _lock)
         self._latency_s = 0.0
-        self._bandwidth_bps = 0.0  # 0 = unlimited
         self._partitioned = False
         self._tears: dict[str, list[tuple[float, bool]]] = {
             "c2s": [], "s2c": []}
@@ -191,11 +188,6 @@ class FaultProxy:
         with self._lock:
             self._latency_s = max(0.0, float(seconds))
 
-    def set_bandwidth(self, bytes_per_s: float) -> None:
-        """Throttle forwarding to ``bytes_per_s`` (0 clears the cap)."""
-        with self._lock:
-            self._bandwidth_bps = max(0.0, float(bytes_per_s))
-
     def tear_next(self, direction: PumpDirection = "s2c",
                   fraction: float = 0.5, rst: bool = False) -> None:
         """Arm a one-shot tear: forward ``fraction`` of the next chunk in
@@ -248,7 +240,6 @@ class FaultProxy:
         """Return to transparent forwarding (does not heal a partition)."""
         with self._lock:
             self._latency_s = 0.0
-            self._bandwidth_bps = 0.0
             self._tears = {"c2s": [], "s2c": []}
 
     def stats(self) -> dict[str, int]:
@@ -318,7 +309,6 @@ class FaultProxy:
                 return
             with self._lock:
                 latency = self._latency_s
-                bandwidth = self._bandwidth_bps
             if latency > 0.0:
                 time.sleep(latency)
             tear = self._take_tear(direction)
@@ -340,8 +330,6 @@ class FaultProxy:
                         self.counters["resets"] += 1
                 link.kill(rst=rst)
                 return
-            if bandwidth > 0.0:
-                time.sleep(len(data) / bandwidth)
             try:
                 dst.sendall(data)
             except OSError:
@@ -349,6 +337,3 @@ class FaultProxy:
                 return
             with self._lock:
                 self.counters[f"bytes_{direction}"] += len(data)
-
-    def _iter_links(self) -> Iterator[_Link]:  # pragma: no cover - debug
-        yield from self._live_links()

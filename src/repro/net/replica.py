@@ -64,9 +64,7 @@ class LogShippingReplica:
         t0 = time.perf_counter()
         info = client.sync_info()
         self.tenant: Tenant = self.tenants.add_replica_tenant(
-            self.config.tenant,
-            {**info["spec"],
-             "edges": [tuple(e) for e in info["spec"]["edges"]]},
+            self.config.tenant, info["spec"],
             int(info["shards"]), int(info["base_seq"]),
         )
         self._decoder = WalStreamDecoder()

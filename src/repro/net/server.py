@@ -229,7 +229,7 @@ class NetServer:
                 req_id, "read_only",
                 "this server is a read replica; submit updates to the "
                 "primary")
-        op, u, v = msg["op"], int(msg["u"]), int(msg["v"])
+        op, u, v = msg["op"], msg["u"], msg["v"]
         key = msg.get("idem")
         if key is not None:
             key = str(key)

@@ -204,8 +204,7 @@ class Tenant:
     def sync_info(self) -> dict[str, Any]:
         """Bootstrap description a replica needs (JSON-serializable)."""
         spec = dict(self.boot_spec)
-        spec["edges"] = sorted([int(u), int(v)] for u, v in
-                               spec.get("edges", ()))
+        spec["edges"] = sorted(map(list, spec.get("edges", ())))
         return {
             "spec": spec,
             "shards": self.config.shards,

@@ -80,10 +80,6 @@ class Cost:
         yield self.work
         yield self.depth
 
-    def as_tuple(self) -> tuple[int, int]:
-        """``(work, depth)`` tuple view."""
-        return (self.work, self.depth)
-
 
 @dataclass
 class _Frame:

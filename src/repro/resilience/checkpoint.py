@@ -52,7 +52,7 @@ from typing import Collection
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge, edge_array
+from repro.graph.dynamic_graph import Edge, key_edges, pair_keys
 from repro.workloads.streams import UpdateBatch
 
 __all__ = ["Checkpoint", "CheckpointError", "CheckpointStore", "KeyTracker",
@@ -67,7 +67,6 @@ _CRC = struct.Struct("<I")
 _BODY = len(_MAGIC) + _CRC.size         # first byte the CRC covers
 _FIXED = struct.Struct("<QI")           # epoch, shards
 _KEY = np.dtype("<u8")
-_U32_MAX = 0xFFFFFFFF
 
 
 class CheckpointError(RuntimeError):
@@ -88,12 +87,12 @@ class Checkpoint:
     def edges(self, shard: int) -> set[Edge]:
         """Shard ``shard``'s edge set, decoded from its keys (a fresh set
         per call)."""
-        return set(_key_edges(self.shard_keys[shard]))
+        return set(key_edges(self.shard_keys[shard]))
 
     def sorted_edges(self) -> list[Edge]:
         """Every shard's edges in ascending order: one sort of the
         concatenated keys, decoded once."""
-        return _key_edges(np.sort(np.concatenate(self.shard_keys)))
+        return key_edges(np.sort(np.concatenate(self.shard_keys)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
@@ -104,30 +103,12 @@ class Checkpoint:
                         in zip(self.shard_keys, other.shard_keys)))
 
 
-def pair_keys(edges: Collection[Edge]) -> np.ndarray:
-    """Unsorted ``u << 32 | v`` keys of the pairs as given (ValueError for
-    an id outside the u32 range)."""
-    try:
-        ids = edge_array(edges)
-    except OverflowError:
-        ids = None
-    if ids is None or ids.size and (ids.min() < 0 or ids.max() > _U32_MAX):
-        raise ValueError(f"vertex ids must lie in [0, {_U32_MAX}]")
-    return ids[:, 0].astype(_KEY) << np.uint64(32) | ids[:, 1].astype(_KEY)
-
-
 def edge_keys(edges: Collection[Edge]) -> np.ndarray:
     """Sorted ``u << 32 | v`` keys of a set of edges (ValueError for an
     id outside the u32 range)."""
     keys = pair_keys(edges)
     keys.sort()
     return keys
-
-
-def _key_edges(keys: np.ndarray) -> list[Edge]:
-    """The ``(u, v)`` tuples of ``u << 32 | v`` keys, in key order."""
-    return list(zip((keys >> np.uint64(32)).tolist(),
-                    (keys & np.uint64(_U32_MAX)).tolist()))
 
 
 class KeyTracker:

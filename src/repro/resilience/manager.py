@@ -18,16 +18,13 @@ into the single object the serving engine talks to:
 
 from __future__ import annotations
 
-import operator
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge
-from repro.resilience.checkpoint import Checkpoint, CheckpointStore, pair_keys
+from repro.graph.dynamic_graph import Edge, check_edges, pair_keys
+from repro.resilience.checkpoint import Checkpoint, CheckpointStore
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
 from repro.resilience.wal import (
     WalCorruptionError,
@@ -255,17 +252,13 @@ class RecoveryManager:
         self._writer.close()
 
 
-def _boot_edges(edges) -> list[Edge]:
+def _boot_edges(edges, n: int = 1 << 32) -> list[Edge]:
     """``sorted(set(map(tuple, edges)))`` by one stable argsort of
     ``u << 32 | v`` keys, keeping the first tuple of each run of equal
-    keys as the set does (ValueError for an id that is not an integer in
-    the u32 range)."""
+    keys as the set does (ValueError for an id that is not a vertex id
+    of ``[0, n)``, by :func:`~repro.graph.dynamic_graph.check_edges`)."""
     edges = list(map(tuple, edges))
-    try:
-        deque(map(operator.index, chain.from_iterable(edges)), maxlen=0)
-    except TypeError:
-        raise ValueError("vertex ids must be integers") from None
-    keys = pair_keys(edges)
+    keys = pair_keys(check_edges(edges, n))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.ones(keys.size, dtype=bool)
@@ -291,7 +284,8 @@ def bootstrap_executor(
     else ``sorted(set(spec['edges']))`` by :func:`_boot_edges`) and split
     over the shards once,
     then the WAL tail is replayed batch by batch; without one the
-    executor is built on ``spec`` as is and ``last_seq`` is 0.  One
+    executor is built on ``spec`` as is and ``last_seq`` is 0.  Either
+    way a malformed spec id raises ``ValueError`` before any build.  One
     shard in-process is a :class:`~repro.service.shard.LocalExecutor`,
     anything else a :class:`~repro.service.shard.ShardedExecutor`.
     """
@@ -303,8 +297,10 @@ def bootstrap_executor(
         ckpt = manager._checkpoint_for(shards)
         boot_spec["edges"] = (
             ckpt.sorted_edges() if ckpt is not None
-            else _boot_edges(spec.get("edges", ())))
+            else _boot_edges(spec.get("edges", ()), spec["n"]))
         tail = manager.tail
+    else:
+        check_edges(spec.get("edges", ()), spec["n"])
     cls = LocalExecutor if shards == 1 and not processes \
         else ShardedExecutor
     executor = cls(

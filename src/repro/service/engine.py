@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.graph.array_graph import ArrayDynamicGraph
-from repro.graph.dynamic_graph import Edge
+from repro.graph.dynamic_graph import Edge, check_edge
 from repro.graph.traversal import bfs_distances
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 from repro.queries.batch import QueryBatch, answer_queries
@@ -233,12 +233,11 @@ class SpannerService:
 
         When the offer makes a flush due, the background flusher is woken
         to commit it; with no flusher running, the flush runs inline on
-        the calling thread.  Raises ``ValueError`` for an endpoint outside
-        ``[0, n)`` (as for a self-loop): such an edge could never enter
-        the snapshot graph.
+        the calling thread.  Raises ``ValueError`` before anything is
+        counted for an endpoint that is not an ``int`` in ``[0, n)``
+        (:func:`~repro.graph.dynamic_graph.check_edge`).
         """
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            raise ValueError(f"edge ({u}, {v}) outside [0, {self._n})")
+        check_edge(u, v, self._n)
         if self._degraded.is_set():
             # a shard is mid-recovery: shed immediately with a retry hint
             # sized to the flush deadline, per the admission controller's
@@ -504,7 +503,7 @@ class SpannerService:
         in lockstep (so :meth:`graph_edges` and the oracle's graph checks
         hold on replicas), and fires commit hooks; it does *not* WAL-log
         (replica state is derived, the primary owns durability).  A gap
-        or an endpoint outside ``[0, n)`` raises before anything applies.
+        or a malformed endpoint raises before anything applies.
         """
         with self._commit_lock:
             if seq != self._next_seq:
@@ -512,12 +511,8 @@ class SpannerService:
                     f"replicated seq {seq} is not the next expected "
                     f"{self._next_seq}; the shipped log has a gap"
                 )
-            n = self._n
             for u, v in (*batch.insertions, *batch.deletions):
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(
-                        f"replicated edge ({u}, {v}) outside [0, {n})"
-                    )
+                check_edge(u, v, self._n)
             t0 = time.perf_counter()
             result = self.executor.apply(batch, seq=seq)
             latency = time.perf_counter() - t0

@@ -52,7 +52,7 @@ from typing import Any, Collection
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge
+from repro.graph.dynamic_graph import Edge, check_n
 from repro.parallel.backend import SequentialBackend
 from repro.parallel.pool import ProcessPoolBackend, WorkerCrashed
 from repro.pram.cost import CostModel
@@ -310,7 +310,7 @@ class ShardedExecutor:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
-        self.n = int(spec["n"])
+        self.n = check_n(spec["n"])
         self.supervision = supervision
         self.recovery = recovery
         self.injector = injector or NULL_INJECTOR

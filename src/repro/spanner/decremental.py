@@ -159,9 +159,6 @@ class DecrementalSpanner:
 
     # -- bucket / refcount plumbing ----------------------------------------
 
-    def _bucket(self, v: int, c: int) -> set[int]:
-        return self._inter.setdefault((v, c), set())
-
     def _inc(self, e: Edge, delta: tuple[set, set] | None) -> None:
         cnt = self._span.get(e, 0)
         self._span[e] = cnt + 1

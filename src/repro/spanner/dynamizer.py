@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
-from repro.graph.dynamic_graph import Edge, edge_array, norm_edge
+from repro.graph.dynamic_graph import Edge, edge_array, norm_edge, pair_keys
 from repro.pram.cost import NULL_COST_MODEL, CostModel
 
 __all__ = ["BentleySaxeDynamizer", "DecrementalStructure"]
@@ -45,18 +45,17 @@ class DecrementalStructure(Protocol):
 
 def _level_order(edges: Iterable[Edge]) -> list[Edge]:
     """``sorted(norm_edge(u, v) for u, v in edges)`` by one numpy sort of
-    ``u << 32 | v`` keys (u32 ids), holding the caller's own tuples (only
+    their ``pair_keys`` (u32 ids), holding the caller's own tuples (only
     a reversed pair is rebuilt); ValueError on a self-loop or duplicate."""
     edges = list(map(tuple, edges))
     arr = edge_array(edges)
-    lo, hi = arr.min(axis=1), arr.max(axis=1)
-    for i in np.flatnonzero(lo == hi)[:1].tolist():
+    for i in np.flatnonzero(arr[:, 0] == arr[:, 1])[:1].tolist():
         norm_edge(*edges[i])   # raises the self-loop error
-    if lo.min(initial=0) < 0 or hi.max(initial=0) > 0xFFFFFFFF:
-        raise ValueError("vertex ids must lie in [0, 2**32)")
-    for i in np.flatnonzero(arr[:, 0] > arr[:, 1]).tolist():
+    flip = np.flatnonzero(arr[:, 0] > arr[:, 1])
+    for i in flip.tolist():
         edges[i] = edges[i][::-1]
-    keys = lo.astype(np.uint64) << np.uint64(32) | hi.astype(np.uint64)
+    arr[flip] = arr[flip, ::-1]
+    keys = pair_keys(arr)
     order = np.argsort(keys)
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():

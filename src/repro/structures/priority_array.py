@@ -236,11 +236,6 @@ class PriorityArray:
         del self._sorted[bisect_left(self._sorted, priority)]
         return value
 
-    def _kth_largest(self, k: int) -> int:
-        """Priority of the element at (1-based) position ``k``."""
-        self._materialize()
-        return self._sorted[-k]
-
     def _rank_from_top(self, priority: int) -> int:
         """Number of stored priorities >= ``priority`` (1-based position if
         ``priority`` itself is stored)."""

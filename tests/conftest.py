@@ -48,3 +48,24 @@ def stall_first_apply():
     """Factory: ``stall_first_apply(seconds)`` is an injector that stalls
     the first commit's apply (set it as ``executor.injector``)."""
     return _StallFirstApply
+
+
+# Malformed vertex ids, each a function of the vertex count ``n``: every
+# entry point (wire submit, ``submit_update``, spec boot with and without a
+# manager, replica tenants) refuses each one.
+_MALFORMED_IDS = {
+    "float": lambda n: 1.5,
+    "bool": lambda n: True,
+    "str": lambda n: "3",
+    "none": lambda n: None,
+    "negative": lambda n: -1,
+    "n": lambda n: n,
+    "u32_end": lambda n: 2**32,
+}
+
+
+@pytest.fixture(params=list(_MALFORMED_IDS))
+def malformed_id(request):
+    """``malformed_id(n)`` is one malformed id of the table for a graph of
+    ``n`` vertices."""
+    return _MALFORMED_IDS[request.param]

@@ -174,6 +174,21 @@ class TestServerRoundTrip:
                 batch = c.query_batch([("distance", (3, 5))])
                 assert batch["values"] == [1.0]
 
+    def test_malformed_id_is_bad_request(self, malformed_id):
+        """A submit whose id is not a JSON integer in [0, n) is refused as
+        a bad request, never coerced into another edge: nothing queued,
+        and the idempotency claim released."""
+        with _manager(autostart=False) as tm, ThreadedServer(tm) as srv:
+            tenant = tm.get("default")
+            bad = malformed_id(512)
+            with NetClient(srv.host, srv.port) as c:
+                for u, v in ((bad, 5), (5, bad)):
+                    with pytest.raises(ServerError, match="bad_request"):
+                        c.submit("insert", u, v, idem="k")
+                assert tenant.service.queue.depth == 0
+                assert len(tenant.idempotency) == 0
+                assert c.submit("insert", 3, 5, idem="k") == "accepted"
+
     def test_submit_query_metrics_admin(self):
         with _manager() as tm, ThreadedServer(tm) as srv:
             with NetClient(srv.host, srv.port) as c:
@@ -427,6 +442,16 @@ class TestPrometheus:
 
 
 class TestReplica:
+    def test_replica_tenant_refuses_malformed_spec_ids(self, malformed_id):
+        """A replica's spec arrives over the wire: a malformed edge id in
+        it is refused before any tenant is registered."""
+        spec = _spec()
+        spec["edges"].append([malformed_id(512), 7])
+        with TenantManager() as tm:
+            with pytest.raises(ValueError, match="vertex ids"):
+                tm.add_replica_tenant("r", spec, 1, 0)
+            assert tm.names() == []
+
     def test_end_to_end_catch_up_and_equivalence(self):
         from repro.oracle import verify_replica
 
@@ -599,7 +624,7 @@ class TestDrain:
                 srv.stop()
                 elapsed = time.perf_counter() - t0
                 assert elapsed < 1.0, f"stop took {elapsed:.2f}s"
-                with pytest.raises((ConnectionClosed, ProtocolError)):
+                with pytest.raises(ConnectionClosed):
                     c.query("size")     # the server hung up
             assert (11, 12) in tm.get("default").service.snapshot_edges()
 
@@ -622,7 +647,7 @@ class TestDrain:
                 srv.stop()
                 flusher.join(timeout=10.0)
                 assert seqs == [1]
-                with pytest.raises((ConnectionClosed, ProtocolError)):
+                with pytest.raises(ConnectionClosed):
                     c.query("size")     # the server hung up
 
     def test_concurrent_clients_from_threads(self):
@@ -979,3 +1004,35 @@ class TestBenchNetFailover:
         assert not report.killed_replica
         assert not report.verified
         assert any("no replica was killed" in v for v in report.violations)
+
+    def test_failed_replica_spawn_terminates_the_primary(self, monkeypatch):
+        """A replica that fails to start closes every process the cluster
+        already spawned before the error propagates (fake processes:
+        nothing is started)."""
+        from repro.net import bench
+
+        class FakeProc:
+            terminated = False
+
+            def terminate(self):
+                self.terminated = True
+
+            def wait(self, timeout=None):
+                return 0
+
+            def kill(self):
+                self.terminated = True
+
+        spawned: list[FakeProc] = []
+
+        def fake_spawn(cli_args, timeout=30.0):
+            if cli_args[0] == "replica":
+                raise RuntimeError("replica exited before its port")
+            spawned.append(FakeProc())
+            return spawned[-1], ("127.0.0.1", 1)
+
+        monkeypatch.setattr(bench, "_spawn", fake_spawn)
+        with pytest.raises(RuntimeError, match="replica exited"):
+            bench._SubprocCluster(bench.BenchNetConfig(replicas=2),
+                                  {"n": 96})
+        assert len(spawned) == 1 and spawned[0].terminated

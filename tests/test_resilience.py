@@ -716,6 +716,38 @@ class TestBootEdges:
         with pytest.raises(ValueError, match=match):
             _boot_edges(edges)
 
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_boot_refuses_malformed_spec_ids(self, tmp_path, malformed_id,
+                                             durable):
+        """Spec edges are checked on both boot paths: a malformed id is
+        refused before any shard is built, never served or truncated."""
+        spec = _spec()   # n = 32
+        spec["edges"] = [*spec["edges"], (malformed_id(32), 31)]
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path)) \
+            if durable else None
+        with pytest.raises(ValueError, match="vertex ids"):
+            bootstrap_executor(spec, 2, mgr)
+        if mgr is not None:
+            mgr.close()
+
+    @pytest.mark.parametrize("n", [32.0, "32", True, -1, 2**32 + 1])
+    def test_boot_refuses_a_malformed_vertex_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            bootstrap_executor(dict(_spec(), n=n), 1)
+
+    def test_malformed_durable_submit_commits_nothing(self, tmp_path):
+        """A float id never reaches the WAL: the submit raises, the flush
+        commits nothing and the service stays consistent."""
+        mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
+        ex, _ = bootstrap_executor(_spec(), 1, mgr)
+        svc = _service(ex, recovery=mgr)
+        with pytest.raises(ValueError, match="must be integers"):
+            svc.submit_update("insert", 1.5, 2)
+        svc.flush()
+        assert svc.committed_seq == 0
+        assert svc.self_check().ok
+        svc.close()
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                     max_size=120))

@@ -590,6 +590,17 @@ class TestSpannerService:
             [("distance", (u, v)), ("connected", (u, v))])] == [1.0, True]
         assert svc.self_check().ok
 
+    def test_malformed_id_rejected_before_admission(self, malformed_id):
+        """An id that is not an ``int`` in [0, n) raises ValueError before
+        anything is counted or queued: it is never coerced or truncated."""
+        svc, _, _, _ = _local_service()   # n = 32
+        bad = malformed_id(32)
+        for u, v in ((bad, 3), (3, bad)):
+            with pytest.raises(ValueError):
+                svc.submit_update("insert", u, v)
+        assert svc.queue.depth == 0
+        assert svc.metrics.counter("requests_update").value == 0
+
 
 # -- sharded executor --------------------------------------------------------
 
