@@ -261,25 +261,33 @@ class TenantManager:
             base_seq = recovery.checkpoint.epoch if recovery.checkpoint \
                 else 0
             tail = list(recovery.tail)
-        executor, _ = bootstrap_executor(config.spec, config.shards,
-                                         recovery)
-        # the edges the shards were built on: the replication log's base
-        boot_spec = dict(config.spec, edges=[
-            e for sub in executor.shard_specs for e in sub["edges"]])
-        service = SpannerService(
-            executor,
-            config=ServiceConfig(
-                batcher=replace(config.batcher),
-                admission=replace(config.admission),
-            ),
-            recovery=recovery,
-        )
-        replication = ReplicationLog(base_seq=base_seq)
-        for rec in tail:
-            replication.append(rec.seq, rec.batch)
-        tenant = Tenant(config, service, boot_spec, replication)
-        if config.autostart:
-            service.start()
+        executor = None
+        try:
+            executor, _ = bootstrap_executor(config.spec, config.shards,
+                                             recovery)
+            # the edges the shards were built on: the replication log's base
+            boot_spec = dict(config.spec, edges=[
+                e for sub in executor.shard_specs for e in sub["edges"]])
+            service = SpannerService(
+                executor,
+                config=ServiceConfig(
+                    batcher=replace(config.batcher),
+                    admission=replace(config.admission),
+                ),
+                recovery=recovery,
+            )
+            replication = ReplicationLog(base_seq=base_seq)
+            for rec in tail:
+                replication.append(rec.seq, rec.batch)
+            tenant = Tenant(config, service, boot_spec, replication)
+            if config.autostart:
+                service.start()
+        except BaseException:
+            # nothing was registered: release the executor and the WAL
+            for opened in (executor, recovery):
+                if opened is not None:
+                    opened.close()
+            raise
         with self._lock:
             self._tenants[config.name] = tenant
         return tenant

@@ -7,8 +7,8 @@ cross-checked against
 
 1. the service's snapshot (the delta-maintained output view),
 2. a fresh scatter/gather from the live workers,
-3. the :meth:`Workload.replay` edge-set ground truth vs the coalescing
-   queue's membership view,
+3. the :meth:`Workload.replay` edge-set ground truth vs the executor's
+   membership, the set the queue validates against,
 4. (``deep=True``) the structure-level invariants: output ⊆ graph per
    shard and the (2k−1) stretch bound on each shard's replayed spanner,
 5. a bounded read probe: seeded singleton ``distance``/``connected``
@@ -171,18 +171,18 @@ def verify_service(service, executor, deep: bool = False,
             f"synchronous replay output != live worker gather "
             f"({len(replay_output ^ live)} edge(s) differ)",
         ))
-    # A quarantined poison sub-batch (see ShardedExecutor.apply) was
-    # admitted by the queue but deliberately never applied to its shard,
-    # so the queue's membership view is *expected* to drift from the
+    # A quarantined poison sub-batch (see ShardedExecutor.apply) is in
+    # membership, as it is in the WAL, but was deliberately never applied
+    # to its shard, so membership is *expected* to drift from the
     # per-shard replay; the drift is recorded in executor.quarantined and
     # surfaced through metrics, not reported as an oracle violation.
     if not executor.quarantined:
-        queue_view = service.graph_edges()
-        if replay_graph != queue_view:
+        members = service.graph_edges()
+        if replay_graph != members:
             result.violations.append(Violation(
                 "queue-drift",
-                f"replayed graph edge set != coalescing queue membership "
-                f"view ({len(replay_graph ^ queue_view)} edge(s) differ)",
+                f"replayed graph edge set != executor membership "
+                f"({len(replay_graph ^ members)} edge(s) differ)",
             ))
     drift = _check_reads(service, executor.n)
     if drift is not None:

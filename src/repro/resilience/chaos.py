@@ -15,7 +15,7 @@ dynamic trees under adversarial batch schedules.
 Catalogue (``FAMILIES``; plan names are unique across families):
 
 **service** — queue → batcher → supervised shards → WAL/checkpoints;
-views: shard graph union, coalescing-queue view, cold-restart state.
+views: shard graph union, executor membership, cold-restart state.
 
 ``kill_pre_apply``    worker killed just before applying its sub-batch
 ``kill_post_apply``   worker killed right after applying
@@ -457,7 +457,7 @@ def _run_service(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
     exact = plan.kind != "poison_batch"
     _verify(result, cfg.n, initial_edges, batches,
             {"graph union": executor.graph_union(),
-             "coalescing-queue view": service.graph_edges()}
+             "executor membership": service.graph_edges()}
             if exact else {},
             verify_service(service, executor, deep=cfg.deep_verify)
             if exact else None)
@@ -504,7 +504,8 @@ def _run_service(cfg: ChaosConfig, plan: ChaosPlan, seed: int,
             supervision=supervision,
         )
         _verify(result, cfg.n, initial_edges, batches,
-                {"cold restart": ex2.graph_union()})
+                {"cold restart": ex2.graph_union(),
+                 "cold-restart membership": ex2.edges})
         ex2.close()
     finally:
         manager2.close()

@@ -7,7 +7,7 @@ then *verifies* the result via the shared differential oracle
 :func:`repro.oracle.verify_service`): every per-shard coalesced batch the
 service applied is replayed synchronously through a freshly built backend
 (same spec, same seed) and cross-checked against the service snapshot,
-the live workers, the queue's membership view, and the structure-level
+the live workers, the executor's membership, and the structure-level
 invariants.  Used by ``python -m repro.cli serve`` and by
 ``benchmarks/bench_srv_service_throughput.py``.
 

@@ -6,6 +6,10 @@ applied through one executor, :class:`repro.service.shard.ShardedExecutor`,
 over one shard in-process (:class:`LocalExecutor`) or many, inline or on
 worker processes.
 
+A local flush and a replicated batch commit through one step,
+:meth:`SpannerService._commit`; membership is the executor's
+(:attr:`ShardedExecutor.edges`), which the queue reads by reference.
+
 Consistency model: updates are queued, coalesced, and applied in batches;
 queries are answered from the engine's *snapshot* — one array graph of
 the structure's output edges as of the last flush, kept current via the
@@ -191,9 +195,10 @@ class SpannerService:
         # lock order: commit, then ingest (see the class docstring)
         self._commit_lock = threading.RLock()
         self._ingest_lock = threading.Lock()
-        # the executor may already hold a replayed WAL tail (cold-start
-        # recovery), so seed membership from its live graph, not its spec
-        self.queue = CoalescingQueue(executor.graph_union(), clock=clock)
+        # the queue validates against the executor's membership by
+        # reference: one set, advanced only by executor.apply; a submit
+        # racing an apply reads every edge it writes from the overlay
+        self.queue = CoalescingQueue(executor.edges, clock=clock)
         self.batcher = AdaptiveBatcher(self.config.batcher)
         self.admission = AdmissionController(self.config.admission)
         # durable WAL+checkpoint lifecycle (None = in-memory only)
@@ -497,13 +502,13 @@ class SpannerService:
 
         The replica path: bypasses queue, admission, and batcher — the
         primary already validated, coalesced, and ordered the batch — and
-        applies it verbatim at exactly the next sequence number, keeping
-        replica state a pure function of ``base spec + shipped log``.
-        Updates the snapshot by deltas, keeps the queue's membership view
-        in lockstep (so :meth:`graph_edges` and the oracle's graph checks
-        hold on replicas), and fires commit hooks; it does *not* WAL-log
-        (replica state is derived, the primary owns durability).  A gap
-        or a malformed endpoint raises before anything applies.
+        commits it verbatim at exactly the next sequence number through
+        the same step as a local flush (:meth:`_commit`), keeping replica
+        state a pure function of ``base spec + shipped log``.  A replica
+        has no recovery manager, so nothing is WAL-logged (replica state
+        is derived, the primary owns durability).  A gap, a malformed
+        endpoint, or a pending local write (replicas are read-only)
+        raises before anything applies.
         """
         with self._commit_lock:
             if seq != self._next_seq:
@@ -513,22 +518,14 @@ class SpannerService:
                 )
             for u, v in (*batch.insertions, *batch.deletions):
                 check_edge(u, v, self._n)
-            t0 = time.perf_counter()
-            result = self.executor.apply(batch, seq=seq)
-            latency = time.perf_counter() - t0
-            self._next_seq = seq + 1
             with self._ingest_lock:
-                self.queue.sync_applied(batch)
-            with self._snap_lock:
-                self._adj_apply_delta(result.delta_ins, result.delta_del)
-                self._snapshot_seq = seq
-            m = self.metrics
-            m.counter("replicated_batches").inc()
-            m.counter("ops_applied").inc(batch.size)
-            m.histogram("batch_size").observe(batch.size)
-            m.histogram("flush_latency_s").observe(latency)
-            for hook in self.commit_hooks:
-                hook(seq, batch)
+                if self.queue.depth:
+                    raise RuntimeError(
+                        "apply_replicated with pending local ops; replicas "
+                        "are read-only and must never queue writes"
+                    )
+            result = self._commit(seq, batch)
+            self.metrics.counter("replicated_batches").inc()
             return result
 
     # -- flushing ------------------------------------------------------------
@@ -567,60 +564,28 @@ class SpannerService:
 
     def _flush_locked(self, now: float) -> DrainResult:
         """One commit cycle.  Caller holds the commit lock; the ingest
-        lock is taken only around the drain and the batcher feedback."""
+        lock is taken only around the drain, the batcher feedback and the
+        settle of the queue's in-flight overlay."""
         with self._ingest_lock:
             drained = self.queue.drain(now=now)
             pending, self._pending_reads = self._pending_reads, []
         m = self.metrics
         try:
             if drained.batch.size:
-                seq = self._next_seq
-                # latency is real wall time even when flush *decisions*
-                # run on an injected (possibly simulated) clock
-                t0 = time.perf_counter()
-                result = self.executor.apply(drained.batch, seq=seq)
-                latency = time.perf_counter() - t0
-                self._next_seq = seq + 1
+                result = self._commit(self._next_seq, drained.batch)
                 with self._ingest_lock:
                     self.batcher.record_flush(drained.batch.size, result.work)
-                self._commit_durable(seq, drained.batch)
-                for hook in self.commit_hooks:
-                    hook(seq, drained.batch)
-                if result.recovered:
-                    # a shard was rebuilt mid-batch: its fresh structure
-                    # may output different edges, so the delta stream is
-                    # void — resynchronize the snapshot from the live
-                    # workers
-                    self._record_recovery(result)
-                    # built outside the snapshot lock, so reads keep being
-                    # served from the old graph until the swap
-                    resynced = ArrayDynamicGraph(
-                        self._n, self.executor.gather_edges()
-                    )
-                    with self._snap_lock:
-                        self._graph = resynced
-                        self._snapshot_seq = seq
-                else:
-                    with self._snap_lock:
-                        self._adj_apply_delta(
-                            result.delta_ins, result.delta_del
-                        )
-                        self._snapshot_seq = seq
                 m.counter("flushes").inc()
-                m.counter("ops_applied").inc(drained.batch.size)
-                m.histogram("batch_size").observe(drained.batch.size)
-                m.histogram("flush_latency_s").observe(latency)
-                m.histogram("batch_work").observe(result.work)
-                m.histogram("batch_critical_work").observe(
-                    result.critical_work
-                )
-                m.histogram("batch_depth").observe(result.depth)
         except BaseException:
             # the reads were not answered: park them again, ahead of any
             # read that arrived meanwhile, for the next cycle
             with self._ingest_lock:
                 self._pending_reads[:0] = pending
             raise
+        finally:
+            # membership now holds whatever the executor applied
+            with self._ingest_lock:
+                self.queue.settle()
         m.counter("ops_coalesced_away").inc(drained.coalesced_away)
         m.counter("ops_expired").inc(drained.expired_ops)
         m.histogram("coalesce_ratio").observe(drained.coalesce_ratio)
@@ -636,6 +601,49 @@ class SpannerService:
             for p, r in zip(pending, results):
                 p._resolve(r)
         return drained
+
+    def _commit(self, seq: int, batch: UpdateBatch) -> ApplyResult:
+        """Commit one batch at ``seq``, the step a local flush and a
+        replicated batch share: apply → seq → WAL → hooks → snapshot.
+        Caller holds the commit lock."""
+        # latency is real wall time even when flush *decisions* run on an
+        # injected (possibly simulated) clock
+        t0 = time.perf_counter()
+        result = self.executor.apply(batch, seq=seq)
+        latency = time.perf_counter() - t0
+        self._next_seq = seq + 1
+        self._commit_durable(seq, batch)
+        for hook in self.commit_hooks:
+            hook(seq, batch)
+        m = self.metrics
+        if result.recovered:
+            m.counter("recoveries").inc(len(result.recovered_shards))
+            m.counter("shard_restarts").inc(result.restarts)
+            m.counter("quarantined_batches").inc(len(result.quarantined_shards))
+            if result.recovery_seconds:
+                m.histogram("recovery_latency_s").observe(result.recovery_seconds)
+            fallbacks = self.executor.wal_fallbacks
+            if fallbacks:
+                wf = m.counter("wal_fallbacks")
+                wf.inc(fallbacks - wf.value)
+            # a rebuilt shard voids the delta stream: resync the snapshot
+            # from the live workers, outside the snapshot lock so reads
+            # keep being served from the old graph until the swap
+            resynced = ArrayDynamicGraph(self._n, self.executor.gather_edges())
+            with self._snap_lock:
+                self._graph = resynced
+                self._snapshot_seq = seq
+        else:
+            with self._snap_lock:
+                self._adj_apply_delta(result.delta_ins, result.delta_del)
+                self._snapshot_seq = seq
+        m.counter("ops_applied").inc(batch.size)
+        m.histogram("batch_size").observe(batch.size)
+        m.histogram("flush_latency_s").observe(latency)
+        m.histogram("batch_work").observe(result.work)
+        m.histogram("batch_critical_work").observe(result.critical_work)
+        m.histogram("batch_depth").observe(result.depth)
+        return result
 
     # -- durability ----------------------------------------------------------
 
@@ -671,22 +679,6 @@ class SpannerService:
         m.counter("checkpoints").inc()
         m.gauge("wal_bytes").set(self.recovery.wal_bytes)
         return True
-
-    def _record_recovery(self, result: ApplyResult) -> None:
-        m = self.metrics
-        m.counter("recoveries").inc(len(result.recovered_shards))
-        m.counter("shard_restarts").inc(result.restarts)
-        m.counter("quarantined_batches").inc(
-            len(result.quarantined_shards)
-        )
-        if result.recovery_seconds:
-            m.histogram("recovery_latency_s").observe(
-                result.recovery_seconds
-            )
-        fallbacks = self.executor.wal_fallbacks
-        if fallbacks:
-            wf = m.counter("wal_fallbacks")
-            wf.inc(fallbacks - wf.value)
 
     # -- background flusher --------------------------------------------------
 
@@ -792,9 +784,10 @@ class SpannerService:
             return self._graph.m
 
     def graph_edges(self) -> set[Edge]:
-        """The *graph* edge set implied by every applied batch."""
-        with self._commit_lock, self._ingest_lock:
-            return self.queue.live_edges
+        """The *graph* edge set implied by every applied batch (a copy of
+        the executor's membership)."""
+        with self._commit_lock:
+            return set(self.executor.edges)
 
     def self_check(self, deep: bool = False):
         """Cross-check the served state against the shared oracle

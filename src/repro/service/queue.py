@@ -1,9 +1,11 @@
 """Ingestion queue with update coalescing for the serving engine.
 
 Clients submit single-edge inserts/deletes; the queue validates each op
-against its *predicted* membership view (the structure's edge set plus the
-net effect of everything still pending), so the batches it drains are
-always legal per :meth:`repro.workloads.Workload.replay` semantics:
+against *predicted* membership — the executor's committed edge set (read,
+never written), overlaid by the batch in flight (recorded by ``drain``,
+dropped by ``settle``) and by everything still pending — so the batches it
+drains are always legal per :meth:`repro.workloads.Workload.replay`
+semantics:
 
 * inserting an edge that is already (effectively) present is rejected as a
   duplicate — unless it is pending insertion, in which case it dedupes;
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Container
 
 from repro.graph.dynamic_graph import Edge, norm_edge
 from repro.workloads.streams import OP_DELETE, OP_INSERT, UpdateBatch
@@ -79,22 +81,24 @@ class CoalescingQueue:
     Parameters
     ----------
     present:
-        The edge set currently held by the structure; the queue keeps this
-        view in sync as batches drain.
+        The committed edge set, read by reference and never written (its
+        owner advances it by each applied batch, then calls :meth:`settle`).
     clock:
         Monotonic time source (injectable for tests).
     """
 
     def __init__(
         self,
-        present: Iterable[Edge] = (),
+        present: Container[Edge] = frozenset(),
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._live: set[Edge] = set(present)
+        self._present = present
         self._clock = clock
         self._ops: list[PendingOp] = []
         # pending net state per edge: +1 insert, -1 delete, 2 del+reinsert
         self._state: dict[Edge, int] = {}
+        # in-flight overlay: drained edge -> membership once its batch applies
+        self._inflight: dict[Edge, bool] = {}
         # stats over the queue's lifetime
         self.accepted = 0
         self.deduped = 0
@@ -112,9 +116,10 @@ class CoalescingQueue:
     def effectively_present(self, edge: Edge) -> bool:
         """Membership after all pending ops would apply."""
         s = self._state.get(edge)
-        if s is None:
-            return edge in self._live
-        return s in (+1, 2)
+        if s is not None:
+            return s in (+1, 2)
+        f = self._inflight.get(edge)
+        return edge in self._present if f is None else f
 
     def offer(
         self,
@@ -134,7 +139,7 @@ class CoalescingQueue:
             if s in (+1, 2):
                 self.deduped += 1
                 return COALESCED_DEDUP
-            if s is None and edge in self._live:
+            if s is None and self.effectively_present(edge):
                 self.rejected += 1
                 return REJECTED_DUPLICATE
             outcome = ACCEPTED if s is None else COALESCED_CANCEL
@@ -143,7 +148,7 @@ class CoalescingQueue:
             if s == -1:
                 self.deduped += 1
                 return COALESCED_DEDUP
-            if s is None and edge not in self._live:
+            if s is None and not self.effectively_present(edge):
                 self.rejected += 1
                 return REJECTED_ABSENT
             if s is None:
@@ -169,7 +174,8 @@ class CoalescingQueue:
     # -- draining ------------------------------------------------------------
 
     def drain(self, now: float | None = None) -> DrainResult:
-        """Coalesce and remove everything pending; advances the live view.
+        """Take everything pending as one coalesced batch, recording its
+        net per-edge result in the in-flight overlay until :meth:`settle`.
 
         Expired ops are dropped in whole per-edge groups: an edge's pending
         ops are discarded only if *every* op on that edge has passed its
@@ -181,23 +187,22 @@ class CoalescingQueue:
         ops, self._ops = self._ops, []
         self._state.clear()
         raw = len(ops)
-        expired_edges = set()
         by_edge: dict[Edge, list[PendingOp]] = {}
         for p in ops:
             by_edge.setdefault(p.edge, []).append(p)
-        for edge, group in by_edge.items():
-            if all(p.deadline is not None and p.deadline < now
-                   for p in group):
-                expired_edges.add(edge)
+        expired_edges = {
+            edge for edge, group in by_edge.items()
+            if all(p.deadline is not None and p.deadline < now for p in group)
+        }
         live_ops = [(p.op, p.edge) for p in ops
                     if p.edge not in expired_edges]
         n_expired = raw - len(live_ops)
         self.expired += n_expired
         batch = UpdateBatch.coalesce(live_ops)
         for e in batch.deletions:
-            self._live.remove(e)
-        for e in batch.insertions:
-            self._live.add(e)
+            self._inflight[e] = False
+        for e in batch.insertions:   # a delete + re-insert ends present
+            self._inflight[e] = True
         return DrainResult(
             batch=batch,
             raw_ops=raw,
@@ -205,29 +210,12 @@ class CoalescingQueue:
             coalesced_away=raw - n_expired - batch.size,
         )
 
-    def sync_applied(self, batch: UpdateBatch) -> None:
-        """Advance the membership view by a batch applied *outside* the
-        queue (the replica log-shipping path: the primary already
-        validated and coalesced it).  Refused while ops are pending —
-        mixing an external batch into a half-built local batch would
-        invalidate the pending-state bookkeeping.
-        """
-        if self._ops:
-            raise RuntimeError(
-                "sync_applied with pending local ops; replicas are "
-                "read-only and must never queue writes"
-            )
-        for e in batch.deletions:
-            self._live.remove(e)
-        for e in batch.insertions:
-            self._live.add(e)
+    def settle(self) -> None:
+        """Drop the in-flight overlay: the drained batches have applied to
+        the committed set, or failed and left it as it was."""
+        self._inflight.clear()
 
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def live_edges(self) -> set[Edge]:
-        """Copy of the membership view as of the last drain."""
-        return set(self._live)
 
     def pending_ops(self) -> list[tuple[str, Edge]]:
         """Snapshot of accepted-but-undrained ops, in arrival order."""

@@ -14,10 +14,13 @@ stacks build an executor of either width.
 
 A shard is its *anchor* ``(shard_specs[i], history[i])``: the spec its
 structure was last built on and the sub-batches it applied since.
-Nothing else describes a shard's input graph: :meth:`graph_union`, the
-checkpoint keys (:meth:`shard_keys`), a restart's in-memory fallback and
-the replay oracle (:func:`repro.oracle.verify_service`) all derive from
-it, and a restart re-anchors the shard on what it was rebuilt from.
+:meth:`graph_union`, the checkpoint keys (:meth:`shard_keys`), a
+restart's in-memory fallback and the replay oracle
+(:func:`repro.oracle.verify_service`) all derive from it, and a restart
+re-anchors the shard on what it was rebuilt from.  The one other copy is
+*membership*, :attr:`ShardedExecutor.edges`, the set the serving queue
+validates writes against: ``apply`` advances it by each sub-batch its
+shard applied or quarantined, so it follows the commit log (the WAL).
 
 Shards run on the one worker runtime, the execution backends of
 :mod:`repro.parallel`.  A shard is a *pinned stateful task*:
@@ -324,6 +327,8 @@ class ShardedExecutor:
             for i, part in enumerate(parts)
         ]
         self.history: list[list[UpdateBatch]] = [[] for _ in range(shards)]
+        # membership (see the module docstring): written only here and in apply
+        self.edges: set[Edge] = set().union(*parts)
         self.backend = (
             ProcessPoolBackend(shards, supervision=supervision)
             if processes else SequentialBackend()
@@ -383,7 +388,7 @@ class ShardedExecutor:
         _SHARDS.pop((self._token, i), None)
         self.backend.kill_worker(i)
 
-    # -- the input graph, from the anchors -----------------------------------
+    # -- the input graph -----------------------------------------------------
 
     def shard_keys(self) -> list[np.ndarray]:
         """Per-shard sorted checkpoint keys (the checkpoint payload), each
@@ -393,7 +398,8 @@ class ShardedExecutor:
             self._key_trackers, self.history, self.shard_specs)]
 
     def graph_union(self) -> set[Edge]:
-        """The graph edge set implied by every shard's anchor."""
+        """The graph edge set implied by every shard's anchor: :attr:`edges`
+        but for quarantined sub-batches, derived independently of it."""
         out: set[Edge] = set()
         for spec in self.shard_specs:
             out.update(spec["edges"])
@@ -413,7 +419,7 @@ class ShardedExecutor:
         last checkpoint + WAL replay and its sub-batch retried; after
         ``max_batch_attempts`` consecutive crashes on this batch the
         sub-batch is quarantined (recorded in :attr:`quarantined`) and the
-        shard continues without it.
+        shard continues without it; either way it advances :attr:`edges`.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -467,6 +473,9 @@ class ShardedExecutor:
                     [i], [("update", ins_parts[i], del_parts[i])])[0], seq)
                 if reply is None:
                     crashes += 1
+            # applied or quarantined, the sub-batch is in the commit log
+            self.edges.difference_update(sub.deletions)
+            self.edges.update(sub.insertions)
             if reply is None:  # quarantined
                 continue
             if self.injector.on_apply(i, "post", seq) == "kill":

@@ -595,6 +595,29 @@ class TestRecoveredTenant:
             assert (7, 9) not in svc.graph_edges()
             assert svc.self_check().ok
 
+    def test_failed_create_closes_its_manager(self, tmp_path, monkeypatch):
+        """A durable tenant whose boot raises (a malformed spec id) closes
+        the recovery manager it opened, WAL writer included, and
+        registers nothing."""
+        import repro.net.tenants as tenants
+
+        opened = []
+
+        class Recording(tenants.RecoveryManager):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(tenants, "RecoveryManager", Recording)
+        with TenantManager() as tm:
+            with pytest.raises(ValueError, match="must be integers"):
+                tm.create(TenantConfig(
+                    name="default", spec=_spec(edges=[[1.5, 2]]),
+                    wal_dir=str(tmp_path / "wal"), autostart=False))
+            assert tm.names() == []
+        assert len(opened) == 1
+        assert opened[0]._writer._fh.closed
+
 
 # -- graceful drain -----------------------------------------------------------
 

@@ -974,8 +974,8 @@ class TestCheckpointKeys:
             mgr.close()
 
     def test_local_executor_keys(self, tmp_path):
-        """The one-shard executor's keys come from its anchor alone: it
-        holds no edge set of its own."""
+        """The one-shard executor's keys come from its anchor alone: its
+        one edge set is membership, which the keys never read."""
         from repro.service import LocalExecutor
 
         initial = self.PAIRS[::3]
@@ -983,7 +983,8 @@ class TestCheckpointKeys:
                             "edges": initial, "seed": 5})
         assert isinstance(ex, ShardedExecutor) and ex.shards == 1
         assert ex.shard_specs[0]["edges"] == initial
-        assert not any(isinstance(v, set) for v in vars(ex).values())
+        assert [k for k, v in vars(ex).items() if isinstance(v, set)] == \
+            ["edges"]
         live = set(initial)
         first = ex.shard_keys()
         assert not first[0].flags.writeable
@@ -998,7 +999,7 @@ class TestCheckpointKeys:
                     edge_keys(live).tolist()
         # the arrays handed out earlier are untouched
         assert first[0].tolist() == edge_keys(set(initial)).tolist()
-        assert ex.graph_union() == live
+        assert ex.graph_union() == ex.edges == live
         ex.close()
 
 

@@ -124,9 +124,19 @@ class TestCoalesceClassmethod:
 # -- CoalescingQueue ---------------------------------------------------------
 
 
+def _drain_applied(q, present):
+    """Drain ``q`` and advance its committed set ``present`` by the batch,
+    then settle, as the engine and its executor do."""
+    res = q.drain()
+    present.difference_update(res.batch.deletions)
+    present.update(res.batch.insertions)
+    q.settle()
+    return res
+
+
 class TestCoalescingQueue:
     def test_offer_outcomes(self):
-        q = CoalescingQueue(present=[(0, 1)], clock=FakeClock())
+        q = CoalescingQueue(present={(0, 1)}, clock=FakeClock())
         assert q.offer("insert", (1, 2)) == ACCEPTED
         assert q.offer("insert", (1, 2)) == COALESCED_DEDUP
         assert q.offer("delete", (1, 2)) == COALESCED_CANCEL
@@ -141,14 +151,38 @@ class TestCoalescingQueue:
         assert q.pending_ops() == [("insert", (1, 3))]
 
     def test_drain_applies_to_live_view(self):
-        q = CoalescingQueue(present=[(0, 1)], clock=FakeClock())
+        present = {(0, 1)}
+        q = CoalescingQueue(present=present, clock=FakeClock())
         q.offer("delete", (0, 1))
         q.offer("insert", (1, 2))
-        res = q.drain()
+        res = _drain_applied(q, present)
         assert res.batch.deletions == [(0, 1)]
         assert res.batch.insertions == [(1, 2)]
-        assert q.live_edges == {(1, 2)}
+        assert present == {(1, 2)}
         assert q.depth == 0
+        assert q.offer("insert", (0, 1)) == ACCEPTED
+        assert q.offer("delete", (1, 2)) == ACCEPTED
+
+    def test_inflight_overlay_predicts_until_settle(self):
+        """Between the take and the settle the queue never writes the
+        committed set: the drained batch's net result answers for its
+        edges, and a settle without an apply falls back to the set."""
+        present = {(0, 1), (2, 3)}
+        q = CoalescingQueue(present=present, clock=FakeClock())
+        q.offer("delete", (0, 1))
+        q.offer("insert", (1, 2))
+        q.offer("delete", (2, 3))
+        q.offer("insert", (2, 3))
+        q.drain()
+        assert present == {(0, 1), (2, 3)}
+        assert not q.effectively_present((0, 1))
+        assert q.effectively_present((1, 2))
+        assert q.effectively_present((2, 3))   # delete + re-insert
+        assert q.offer("delete", (0, 1)) == REJECTED_ABSENT
+        assert q.offer("insert", (1, 2)) == REJECTED_DUPLICATE
+        q.settle()                              # the apply never happened
+        assert q.effectively_present((0, 1))
+        assert not q.effectively_present((1, 2))
 
     def test_cancelled_pair_never_reaches_batch(self):
         q = CoalescingQueue(clock=FakeClock())
@@ -161,7 +195,7 @@ class TestCoalescingQueue:
         assert res.coalesce_ratio == 1.0
 
     def test_validation_tracks_pending_not_just_live(self):
-        q = CoalescingQueue(present=[(0, 1)], clock=FakeClock())
+        q = CoalescingQueue(present={(0, 1)}, clock=FakeClock())
         q.offer("delete", (0, 1))
         # effectively absent now: a delete is a dedupe, an insert is legal
         assert not q.effectively_present((0, 1))
@@ -170,37 +204,39 @@ class TestCoalescingQueue:
 
     def test_drained_batches_replay_against_initial_edges(self):
         edges, requests = request_stream(24, 60, 400, seed=9)
-        q = CoalescingQueue(present=edges, clock=FakeClock())
+        present = set(edges)
+        q = CoalescingQueue(present=present, clock=FakeClock())
         batches = []
         for i, (op, payload) in enumerate(requests):
             if op == "query":
                 continue
             q.offer(op, payload)
             if i % 37 == 0:
-                batches.append(q.drain().batch)
-        batches.append(q.drain().batch)
+                batches.append(_drain_applied(q, present).batch)
+        batches.append(_drain_applied(q, present).batch)
         w = Workload(24, edges, batches)
         final = set(edges)
         for _, final in w.replay():
             pass
-        assert final == q.live_edges
+        assert final == present
 
     def test_timeout_expires_whole_edge_groups(self):
         clk = FakeClock()
-        q = CoalescingQueue(clock=clk)
+        present = set()
+        q = CoalescingQueue(present=present, clock=clk)
         q.offer("insert", (0, 1), timeout=0.5)
         clk.advance(1.0)
         q.offer("insert", (2, 3), timeout=0.5)
-        res = q.drain()
+        res = _drain_applied(q, present)
         assert res.expired_ops == 1
         assert q.expired == 1
         assert res.batch.insertions == [(2, 3)]
         # the expired insert never applied: membership unchanged
-        assert q.live_edges == {(2, 3)}
+        assert present == {(2, 3)}
 
     def test_partial_group_expiry_keeps_group(self):
         clk = FakeClock()
-        q = CoalescingQueue(present=[(0, 1)], clock=clk)
+        q = CoalescingQueue(present={(0, 1)}, clock=clk)
         q.offer("delete", (0, 1), timeout=0.5)
         clk.advance(1.0)
         # fresh re-insert on the same edge: group must NOT be dropped,
@@ -213,32 +249,34 @@ class TestCoalescingQueue:
 
     def test_mixed_deadline_groups_expire_independently(self):
         clk = FakeClock()
-        q = CoalescingQueue(present=[(4, 5)], clock=clk)
+        present = {(4, 5)}
+        q = CoalescingQueue(present=present, clock=clk)
         q.offer("insert", (0, 1), timeout=0.5)  # whole group expires
         q.offer("delete", (4, 5), timeout=0.5)  # expired, but kept by ...
         clk.advance(1.0)
         q.offer("insert", (4, 5), timeout=0.5)  # ... this still-live op
         q.offer("insert", (2, 3))               # no deadline at all
-        res = q.drain()
+        res = _drain_applied(q, present)
         assert res.expired_ops == 1             # only the (0, 1) group
         assert q.expired == 1
         assert sorted(res.batch.insertions) == [(2, 3), (4, 5)]
         assert res.batch.deletions == [(4, 5)]
-        assert q.live_edges == {(2, 3), (4, 5)}
+        assert present == {(2, 3), (4, 5)}
 
     def test_expired_insert_can_be_reoffered_after_drain(self):
         clk = FakeClock()
-        q = CoalescingQueue(clock=clk)
+        present = set()
+        q = CoalescingQueue(present=present, clock=clk)
         assert q.offer("insert", (0, 1), timeout=0.5) == ACCEPTED
         clk.advance(1.0)
-        res = q.drain()
+        res = _drain_applied(q, present)
         assert res.expired_ops == 1 and res.batch.size == 0
-        assert q.live_edges == set()
+        assert present == set()
         # the edge never became live, so the same insert is legal again
         assert q.offer("insert", (0, 1)) == ACCEPTED
-        res = q.drain()
+        res = _drain_applied(q, present)
         assert res.batch.insertions == [(0, 1)]
-        assert q.live_edges == {(0, 1)}
+        assert present == {(0, 1)}
 
     def test_coalesce_ratio_when_everything_expires(self):
         clk = FakeClock()
@@ -842,12 +880,19 @@ class TestEngineReplication:
             svc.align_seq(10)
 
     def test_local_writes_refused_after_replicated_state(self):
-        """A replica's queue must refuse to mix local ops with shipped
-        batches (replicas are read-only)."""
+        """A replica must refuse to mix local ops with shipped batches
+        (replicas are read-only), and refuse before anything applies:
+        the seq, the history and every served view stay put."""
         svc, _, edges, _ = _local_service()
         svc.submit_update("delete", *edges[0])
         with pytest.raises(RuntimeError, match="read-only"):
-            svc.apply_replicated(1, UpdateBatch(insertions=[(7, 8)]))
+            svc.apply_replicated(1, UpdateBatch(
+                insertions=[_absent_edge(edges)]))
+        assert svc.committed_seq == 0
+        assert svc.executor.history == [[]]
+        svc.flush()
+        assert svc.committed_seq == 1
+        assert svc.self_check().ok
 
     def test_set_degraded_stale_tag_round_trip(self):
         """Satellite: query_info carries the staleness marker while the
@@ -1064,6 +1109,30 @@ class TestIngestDuringCommit:
         assert svc.self_check().ok
         svc.close()
 
+    def test_submit_during_a_stalled_apply_sees_predicted_membership(
+            self, stall_first_apply):
+        """While a stalled apply deletes ``first``, a submit is validated
+        as if that batch had applied: deleting ``first`` again is refused
+        as absent and re-inserting it is accepted."""
+        svc, _, edges, _ = _local_service()
+        stall = stall_first_apply(1.0)
+        svc.executor.injector = stall
+        first = edges[0]
+        svc.submit_update("delete", *first)
+        flusher = threading.Thread(target=svc.flush)
+        flusher.start()
+        assert stall.started.wait(5.0)
+        again = svc.submit_update("delete", *first)
+        back = svc.submit_update("insert", *first)
+        flusher.join(timeout=10.0)
+        assert not flusher.is_alive()
+        assert again.outcome == REJECTED_ABSENT
+        assert back.outcome == ACCEPTED
+        svc.flush()
+        assert first in svc.graph_edges()
+        assert svc.self_check().ok
+        svc.close()
+
     def test_size_triggered_submit_commits_on_the_flusher(self):
         svc, _, edges, _ = _local_service(max_batch=4, max_delay=60.0)
         committers = []
@@ -1121,6 +1190,10 @@ class TestIngestDuringCommit:
         assert svc.executor.history[0][-1].deletions == sorted(edges[2:4])
         assert answer.as_of_seq == 1
         assert answer.value == len(svc.snapshot_edges())
+        # the lost batch's edges are still members: deleting one again is
+        # accepted, not refused as absent
+        assert svc.submit_update("delete", *edges[0]).accepted
+        assert svc.self_check().ok
         svc.close()
 
     def test_inline_flush_rechecks_due_under_the_commit_lock(self):
