@@ -20,6 +20,15 @@ Structure (Section 3.2 of the paper):
   whose distance may grow past ``i`` (Invariants A2–A4); each phase is one
   parallel round of ``NextWith`` scans.
 
+Mutation state is per vertex, never keyed by edge: each source ``u`` keeps
+one ``{target: priority}`` map over its *live* out-edges (a delete pops the
+edge, a re-key writes the new priority in place), and each target ``v`` the
+set of its deleted in-edge sources, which the scans read because ``IN(v)``
+keeps dead entries.  An array-built tree
+(:meth:`BatchDynamicESTree.from_arrays`) carves each ``IN(v)`` and each
+out-edge map from its slice of the construction arrays the first time it
+is touched.
+
 Priorities
 ----------
 The spanner of Section 3.3 orders each ``IN(v)`` by cluster priority and
@@ -150,33 +159,38 @@ class _LazyInArrays:
         return pa
 
 
-class _LazyOutAdj:
-    """List-like view of the per-vertex out-neighbor sets, carved out of
-    the out-CSR on first index.
+class _LazyOutMaps:
+    """List-like view of the per-source live out-edge maps
+    ``{target: priority}``, each carved from the priority-aligned out-CSR
+    on first index.
 
-    Safe to build lazily from the *original* CSR even after deletions:
-    every deletion of ``u -> v`` performs ``out_adj[u].discard(v)`` at
-    deletion time (see :meth:`BatchDynamicESTree.batch_delete` step 1),
-    which materializes ``u``'s set first — so a set built later from the
-    CSR belongs to a vertex whose out-edges were never touched.
+    Exact when built late: a deletion of ``u -> v`` pops ``v`` from
+    ``u``'s map and a re-key of ``u -> v`` writes the new priority into
+    it, both building the map first (see
+    :meth:`BatchDynamicESTree.batch_delete` step 1 and
+    :meth:`BatchDynamicESTree.update_edge_priority`), so a map still
+    unbuilt belongs to a source none of whose out-edges changed — its CSR
+    slice is its current state.
     """
 
-    __slots__ = ("_sets", "_ipt", "_nbrs")
+    __slots__ = ("_maps", "_ipt", "_dst", "_pri")
 
-    def __init__(self, n, indptr, indices) -> None:
-        self._sets: list[set[int] | None] = [None] * n
+    def __init__(self, n, indptr, dst, pri) -> None:
+        self._maps: list[dict[int, int] | None] = [None] * n
         self._ipt = indptr.tolist()
-        self._nbrs = indices.tolist()
+        self._dst = dst
+        self._pri = pri
 
     def __len__(self) -> int:
-        return len(self._sets)
+        return len(self._maps)
 
-    def __getitem__(self, v: int) -> set[int]:
-        s = self._sets[v]
-        if s is None:
-            s = set(self._nbrs[self._ipt[v]:self._ipt[v + 1]])
-            self._sets[v] = s
-        return s
+    def __getitem__(self, u: int) -> dict[int, int]:
+        m = self._maps[u]
+        if m is None:
+            a, b = self._ipt[u], self._ipt[u + 1]
+            m = dict(zip(self._dst[a:b].tolist(), self._pri[a:b].tolist()))
+            self._maps[u] = m
+        return m
 
 
 class BatchDynamicESTree:
@@ -220,13 +234,11 @@ class BatchDynamicESTree:
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate directed edges")
         self._universe = universe if universe is not None else max(n * n, 4)
-        self._edge_arrays = None  # scalar path: adjacency built eagerly
         self._dead_in: dict[int, set[int]] = {}
 
-        self._out_adj: list[set[int]] = [set() for _ in range(n)]
+        # scalar path: the live out-edge maps are built eagerly
+        self._out: list[dict[int, int]] = [{} for _ in range(n)]
         in_items: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._edge_pri: dict[DirEdge, int] = {}
-        self._alive: set[DirEdge] = set()
         default_counter = 0
         for u, v in edges:
             if priority is not None:
@@ -236,10 +248,8 @@ class BatchDynamicESTree:
                 default_counter += 1
             if p >= self._universe:
                 raise ValueError("priority exceeds universe")
-            self._out_adj[u].add(v)
+            self._out[u][v] = p
             in_items[v].append((u, p))
-            self._edge_pri[(u, v)] = p
-            self._alive.add((u, v))
 
         self.in_arr: list[PriorityArray] = [
             PriorityArray(self._universe, [(u, p) for u, p in in_items[v]], cost=cost)
@@ -250,7 +260,7 @@ class BatchDynamicESTree:
         from repro.bfs.bounded_bfs import bounded_bfs_directed
 
         self.dist: list[int] = bounded_bfs_directed(
-            n, [sorted(s) for s in self.out_adj], source, limit, cost=cost
+            n, [sorted(d) for d in self._out], source, limit, cost=cost
         )
         self.parent: list[int | None] = [None] * n
         # scan pointer, stored as the parent edge's priority (None = no
@@ -299,9 +309,12 @@ class BatchDynamicESTree:
         the item counts and scan schedules; see Lemma 3.1/3.2), which the
         cross-substrate equivalence tests pin.
 
-        The scalar mutation state (``out_adj``/``edge_pri``/``alive``)
-        materializes lazily on first access, so instances that are only
-        ever queried never build the per-edge dicts at all.
+        The mutation state is per vertex and built on first touch: each
+        ``IN(v)`` array and each source's live out-edge map ``{target:
+        priority}`` is carved from its slice of the (target, priority)-
+        sorted arrays or of the priority-aligned out-CSR the first time a
+        delete, a re-key or a read reaches it, so a query-only instance
+        builds none, and no table is ever keyed by edge.
         """
         self = cls.__new__(cls)
         self.n = n
@@ -315,8 +328,8 @@ class BatchDynamicESTree:
         m = len(src)
         if len(dst) != m or len(pri) != m:
             raise ValueError("src/dst/pri length mismatch")
-        if m and (pri >= universe).any():
-            raise ValueError("priority exceeds universe")
+        if m and ((pri < 0) | (pri >= universe)).any():
+            raise ValueError("priority outside [0, universe)")
         if m and not (
             0 <= int(src.min())
             and int(src.max()) < n
@@ -345,10 +358,6 @@ class BatchDynamicESTree:
         )
         in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(in_counts, out=in_indptr[1:])
-        self._edge_arrays = (dv, pv, uv)
-        self._out_adj = None
-        self._edge_pri = None
-        self._alive = None
         self._dead_in = {}
 
         self.in_arr = _LazyInArrays(
@@ -366,7 +375,7 @@ class BatchDynamicESTree:
         if m:
             np.cumsum(np.bincount(src, minlength=n), out=out_indptr[1:])
         out_indices = dst[order_out]
-        self._out_csr = (out_indptr, out_indices)
+        self._out = _LazyOutMaps(n, out_indptr, out_indices, pri[order_out])
         dist_arr = bounded_bfs_csr(
             n, out_indptr, out_indices, source, limit, cost=cost
         )
@@ -433,43 +442,14 @@ class BatchDynamicESTree:
         depth = int((int(phases.max()) + 2) * logu)
         self._cost.charge_many(work=work, depth=depth)
 
-    # -- lazy scalar mutation state (array-native construction) ----------
-
-    def _materialize_adj(self) -> None:
-        """Expand the edge arrays into the per-edge dict/set mutation
-        state (``out_adj``/``edge_pri``/``alive``).  Only reached when an
-        array-built tree is first *mutated* (or its adjacency inspected);
-        query-only instances skip it entirely."""
-        dv, pv, uv = self._edge_arrays
-        pairs = list(zip(uv.tolist(), dv.tolist()))
-        self._edge_pri = dict(zip(pairs, pv.tolist()))
-        self._alive = set(pairs)
-        indptr, indices = self._out_csr
-        self._out_adj = _LazyOutAdj(self.n, indptr, indices)
-
-    @property
-    def out_adj(self) -> list[set[int]]:
-        if self._out_adj is None:
-            self._materialize_adj()
-        return self._out_adj
-
-    @property
-    def edge_pri(self) -> dict[DirEdge, int]:
-        if self._edge_pri is None:
-            self._materialize_adj()
-        return self._edge_pri
-
-    @property
-    def alive(self) -> set[DirEdge]:
-        if self._alive is None:
-            self._materialize_adj()
-        return self._alive
-
     # -- helpers ---------------------------------------------------------
 
     def _parent_pred(self, v: int) -> Callable[[int], bool]:
-        want = self.dist[v] - 1
-        return lambda u: (u, v) in self.alive and self.dist[u] == want
+        # Applied only to values of IN(v), which holds exactly v's original
+        # in-edges, so "alive" is "not among v's deleted in-edges".
+        dist, want = self.dist, self.dist[v] - 1
+        dead = self._dead_in.get(v, ())
+        return lambda u: u not in dead and dist[u] == want
 
     def _attach(self, v: int, position: int) -> None:
         """Make the edge at ``position`` of ``IN(v)`` the parent edge."""
@@ -507,8 +487,18 @@ class BatchDynamicESTree:
                 yield (self.parent[v], v)
 
     def is_alive(self, u: int, v: int) -> bool:
-        """Whether the directed edge ``u -> v`` is still present."""
-        return (u, v) in self.alive
+        """Whether the directed edge ``u -> v`` is still present (False for
+        an id outside ``[0, n)``)."""
+        return 0 <= u < self.n and 0 <= v < self.n and v in self._out[u]
+
+    def out_edges(self, u: int) -> dict[int, int]:
+        """The live out-edges of ``u`` as ``{target: priority}``.
+
+        This is the tree's own map, kept current by deletes and re-keys:
+        read it, do not mutate it."""
+        if not 0 <= u < self.n:
+            raise IndexError(f"vertex {u} outside [0, {self.n})")
+        return self._out[u]
 
     # -- the Theorem 1.2 deletion procedure ---------------------------------
 
@@ -533,15 +523,21 @@ class BatchDynamicESTree:
                 old_dist[v] = self.dist[v]
             buckets.setdefault(self.dist[v], set()).add(v)
 
+        # The whole batch is checked before anything changes: an absent
+        # edge, or one repeated within the batch, leaves the tree intact.
+        seen: set[DirEdge] = set()
+        for u, v in edges:
+            if (u, v) in seen or not self.is_alive(u, v):
+                raise KeyError(f"edge {(u, v)} not alive")
+            seen.add((u, v))
+
         # Step 1: mark edges dead; collect orphans (one parallel round).
         # Every branch charges the same (logn, logn), so the whole round is
         # one aggregate pfor charge: work = |edges| * logn, depth = logn.
+        out, dead_in = self._out, self._dead_in
         for u, v in edges:
-            if (u, v) not in self.alive:
-                raise KeyError(f"edge {(u, v)} not alive")
-            self.alive.remove((u, v))
-            self.out_adj[u].discard(v)
-            self._dead_in.setdefault(v, set()).add(u)
+            del out[u][v]
+            dead_in.setdefault(v, set()).add(u)
             if self.parent[v] == u:
                 orphan(v)
                 self.parent[v] = None
@@ -665,7 +661,7 @@ class BatchDynamicESTree:
         # are orphaned (they sit at level i + 1 and re-bucket there).
         self.parent[v] = None
         self._scan_pri[v] = None
-        children = self.out_adj[v]
+        children = self._out[v]
         for w in sorted(children):
             if self.parent[w] == v:
                 orphan(w)
@@ -690,14 +686,15 @@ class BatchDynamicESTree:
         the priority increases; when it decreases the pointer keeps the *old*
         slot so that a single :meth:`find_parent_candidate` call from there
         sees every edge that jumped over the parent (the paper's "single
-        NextWith" detection).
+        NextWith" detection).  The edge must be alive (KeyError otherwise).
         """
-        old_p = self.edge_pri[(u, v)]
+        out_u = self.out_edges(u)
+        old_p = out_u[v]
         if old_p == new_priority:
             return
         _, k = self.in_arr[v].find(old_p)
         self.in_arr[v].update_priority(k, new_priority)
-        self.edge_pri[(u, v)] = new_priority
+        out_u[v] = new_priority
         if self.parent[v] == u and new_priority > (self._scan_pri[v] or 0):
             self._scan_pri[v] = new_priority
         # On decrease, _scan_pri[v] intentionally keeps the old value.
@@ -716,13 +713,12 @@ class BatchDynamicESTree:
 
     def set_parent(self, v: int, u: int) -> None:
         """Adopt ``u`` as parent of ``v`` (must be a valid candidate)."""
-        if (u, v) not in self.alive or self.dist[u] != self.dist[v] - 1:
+        if not self.is_alive(u, v) or self.dist[u] != self.dist[v] - 1:
             raise ValueError(f"{u} is not a valid parent for {v}")
         self.parent[v] = u
-        self._scan_pri[v] = self.edge_pri[(u, v)]
+        self._scan_pri[v] = self._out[u][v]
 
     def parent_edge_priority(self, v: int) -> int | None:
         """Priority of ``v``'s current parent edge (None if no parent)."""
-        if self.parent[v] is None:
-            return None
-        return self.edge_pri[(self.parent[v], v)]
+        u = self.parent[v]
+        return None if u is None else self._out[u][v]

@@ -11,6 +11,19 @@ The spanner has two parts:
 Each deletion batch updates the clustering, moves bucket memberships for
 every endpoint whose cluster changed, refreshes representatives of touched
 buckets, and reports the net spanner delta ``(δH_ins, δH_del)``.
+
+Mutation state is kept per owner ``v`` — its adjacency set, its buckets
+``{c: members}`` and its representatives ``{c: member}`` — and built from
+``v``'s slice of the sorted construction arrays the first time a delete
+touches ``v``.  A late build is exact because
+
+* step 1 touches both endpoints of an edge before removing it, and
+* step 4 touches every neighbour of a vertex, and the vertex itself,
+  before moving that vertex between buckets,
+
+so an owner never touched still has only its construction-time
+neighbours, in their construction-time clusters, and its own
+construction-time cluster and representatives.
 """
 
 from __future__ import annotations
@@ -28,6 +41,18 @@ from repro.spanner.shift_clustering import (
 )
 
 __all__ = ["DecrementalSpanner"]
+
+
+class _Owner:
+    """The mutation state of one owner ``v``: its neighbours, its buckets
+    ``{cluster: members}`` and its representatives ``{cluster: member}``."""
+
+    __slots__ = ("adj", "buckets", "reps")
+
+    def __init__(self, adj, buckets, reps) -> None:
+        self.adj: set[int] = adj
+        self.buckets: dict[int, set[int]] = buckets
+        self.reps: dict[int, int] = reps
 
 
 class DecrementalSpanner:
@@ -64,38 +89,29 @@ class DecrementalSpanner:
         self.deltas = deltas
         self.sc = ShiftedClustering(n, earr, deltas, cost=cost)
 
-        # Array-native initialization.  The per-edge bucket fills and the
-        # initial representative sweep are grouped array reductions; the
-        # dict-of-sets mutation state (``_adj``/``_inter``) materializes
-        # lazily on the first deletion batch (or invariant check), so
-        # instances that are merged away untouched never build it.
+        # Array-native initialization.  Bucket memberships are rows
+        # (owner v, cluster c of member, member u), sorted once by
+        # (v, c, u): the same order serves the initial representative
+        # sweep below and every owner's late build (see _owner).
         eu, ev = earr[:, 0], earr[:, 1]
         cl = np.asarray(self.sc.cluster, dtype=np.int64) if n else (
             np.zeros(0, dtype=np.int64)
         )
-        # bucket memberships: (owner v, cluster c of member, member u)
         bv = np.concatenate([eu, ev])
         bc = cl[np.concatenate([ev, eu])] if n else bv
         bm = np.concatenate([ev, eu])
-        self._tables = None  # lazy (_adj, _inter); see _materialize_tables
-        self._members = (bv, bc, bm)
+        order = np.lexsort((bm, bc, bv))
+        v_s, c_s, m_s = bv[order], bc[order], bm[order]
+        self._members = (v_s, c_s, m_s)
+        self._cl0 = cl
+        self._owners: list[_Owner | None] = [None] * n
 
         # chosen representative neighbor per eligible bucket: the minimum
-        # member of every (v, c) group with c != CLUSTER(v)
-        elig = bc != cl[bv] if len(bv) else bv.astype(bool)
-        v_e, c_e, m_e = bv[elig], bc[elig], bm[elig]
-        order = np.lexsort((m_e, c_e, v_e))
-        v_s, c_s, m_s = v_e[order], c_e[order], m_e[order]
-        if len(v_s):
-            head = np.ones(len(v_s), dtype=bool)
-            head[1:] = (v_s[1:] != v_s[:-1]) | (c_s[1:] != c_s[:-1])
-            idx = np.nonzero(head)[0]
-            rv, rc, rm = v_s[idx], c_s[idx], m_s[idx]
-        else:
-            rv = rc = rm = v_s
-        self._rep: dict[tuple[int, int], int] = dict(
-            zip(zip(rv.tolist(), rc.tolist()), rm.tolist())
-        )
+        # member, i.e. the head of every (v, c) run with c != CLUSTER(v)
+        head = np.ones(len(v_s), dtype=bool)
+        head[1:] = (v_s[1:] != v_s[:-1]) | (c_s[1:] != c_s[:-1])
+        head &= c_s != cl[v_s]
+        rv, rm = v_s[head], m_s[head]
         # spanner edge refcounts: forest edges (one each) plus the
         # representative edges (normalized; a rep edge may be chosen from
         # both sides, hence the multiset count)
@@ -114,48 +130,31 @@ class DecrementalSpanner:
         charged = len(rv)
         cost.charge_many(work=charged, depth=charged)
 
-    # -- lazy mutation tables ----------------------------------------------
+    # -- per-owner mutation state ------------------------------------------
 
-    def _materialize_tables(self) -> None:
-        """Build ``_adj`` (adjacency sets) and ``_inter`` (bucket sets)
-        from the initial edge arrays.  Clusters cannot have changed before
-        the first mutation reaches these tables — every cluster change
-        flows through :meth:`batch_delete`, which touches them first."""
-        bv, bc, bm = self._members
-        order = np.lexsort((bm, bc, bv))
-        v_s, c_s, m_s = bv[order], bc[order], bm[order]
-        members = m_s.tolist()
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        inter: dict[tuple[int, int], set[int]] = {}
-        if len(v_s):
-            head = np.ones(len(v_s), dtype=bool)
-            head[1:] = (v_s[1:] != v_s[:-1]) | (c_s[1:] != c_s[:-1])
-            starts = np.nonzero(head)[0].tolist()
-            bounds = starts + [len(members)]
-            keys = list(zip(v_s[head].tolist(), c_s[head].tolist()))
-            for i, key in enumerate(keys):
-                inter[key] = set(members[bounds[i]:bounds[i + 1]])
-            # per-owner adjacency: each neighbor appears in exactly one of
-            # v's buckets, so v's whole slice is already duplicate-free
-            vhead = np.ones(len(v_s), dtype=bool)
-            vhead[1:] = v_s[1:] != v_s[:-1]
-            vstarts = np.nonzero(vhead)[0].tolist()
-            vbounds = vstarts + [len(members)]
-            for j, v in enumerate(v_s[vhead].tolist()):
-                adj[v] = set(members[vbounds[j]:vbounds[j + 1]])
-        self._tables = (adj, inter)
-
-    @property
-    def _adj(self) -> list[set[int]]:
-        if self._tables is None:
-            self._materialize_tables()
-        return self._tables[0]
-
-    @property
-    def _inter(self) -> dict[tuple[int, int], set[int]]:
-        if self._tables is None:
-            self._materialize_tables()
-        return self._tables[1]
+    def _owner(self, v: int) -> _Owner:
+        """``v``'s mutation state, built from its slice of the sorted
+        member arrays on first touch (exact then: see the module
+        docstring)."""
+        o = self._owners[v]
+        if o is None:
+            v_s, c_s, m_s = self._members
+            a, b = np.searchsorted(v_s, (v, v + 1)).tolist()
+            own = self._cl0[v].item()
+            buckets: dict[int, set[int]] = {}
+            reps: dict[int, int] = {}
+            members = m_s[a:b].tolist()
+            for c, u in zip(c_s[a:b].tolist(), members):
+                bucket = buckets.get(c)
+                if bucket is None:
+                    # members ascend within a cluster run: u is its minimum
+                    buckets[c] = {u}
+                    if c != own:
+                        reps[c] = u
+                else:
+                    bucket.add(u)
+            o = self._owners[v] = _Owner(set(members), buckets, reps)
+        return o
 
     # -- bucket / refcount plumbing ----------------------------------------
 
@@ -191,20 +190,21 @@ class DecrementalSpanner:
         whole refresh round in one aggregate call.
         """
         v, c = key
-        bucket = self._inter.get(key)
+        o = self._owner(v)
+        bucket = o.buckets.get(c)
         eligible = bool(bucket) and c != self.sc.cluster_of(v)
-        cur = self._rep.get(key)
+        cur = o.reps.get(c)
         if not eligible:
             if cur is not None:
-                del self._rep[key]
+                del o.reps[c]
                 self._dec(norm_edge(v, cur), delta)
-            if not bucket and key in self._inter:
-                del self._inter[key]
+            if not bucket and c in o.buckets:
+                del o.buckets[c]
             return 0
         if cur is not None and cur in bucket:
             return 0
         new = min(bucket)
-        self._rep[key] = new
+        o.reps[c] = new
         if cur is not None:
             self._dec(norm_edge(v, cur), delta)
         self._inc(norm_edge(v, new), delta)
@@ -229,6 +229,16 @@ class DecrementalSpanner:
     def batch_delete(self, edges) -> tuple[set[Edge], set[Edge]]:
         """Delete a batch of edges; returns the net ``(δH_ins, δH_del)``."""
         edges = [norm_edge(u, v) for u, v in edges]
+        # The whole batch is checked before anything changes: an absent or
+        # out-of-range edge, or one repeated within the batch, leaves the
+        # structure intact.
+        n, owner = self.n, self._owner
+        seen: set[Edge] = set()
+        for e in edges:
+            u, v = e
+            if e in seen or not (0 <= u and v < n) or v not in owner(u).adj:
+                raise KeyError(f"edge {e} not present")
+            seen.add(e)
         ins: set[Edge] = set()
         dels: set[Edge] = set()
         delta = (ins, dels)
@@ -237,17 +247,14 @@ class DecrementalSpanner:
         # 1. remove edges from adjacency and buckets (pre-cascade clusters).
         # One parallel round: every branch does the same 2 hash ops, so the
         # region's (sum-work, max-depth) total is charged in one call.
-        adj = self._adj
-        inter = self._inter
         cluster = self.sc.cluster
         for u, v in edges:
-            if v not in adj[u]:
-                raise KeyError(f"edge {(u, v)} not present")
-            adj[u].remove(v)
-            adj[v].remove(u)
+            ou, ov = owner(u), owner(v)
+            ou.adj.remove(v)
+            ov.adj.remove(u)
             cu, cv = cluster[u], cluster[v]
-            inter.setdefault((u, cv), set()).discard(v)
-            inter.setdefault((v, cu), set()).discard(u)
+            ou.buckets[cv].remove(v)
+            ov.buckets[cu].remove(u)
             touched.add((u, cv))
             touched.add((v, cu))
         self._cost.pfor_cost(len(edges), 2, depth=1)
@@ -273,9 +280,10 @@ class DecrementalSpanner:
         moved = 0
         for ch in cluster_changes:
             v, oldc, newc = ch.vertex, ch.old_cluster, ch.new_cluster
-            for u in sorted(adj[v]):
-                inter.setdefault((u, oldc), set()).discard(v)
-                inter.setdefault((u, newc), set()).add(v)
+            for u in sorted(owner(v).adj):
+                buckets = owner(u).buckets
+                buckets[oldc].remove(v)
+                buckets.setdefault(newc, set()).add(v)
                 touched.add((u, oldc))
                 touched.add((u, newc))
                 moved += 1
@@ -296,28 +304,27 @@ class DecrementalSpanner:
     # -- invariant check (used by tests) ----------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify bucket/representative/refcount consistency (O(n + m))."""
-        # buckets partition the adjacency by neighbor cluster
-        want: dict[tuple[int, int], set[int]] = {}
-        for v in range(self.n):
-            for u in self._adj[v]:
-                want.setdefault((v, self.sc.cluster_of(u)), set()).add(u)
-        got = {k: s for k, s in self._inter.items() if s}
-        assert got == want, "bucket contents diverged"
-        # representatives: exactly the eligible buckets, member of bucket
-        for key, s in want.items():
-            v, c = key
-            if c != self.sc.cluster_of(v):
-                assert key in self._rep, f"missing rep for {key}"
-                assert self._rep[key] in s
-            else:
-                assert key not in self._rep
-        assert set(self._rep) <= set(want)
-        # refcounts = forest + representative multiset
+        """Verify bucket/representative/refcount consistency (O(n + m));
+        builds every owner."""
+        cluster = self.sc.cluster
         want_counts: dict[Edge, int] = {}
         for e in self.sc.tree_edges():
             want_counts[e] = want_counts.get(e, 0) + 1
-        for (v, _c), u in self._rep.items():
-            e = norm_edge(v, u)
-            want_counts[e] = want_counts.get(e, 0) + 1
+        for v in range(self.n):
+            o = self._owner(v)
+            # buckets partition the adjacency by neighbor cluster
+            want: dict[int, set[int]] = {}
+            for u in o.adj:
+                want.setdefault(cluster[u], set()).add(u)
+            got = {c: s for c, s in o.buckets.items() if s}
+            assert got == want, f"bucket contents of {v} diverged"
+            # representatives: exactly the eligible buckets, member of bucket
+            assert o.reps.keys() == want.keys() - {cluster[v]}, (
+                f"representatives of {v} diverged"
+            )
+            for c, u in o.reps.items():
+                assert u in want[c], f"rep of {(v, c)} not in its bucket"
+                e = norm_edge(v, u)
+                want_counts[e] = want_counts.get(e, 0) + 1
+        # refcounts = forest + representative multiset
         assert want_counts == self._span, "refcounts diverged"

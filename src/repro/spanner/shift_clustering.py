@@ -402,15 +402,15 @@ class ShiftedClustering:
                         # region, so eliding their task frames leaves the
                         # (sum-work, max-depth) total unchanged.
                         new_pri = self._composite(newc, v)
-                        edge_pri = self.es.edge_pri
+                        out = self.es.out_edges(v)
                         # Each branch re-keys a distinct (v, w) edge, so
                         # the skip test commutes with the rekeys and the
                         # loop routes through the backend seam as a map
                         # (inline under any backend: _rekey_edge mutates
                         # the shared ES tree).
                         ws = [
-                            w for w in sorted(self.es.out_adj[v])
-                            if w < self.n and edge_pri[(v, w)] != new_pri
+                            w for w in sorted(out)
+                            if w < self.n and out[w] != new_pri
                         ]
                         with self._cost.parallel() as inner:
                             inner.map(
@@ -438,7 +438,7 @@ class ShiftedClustering:
         detection).  The caller guarantees ``new_pri`` differs from the
         edge's current priority."""
         es = self.es
-        old_pri = es.edge_pri[(v, w)]
+        old_pri = es.out_edges(v)[w]
         before = self._real_parent_edge(w)
         if es.parent_of(w) == v:
             es.update_edge_priority(v, w, new_pri)

@@ -89,6 +89,15 @@ class TestESTreeInit:
         with pytest.raises(ValueError):
             BatchDynamicESTree(3, [(0, 1), (0, 1)], source=0, limit=2)
 
+    @pytest.mark.parametrize("p", [-1, 8])
+    def test_priority_outside_universe_rejected(self, p):
+        with pytest.raises(ValueError):
+            BatchDynamicESTree(3, [(0, 1), (1, 2)], source=0, limit=2,
+                               priority={(0, 1): p, (1, 2): 1}, universe=8)
+        with pytest.raises(ValueError):
+            BatchDynamicESTree.from_arrays(3, [0, 1], [1, 2], [p, 1], 0, 2,
+                                           universe=8)
+
     def test_tree_edges(self):
         n, edges = 4, [(0, 1), (1, 2), (2, 3)]
         tree = BatchDynamicESTree(n, edges, source=0, limit=3)
@@ -288,3 +297,133 @@ class TestPriorityHooks:
         tree = BatchDynamicESTree(3, [(0, 1), (1, 2)], source=0, limit=2)
         with pytest.raises(ValueError):
             tree.set_parent(2, 0)  # (0,2) not an edge
+
+
+class TestAllOrNothingDelete:
+    """A rejected delete batch changes nothing: every edge is checked
+    before the first one is removed."""
+
+    EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("bad", [
+        [(0, 1), (4, 0)],          # an absent edge after a present one
+        [(0, 1), (0, 1)],          # a present edge repeated
+        [(0, 1), (-1, 0)],         # an out-of-range id
+    ])
+    def test_rejected_batch_leaves_tree_intact(self, bad):
+        tree = BatchDynamicESTree(5, self.EDGES, source=0, limit=4)
+        before = (tree.distances(), [tree.parent_of(v) for v in range(5)])
+        with pytest.raises(KeyError):
+            tree.batch_delete(bad)
+        assert tree.is_alive(0, 1)
+        assert (tree.distances(),
+                [tree.parent_of(v) for v in range(5)]) == before
+        tree.batch_delete([(0, 1)])  # the retry is accepted
+        assert not tree.is_alive(0, 1)
+        check_tree_valid(tree, 5, self.EDGES[1:], 0, 4)
+
+
+class TestEdgeContract:
+    """``is_alive`` is False and ``set_parent`` raises ``ValueError`` for a
+    deleted, a never-present and an out-of-range pair alike."""
+
+    @pytest.mark.parametrize("build", ["scalar", "arrays"])
+    def test_dead_absent_and_out_of_range_pairs(self, build):
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        if build == "scalar":
+            tree = BatchDynamicESTree(4, edges, source=0, limit=3)
+        else:
+            src, dst = zip(*edges)
+            tree = BatchDynamicESTree.from_arrays(
+                4, src, dst, range(len(edges)), 0, 3, universe=16
+            )
+        tree.batch_delete([(1, 2)])
+        for u, v in [(1, 2), (3, 0), (-1, 1), (0, -1), (4, 1), (0, 4),
+                     (-4, 2)]:
+            assert not tree.is_alive(u, v)
+            with pytest.raises(ValueError):
+                tree.set_parent(v, u)
+        assert tree.out_edges(1) == {}
+        with pytest.raises(IndexError):
+            tree.out_edges(-1)
+
+
+def _tree_state(tree, n):
+    return (
+        tree.distances(),
+        [tree.parent_of(v) for v in range(n)],
+        [tree.parent_edge_priority(v) for v in range(n)],
+    )
+
+
+def _changes(changes):
+    return [(c.vertex, c.old_parent, c.new_parent, c.old_dist, c.new_dist)
+            for c in changes]
+
+
+class TestSubstrateEquivalence:
+    """An array-built tree and a scalar-built one on the same edges and
+    priorities agree after every step of a random interleaving of deletes,
+    re-keys and parent rescans, on state, results and charges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 14), st.integers(1, 5),
+           st.booleans())
+    def test_random_interleavings_agree(self, seed, n, limit, every_step):
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = rng.sample(pairs, rng.randrange(0, len(pairs) + 1))
+        universe = 4 * len(pairs) + 4
+        pri = dict(zip(edges, rng.sample(range(universe), len(edges))))
+        cm_a, cm_s = CostModel(), CostModel()
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        a = BatchDynamicESTree.from_arrays(
+            n, src, dst, [pri[e] for e in edges], 0, limit,
+            universe=universe, cost=cm_a,
+        )
+        s = BatchDynamicESTree(n, edges, source=0, limit=limit,
+                               priority=pri, universe=universe, cost=cm_s)
+
+        def agree(full):
+            assert _tree_state(a, n) == _tree_state(s, n)
+            assert (cm_a.work, cm_a.depth) == (cm_s.work, cm_s.depth)
+            if full:
+                for u in range(n):
+                    assert a.out_edges(u) == s.out_edges(u)
+                    for v in range(-1, n + 1):
+                        assert a.is_alive(u, v) == s.is_alive(u, v)
+
+        agree(every_step)
+        alive = list(edges)
+        used = {v: set() for v in range(n)}  # IN(v) priorities, dead too
+        for (u, v), p in pri.items():
+            used[v].add(p)
+        for _ in range(rng.randrange(1, 12)):
+            op = rng.random()
+            if op < 0.4 and alive:
+                rng.shuffle(alive)
+                b = rng.randrange(1, len(alive) + 1)
+                batch, alive = alive[:b], alive[b:]
+                assert _changes(a.batch_delete(batch)) == _changes(
+                    s.batch_delete(batch))
+                assert not any(a.is_alive(*e) for e in batch)
+            elif op < 0.7 and alive:
+                u, v = rng.choice(alive)
+                p = rng.choice(
+                    [q for q in range(universe) if q not in used[v]]
+                )
+                used[v].add(p)
+                a.update_edge_priority(u, v, p)
+                s.update_edge_priority(u, v, p)
+                assert a.out_edges(u)[v] == s.out_edges(u)[v] == p
+            else:
+                v = rng.randrange(n)
+                head = rng.random() < 0.5
+                ca = a.find_parent_candidate(v, from_start=head)
+                assert ca == s.find_parent_candidate(v, from_start=head)
+                if ca is not None:
+                    a.set_parent(v, ca)
+                    s.set_parent(v, ca)
+            agree(every_step)
+        agree(True)

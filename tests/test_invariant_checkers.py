@@ -24,8 +24,8 @@ class TestCheckersDetectCorruption:
 
     def test_decremental_spanner_bucket_corruption(self):
         sp = DecrementalSpanner(14, EDGES, k=2, seed=3)
-        key = next(iter(sp._inter))
-        sp._inter[key].add(999)
+        owner = sp._owner(next(v for v in range(14) if sp._owner(v).adj))
+        next(iter(owner.buckets.values())).add(999)
         with pytest.raises(AssertionError):
             sp.check_invariants()
 
